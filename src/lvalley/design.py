@@ -5,19 +5,30 @@ valley, locates the critical in-plane strain where the L1 level drops below
 Delta6, maps strain to the Ge fraction of the barrier alloy through the
 Vegard rule, and evaluates deformation-potential sensitivity envelopes by
 corner sampling.
+
+Both roots are closed-form.  The Delta6 - L1 gap is exactly the quadratic
+c0 + c1 eps + c2 eps**2 in the in-plane strain, and the Vegard strain is
+exactly quadratic in x, so each is solved with the cancellation-free
+quadratic formula (Press et al., Numerical Recipes, section 5.6).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import NamedTuple
 
-from .elasticity import strain_state
+from .elasticity import StrainState, strain_state
 from .errors import InfeasibleError
-from .materials import LatticeParams, MaterialParams, QuadraticCoefficients, Valley
-from .rootfind import bisect_root
-from .valleys import ValleyEnergy, bulk_energy, linear_shift, quadratic_shift
+from .materials import (
+    DeformationPotentials,
+    LatticeParams,
+    MaterialParams,
+    QuadraticCoefficients,
+    Valley,
+)
+from .valleys import ValleyEnergy, bulk_energy, linear_shift
 from .well import ground_state, well_config
 
 # Crossover search bracket: slightly above the strain of pure-Ge barriers,
@@ -53,7 +64,11 @@ class DesignPoint:
 
 @dataclass(frozen=True)
 class CrossoverResult:
-    """Critical strain and Ge fraction where L1 and Delta6 intersect."""
+    """Critical strain and Ge fraction where L1 and Delta6 intersect.
+
+    ``bracket_width`` is always 0.0: the root comes from the closed-form
+    quadratic, not from a shrinking bracket.
+    """
 
     thickness_t: float
     eps_critical: float
@@ -99,10 +114,13 @@ def x_to_strain(x: float, lat: LatticeParams) -> float:
 def strain_to_x(eps_par: float, lat: LatticeParams) -> float:
     """Ge fraction producing a given in-plane strain (monotone inversion).
 
-    Bisection instead of the closed quadratic formula avoids a sign branch
-    on the small bowing term; the alloy lattice constant is strictly
-    increasing in x, so the root is unique.
+    The Vegard relation gives -b x**2 + B x - a_si eps = 0 with
+    B = a_ge - a_si + b, which is positive because |b| < a_ge - a_si.  The
+    root in [0, 1] is x = 2 a_si eps / (B + sqrt(B**2 - 4 b a_si eps)): one
+    formula for either sign of b, free of cancellation even for tiny strains.
     """
+    if math.isnan(eps_par):
+        raise ValueError("strain must be a number, got nan")
     if eps_par < 0.0:
         raise ValueError("compressive strain has no Ge-barrier realization")
     ceiling = x_to_strain(1.0, lat)
@@ -116,8 +134,11 @@ def strain_to_x(eps_par: float, lat: LatticeParams) -> float:
             "requires x > 1",
             reason="requires_x_gt_1",
         )
-    res = bisect_root(lambda x: x_to_strain(x, lat) - eps_par, 0.0, 1.0, xtol=1e-12)
-    return res.root
+    a_eps = lat.a_si * eps_par
+    lin = lat.a_ge - lat.a_si + lat.bowing_b
+    # the discriminant is at least (a_ge - a_si - b)**2 > 0 below the ceiling
+    disc = max(lin * lin - 4.0 * lat.bowing_b * a_eps, 0.0)
+    return min(2.0 * a_eps / (lin + math.sqrt(disc)), 1.0)
 
 
 def design_point(
@@ -158,38 +179,51 @@ def total_energy(
     return replace(bulk, eq=sol.energy_eq)
 
 
-def _critical_strain_given_eq(
-    params: MaterialParams, eqs: dict[Valley, float]
-) -> tuple[float, float]:
-    """Root of E(Delta6) - E(L1) over the strain bracket, (eps, bracket width).
+def _gap_offset(params: MaterialParams, eqs: dict[Valley, float]) -> float:
+    """Delta6 - L1 gap at zero strain, confinement included, eV.
 
     The confinement energies are strain-independent and passed in so corner
     sweeps can reuse them.
     """
-    de_eq = eqs[Valley.DELTA6] - eqs[Valley.L1]
-    base = params.bands.e0_delta - params.bands.e0_L
+    return params.bands.e0_delta - params.bands.e0_L + eqs[Valley.DELTA6] - eqs[Valley.L1]
 
-    def gap(eps: float) -> float:
-        s = strain_state(params.elastic, eps)
-        d_lin = linear_shift(Valley.DELTA6, params.deformation, s) - linear_shift(
-            Valley.L1, params.deformation, s
-        )
-        d_quad = quadratic_shift(Valley.DELTA6, params.quadratic, eps) - quadratic_shift(
-            Valley.L1, params.quadratic, eps
-        )
-        return base + d_lin + d_quad + de_eq
 
-    if gap(0.0) >= 0.0:
+def _gap_slope(dp: DeformationPotentials, unit: StrainState) -> float:
+    """First-order coefficient of the Delta6 - L1 gap, eV per unit strain.
+
+    ``unit`` is the strain state at eps_par = 1; the shifts are linear in
+    the strain, so this is the exact slope.
+    """
+    return linear_shift(Valley.DELTA6, dp, unit) - linear_shift(Valley.L1, dp, unit)
+
+
+def _gap_curvature(q: QuadraticCoefficients) -> float:
+    """Second-order coefficient of the Delta6 - L1 gap, eV."""
+    return q.coefficient(Valley.DELTA6) - q.coefficient(Valley.L1)
+
+
+def _gap_root(c0: float, c1: float, c2: float) -> float:
+    """Strain in [0, EPS_BRACKET_MAX] where c0 + c1 eps + c2 eps**2 turns positive.
+
+    The two guards leave exactly one sign change inside the bracket.  With
+    q = -(c1 + sgn(c1) sqrt(c1**2 - 4 c2 c0)) / 2 the roots are c0 / q and
+    q / c2, and neither subtracts nearly equal numbers.  For c1 >= 0 the
+    crossing is c0 / q, which also covers c2 == 0; for c1 < 0 the guards
+    force c2 > 0 and the crossing is q / c2.
+    """
+    if c0 >= 0.0:
         raise InfeasibleError(
             "L1 already lies below Delta6 at zero strain", reason="below_at_zero"
         )
-    if gap(EPS_BRACKET_MAX) < 0.0:
+    if c0 + (c1 + c2 * EPS_BRACKET_MAX) * EPS_BRACKET_MAX < 0.0:
         raise InfeasibleError(
             f"L1 never drops below Delta6 for strain up to {EPS_BRACKET_MAX}",
             reason="no_crossing",
         )
-    res = bisect_root(gap, 0.0, EPS_BRACKET_MAX, xtol=1e-9)
-    return res.root, res.hi - res.lo
+    sq = math.sqrt(max(c1 * c1 - 4.0 * c2 * c0, 0.0))
+    root = -2.0 * c0 / (c1 + sq) if c1 >= 0.0 else (sq - c1) / (2.0 * c2)
+    # both forms are positive; rounding can only push a root at the bracket end past it
+    return min(root, EPS_BRACKET_MAX)
 
 
 def critical_strain(params: MaterialParams, thickness_t: float) -> CrossoverResult:
@@ -199,13 +233,16 @@ def critical_strain(params: MaterialParams, thickness_t: float) -> CrossoverResu
             f"thickness {thickness_t} nm outside the supported range "
             f"[{T_MIN_NM}, {T_MAX_NM}] nm"
         )
-    eqs = confinement_energies(params, thickness_t)
-    eps, width = _critical_strain_given_eq(params, eqs)
+    eps = _gap_root(
+        _gap_offset(params, confinement_energies(params, thickness_t)),
+        _gap_slope(params.deformation, strain_state(params.elastic, 1.0)),
+        _gap_curvature(params.quadratic),
+    )
     return CrossoverResult(
         thickness_t=thickness_t,
         eps_critical=eps,
         x_critical=strain_to_x(eps, params.lattice),
-        bracket_width=width,
+        bracket_width=0.0,
     )
 
 
@@ -239,40 +276,45 @@ def splitting_report(params: MaterialParams, thickness_t: float, x: float) -> Sp
 # ---------------------------------------------------------------------------
 # Sensitivity envelopes by corner sampling
 
-def _linear_corners(params: MaterialParams):
+def _corner_coefficients(
+    params: MaterialParams, unit: StrainState, mode: str
+) -> list[tuple[float, float]]:
+    """(c1, c2) gap coefficients at every corner of the perturbed box.
+
+    A corner perturbs only the deformation potentials (through the slope c1)
+    or the quadratic coefficients (through the curvature c2), never c0.
+    """
+    if mode not in SENSITIVITY_MODES:
+        raise ValueError(f"unknown sensitivity mode {mode!r}; valid: {SENSITIVITY_MODES}")
     dp = params.deformation
-    for fd_d, fu_d, fd_l, fu_l in product(LINEAR_VARIATION_FACTORS, repeat=4):
-        yield replace(
-            params,
-            deformation=replace(
-                dp,
-                xi_d_delta=dp.xi_d_delta * fd_d,
-                xi_u_delta=dp.xi_u_delta * fu_d,
-                xi_d_L=dp.xi_d_L * fd_l,
-                xi_u_L=dp.xi_u_L * fu_l,
-            ),
-        )
-
-
-def _quadratic_corners(params: MaterialParams):
-    for d1, d3, d6 in product(
-        QUADRATIC_COEFF_RANGES[Valley.L1],
-        QUADRATIC_COEFF_RANGES[Valley.L3],
-        QUADRATIC_COEFF_RANGES[Valley.DELTA6],
-    ):
-        yield replace(
-            params, quadratic=QuadraticCoefficients(d_L1=d1, d_L3=d3, d_delta6=d6)
-        )
-
-
-def _corner_params(params: MaterialParams, mode: str) -> list[MaterialParams]:
-    if mode == "linear10pct":
-        return list(_linear_corners(params))
     if mode == "quadratic_range":
-        return list(_quadratic_corners(params))
-    if mode == "both":
-        return [q for p in _linear_corners(params) for q in _quadratic_corners(p)]
-    raise ValueError(f"unknown sensitivity mode {mode!r}; valid: {SENSITIVITY_MODES}")
+        slopes = [_gap_slope(dp, unit)]
+    else:
+        slopes = [
+            _gap_slope(
+                replace(
+                    dp,
+                    xi_d_delta=dp.xi_d_delta * fd_d,
+                    xi_u_delta=dp.xi_u_delta * fu_d,
+                    xi_d_L=dp.xi_d_L * fd_l,
+                    xi_u_L=dp.xi_u_L * fu_l,
+                ),
+                unit,
+            )
+            for fd_d, fu_d, fd_l, fu_l in product(LINEAR_VARIATION_FACTORS, repeat=4)
+        ]
+    if mode == "linear10pct":
+        curvatures = [_gap_curvature(params.quadratic)]
+    else:
+        curvatures = [
+            _gap_curvature(QuadraticCoefficients(d_L1=d1, d_L3=d3, d_delta6=d6))
+            for d1, d3, d6 in product(
+                QUADRATIC_COEFF_RANGES[Valley.L1],
+                QUADRATIC_COEFF_RANGES[Valley.L3],
+                QUADRATIC_COEFF_RANGES[Valley.DELTA6],
+            )
+        ]
+    return list(product(slopes, curvatures))
 
 
 def sensitivity_band(
@@ -283,10 +325,14 @@ def sensitivity_band(
     The critical strain is monotone in each perturbed coefficient, so the
     band extremes occur at corners of the box; corners are enumerated
     exhaustively (16 for linear10pct, 8 for quadratic_range, 128 for both).
-    Corners whose crossover would need x > 1, or none at all, enter the
-    envelope at x = 1 and set the ``clipped`` flag.
+    Each corner is a (slope, curvature) pair of the gap quadratic.  Corners
+    whose crossover would need x > 1, or none at all, enter the envelope at
+    x = 1 and set the ``clipped`` flag.
     """
-    corners = _corner_params(params, mode)
+    unit = strain_state(params.elastic, 1.0)
+    corners = _corner_coefficients(params, unit, mode)
+    c1_nom = _gap_slope(params.deformation, unit)
+    c2_nom = _gap_curvature(params.quadratic)
     bands: list[SensitivityBand] = []
     for t in t_grid:
         if not T_MIN_NM <= t <= T_MAX_NM:
@@ -296,15 +342,13 @@ def sensitivity_band(
             )
         # corner sets perturb only band coefficients, never masses or V0,
         # so the confinement energies are shared across the whole box
-        eqs = confinement_energies(params, t)
-        eps_nom, _ = _critical_strain_given_eq(params, eqs)
-        x_nom = strain_to_x(eps_nom, params.lattice)
+        c0 = _gap_offset(params, confinement_energies(params, t))
+        x_nom = strain_to_x(_gap_root(c0, c1_nom, c2_nom), params.lattice)
         xs: list[float] = []
         clipped = False
-        for corner in corners:
+        for c1, c2 in corners:
             try:
-                eps, _ = _critical_strain_given_eq(corner, eqs)
-                xs.append(strain_to_x(eps, corner.lattice))
+                xs.append(strain_to_x(_gap_root(c0, c1, c2), params.lattice))
             except InfeasibleError as err:
                 if err.reason == "below_at_zero":
                     xs.append(0.0)

@@ -23,6 +23,12 @@ HBAR2_OVER_2M0 = 0.0380998211148596
 BURGERS_SI_NM = 0.384
 
 
+def _require_finite(what: str, *values: float) -> None:
+    """Reject NaN and infinite parameters, which no physics routine handles."""
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{what} must be finite")
+
+
 class Valley(Enum):
     """Conduction-band valleys of biaxially strained Si(111).
 
@@ -45,6 +51,7 @@ class ElasticConstants:
     c44: float
 
     def __post_init__(self):
+        _require_finite("elastic constants", self.c11, self.c12, self.c44)
         if not (self.c11 > 0.0 and self.c12 > 0.0 and self.c44 > 0.0):
             raise ValueError("elastic constants must be strictly positive")
         if not self.c11 > self.c12:
@@ -62,6 +69,9 @@ class DeformationPotentials:
     source_label: str = ""
 
     def __post_init__(self):
+        _require_finite(
+            "deformation potentials", self.xi_u_delta, self.xi_d_delta, self.xi_u_L, self.xi_d_L
+        )
         if not (self.xi_u_delta > 0.0 and self.xi_u_L > 0.0):
             raise ValueError("uniaxial deformation potentials must be positive")
 
@@ -79,9 +89,7 @@ class QuadraticCoefficients:
     d_delta6: float
 
     def __post_init__(self):
-        for v in (self.d_L1, self.d_L3, self.d_delta6):
-            if not math.isfinite(v):
-                raise ValueError("quadratic coefficients must be finite")
+        _require_finite("quadratic coefficients", self.d_L1, self.d_L3, self.d_delta6)
 
     def coefficient(self, valley: Valley) -> float:
         if valley is Valley.L1:
@@ -99,6 +107,7 @@ class EffectiveMasses:
     m_out: float
 
     def __post_init__(self):
+        _require_finite("effective masses", self.m_in, self.m_out)
         if not (self.m_in > 0.0 and self.m_out > 0.0):
             raise ValueError("effective masses must be strictly positive")
 
@@ -112,6 +121,7 @@ class LatticeParams:
     bowing_b: float
 
     def __post_init__(self):
+        _require_finite("lattice parameters", self.a_si, self.a_ge, self.bowing_b)
         if not self.a_ge > self.a_si:
             raise ValueError("a_ge must exceed a_si")
         if not abs(self.bowing_b) < (self.a_ge - self.a_si):
@@ -127,6 +137,7 @@ class BandEdges:
     v0_offset_111: float
 
     def __post_init__(self):
+        _require_finite("band edges", self.e0_L, self.e0_delta, self.v0_offset_111)
         if not self.e0_L > self.e0_delta:
             raise ValueError("unstrained Si must have the L edge above Delta")
         if not self.v0_offset_111 > 0.0:
@@ -139,6 +150,7 @@ class PhysicalConstants:
     burgers_si: float = BURGERS_SI_NM       # nm
 
     def __post_init__(self):
+        _require_finite("physical constants", self.hbar2_over_2m0, self.burgers_si)
         if abs(self.hbar2_over_2m0 / 0.0381 - 1.0) > 1e-3:
             raise ValueError("hbar2_over_2m0 must stay within 0.1% of 0.0381 eV nm^2")
         if not self.burgers_si > 0.0:

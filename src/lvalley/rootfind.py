@@ -1,4 +1,4 @@
-"""Bracketed bisection used by the well, crossover and Vegard solvers."""
+"""Bracketed bisection used by the finite-well and critical-thickness solvers."""
 
 from __future__ import annotations
 

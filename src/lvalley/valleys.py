@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .elasticity import StrainState, strain_state
@@ -55,6 +56,8 @@ def quadratic_shift(valley: Valley, q: QuadraticCoefficients, eps_par: float) ->
 
 def bulk_energy(valley: Valley, params: MaterialParams, eps_par: float) -> ValleyEnergy:
     """Absolute valley energy of the strained bulk film (no confinement)."""
+    if not math.isfinite(eps_par):
+        raise ValueError(f"strain must be finite, got {eps_par}")
     if abs(eps_par) > MAX_SUPPORTED_STRAIN:
         raise ValueError(
             f"|eps_par| = {abs(eps_par):.4g} exceeds the supported range "

@@ -31,12 +31,13 @@ class WellConfig:
     m_out: float
 
     def __post_init__(self):
-        if not self.thickness_t > 0.0:
-            raise ValueError("well thickness must be positive")
-        if not self.barrier_v0 > 0.0:
-            raise ValueError("barrier height must be positive")
-        if not (self.m_in > 0.0 and self.m_out > 0.0):
-            raise ValueError("effective masses must be positive")
+        # chained bounds also reject NaN, for which every comparison is False
+        if not 0.0 < self.thickness_t < math.inf:
+            raise ValueError("well thickness must be positive and finite")
+        if not 0.0 < self.barrier_v0 < math.inf:
+            raise ValueError("barrier height must be positive and finite")
+        if not (0.0 < self.m_in < math.inf and 0.0 < self.m_out < math.inf):
+            raise ValueError("effective masses must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,60 @@ def fixed_point_hc(x, nu, b=0.384, slope=0.0418):
     raise AssertionError("oracle fixed point did not converge")
 
 
+def crossover_gap(eps, offset, elastic, dp, d_l1, d_delta6):
+    """E(Delta6) - E(L1) of a biaxially strained (111) film, eV.
+
+    ``offset`` is the gap at zero strain (band edges plus confinement),
+    ``elastic`` is (c11, c12, c44) and ``dp`` is (xi_u_delta, xi_d_delta,
+    xi_u_L, xi_d_L).  The film-normal strain follows from the (111)
+    stiffness; L1 lies along the normal, and the Delta axes are the cubic
+    axes, each seeing one third of the strain trace.
+    """
+    c11, c12, c44 = elastic
+    xi_u_delta, xi_d_delta, xi_u_l, xi_d_l = dp
+    perp = -(2.0 * c11 + 4.0 * c12 - 4.0 * c44) / (c11 + 2.0 * c12 + 4.0 * c44) * eps
+    trace = 2.0 * eps + perp
+    e_delta6 = xi_d_delta * trace + xi_u_delta * trace / 3.0 + d_delta6 * eps * eps
+    e_l1 = xi_d_l * trace + xi_u_l * perp + d_l1 * eps * eps
+    return offset + e_delta6 - e_l1
+
+
+def bisect_crossover(gap, hi=0.06, xtol=1e-13):
+    """Strain in [0, hi] where gap(eps) turns positive, by plain bisection.
+
+    Returns (eps, "") or (None, reason) with the library's reason tags:
+    "below_at_zero" if the gap is already non-negative at zero strain,
+    "no_crossing" if it is still negative at ``hi``.
+    """
+    if gap(0.0) >= 0.0:
+        return None, "below_at_zero"
+    if gap(hi) < 0.0:
+        return None, "no_crossing"
+    lo = 0.0
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if gap(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), ""
+
+
+def bisect_vegard(eps, a_si, a_ge, bowing_b, xtol=1e-15):
+    """Ge fraction in [0, 1] whose relaxed alloy strains Si by eps."""
+    def strain(x):
+        return ((1.0 - x) * a_si + x * a_ge + bowing_b * x * (1.0 - x)) / a_si - 1.0
+
+    lo, hi = 0.0, 1.0
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        if strain(mid) < eps:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 # Ground-state energies frozen from grid_scan_ground_state with de = 1e-6
 # (V0 = 0.28 eV, Table masses L1: 1.70/1.59, L3: 0.13/1.59, D6: 0.26/1.59).
 EQ_FROZEN = {

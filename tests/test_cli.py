@@ -217,6 +217,26 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_non_finite_inputs_rejected_cleanly(capsys):
+    # a NaN strain used to print a bare `nan`, which is not JSON, with exit 0
+    assert run(["energy", "--t", "3", "--eps", "nan", "--format", "json-lines",
+                "--out", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+    # an infinite thickness used to leak the solver's "empty bracket" message
+    assert run(["well", "--valley", "L1", "--t", "inf", "--out", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err and "bracket" not in captured.err
+    # a NaN deformation potential is a bad override, i.e. a usage error
+    assert run(["crossover", "--t", "3", "--set", "deformation.xi_d_L=nan",
+                "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
 def test_unwritable_path_exit_1(capsys):
     assert run(["well", "--valley", "L1", "--t", "3", "--out", "/nonexistent-dir/out.csv"]) == 1
     assert "error" in capsys.readouterr().err

@@ -1,9 +1,19 @@
+import math
+from dataclasses import replace
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import bisect_crossover, bisect_vegard, crossover_gap
 
 from lvalley import (
     InfeasibleError,
+    LatticeParams,
+    QuadraticCoefficients,
     Valley,
+    confinement_energies,
     critical_strain,
     crossover_curve,
     default_params,
@@ -74,6 +84,9 @@ def test_x_to_strain_values():
 def test_strain_to_x_endpoints_and_inverse():
     assert strain_to_x(0.0, LAT) == 0.0
     assert strain_to_x(x_to_strain(1.0, LAT), LAT) == pytest.approx(1.0, abs=1e-6)
+    # full relative precision for tiny strains, where x ~ a_si eps / (a_ge - a_si + b)
+    tiny = LAT.a_si * 1e-300 / (LAT.a_ge - LAT.a_si + LAT.bowing_b)
+    assert strain_to_x(1e-300, LAT) == pytest.approx(tiny, rel=1e-12)
 
 
 def test_strain_to_x_infeasible_above_pure_ge():
@@ -85,12 +98,21 @@ def test_strain_to_x_infeasible_above_pure_ge():
 def test_strain_to_x_rejects_compression():
     with pytest.raises(ValueError):
         strain_to_x(-0.01, LAT)
+    with pytest.raises(ValueError, match="nan"):
+        strain_to_x(math.nan, LAT)
 
 
 def test_vegard_round_trip_1000():
     rng = np.random.default_rng(17)
     for x in rng.uniform(0.0, 1.0, size=1000):
         assert abs(strain_to_x(x_to_strain(float(x), LAT), LAT) - x) < 1e-8
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(0.0, 1.0), bowing=st.floats(-0.2, 0.2))
+def test_vegard_round_trip_either_bowing_sign(x, bowing):
+    lat = LatticeParams(a_si=5.4307, a_ge=5.6575, bowing_b=bowing)
+    assert abs(strain_to_x(x_to_strain(x, lat), lat) - x) <= 1e-12
 
 
 def test_design_point_fills_the_other_coordinate():
@@ -249,3 +271,108 @@ def test_clipped_corners_are_flagged():
 def test_sensitivity_rejects_unknown_mode():
     with pytest.raises(ValueError, match="mode"):
         sensitivity_band(PARAMS, [3.0], "bogus")
+
+
+# --- closed forms against plain-math bisection oracles ---------------------------
+
+ORACLE_T = (1.0, 3.0, 7.0, 10.0)
+
+
+def _corners(mode):
+    """(deformation, quadratic) pairs at every corner of one sensitivity mode."""
+    dp = PARAMS.deformation
+    lin = [
+        replace(dp, xi_d_delta=dp.xi_d_delta * a, xi_u_delta=dp.xi_u_delta * b,
+                xi_d_L=dp.xi_d_L * c, xi_u_L=dp.xi_u_L * d)
+        for a, b, c, d in product((0.9, 1.1), repeat=4)
+    ]
+    quad = [
+        QuadraticCoefficients(d_L1=d1, d_L3=d3, d_delta6=d6)
+        for d1, d3, d6 in product((-30.0, -15.0), (-20.0, -10.0), (-15.0, -5.0))
+    ]
+    if mode == "linear10pct":
+        return [(d, PARAMS.quadratic) for d in lin]
+    if mode == "quadratic_range":
+        return [(dp, q) for q in quad]
+    return [(d, q) for d in lin for q in quad]
+
+
+def _oracle_root(params, t):
+    eqs = confinement_energies(params, t)
+    b, el, dp, q = params.bands, params.elastic, params.deformation, params.quadratic
+    offset = b.e0_delta - b.e0_L + eqs[Valley.DELTA6] - eqs[Valley.L1]
+    return bisect_crossover(
+        lambda eps: crossover_gap(
+            eps, offset, (el.c11, el.c12, el.c44),
+            (dp.xi_u_delta, dp.xi_d_delta, dp.xi_u_L, dp.xi_d_L), q.d_L1, q.d_delta6,
+        )
+    )
+
+
+def _library_root(params, t):
+    try:
+        return critical_strain(params, t).eps_critical, ""
+    except InfeasibleError as err:
+        return None, err.reason
+
+
+def test_closed_form_crossover_matches_oracle_bisection():
+    # the crossover strain does not depend on the lattice; this one puts the
+    # pure-Ge strain (0.068) above the 0.06 search bracket, so strain_to_x
+    # never hides a root behind "requires x > 1"
+    wide = LatticeParams(a_si=5.4307, a_ge=5.80, bowing_b=0.0)
+    base = replace(PARAMS, lattice=wide)
+    cases = [
+        replace(base, deformation=dp, quadratic=q)
+        for mode in ("linear10pct", "quadratic_range", "both")
+        for dp, q in _corners(mode)
+    ]
+    # the gap is linear (c2 == 0) at the quadratic_range corner d_L1 = d_delta6
+    flat = QuadraticCoefficients(d_L1=-15.0, d_L3=-20.0, d_delta6=-15.0)
+    assert any(c.quadratic == flat for c in cases)
+    cases += [
+        # a high L edge never comes down far enough
+        replace(base, bands=replace(PARAMS.bands, e0_L=3.0)),
+        # nearly degenerate edges start out crossed once confinement is added
+        replace(base, bands=replace(PARAMS.bands, e0_L=1.18)),
+        # a gap that first falls (c1 < 0) until a strong curvature turns it
+        replace(
+            base,
+            deformation=replace(PARAMS.deformation, xi_d_L=10.0),
+            quadratic=QuadraticCoefficients(d_L1=-400.0, d_L3=-15.0, d_delta6=-10.0),
+        ),
+        # a concave gap (c2 < 0)
+        replace(base, quadratic=QuadraticCoefficients(d_L1=-5.0, d_L3=-15.0, d_delta6=-15.0)),
+    ]
+    reasons = set()
+    for params in cases:
+        for t in ORACLE_T:
+            want, want_reason = _oracle_root(params, t)
+            got, reason = _library_root(params, t)
+            assert reason == want_reason, (params, t)
+            reasons.add(reason)
+            if want is not None:
+                assert abs(got - want) <= 1e-9, (params, t)
+    assert reasons == {"", "below_at_zero", "no_crossing"}
+
+
+def test_sensitivity_band_matches_oracle_envelope():
+    lat = PARAMS.lattice
+    ceiling = lat.a_ge / lat.a_si - 1.0
+    for mode in ("linear10pct", "quadratic_range", "both"):
+        bands = sensitivity_band(PARAMS, list(ORACLE_T), mode)
+        for band, t in zip(bands, ORACLE_T):
+            xs, clipped = [], False
+            for dp, q in _corners(mode):
+                eps, reason = _oracle_root(replace(PARAMS, deformation=dp, quadratic=q), t)
+                if reason == "below_at_zero":
+                    xs.append(0.0)
+                elif reason == "no_crossing" or eps > ceiling:
+                    xs.append(1.0)
+                    clipped = True
+                else:
+                    xs.append(bisect_vegard(eps, lat.a_si, lat.a_ge, lat.bowing_b))
+            assert band.clipped == clipped, (mode, t)
+            # 1e-9 in strain is at most 3e-8 in x: dx/deps <= 27 on [0, 1]
+            assert band.x_low == pytest.approx(min(xs), abs=3e-8)
+            assert band.x_high == pytest.approx(max(xs), abs=3e-8)

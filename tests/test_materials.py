@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from lvalley import (
@@ -80,6 +82,8 @@ def test_table1_unknown_label_lists_valid():
 def test_elastic_constants_validation():
     with pytest.raises(ValueError):
         ElasticConstants(c11=-1.0, c12=63.9, c44=79.6)
+    with pytest.raises(ValueError, match="finite"):
+        ElasticConstants(c11=math.inf, c12=63.9, c44=79.6)
     with pytest.raises(ValueError, match="c11 > c12"):
         ElasticConstants(c11=50.0, c12=63.9, c44=79.6)
 
@@ -87,6 +91,13 @@ def test_elastic_constants_validation():
 def test_deformation_potentials_validation():
     with pytest.raises(ValueError):
         DeformationPotentials(xi_u_delta=-9.16, xi_d_delta=1.1, xi_u_L=16.14, xi_d_L=-6.0)
+    # every field, including the signed dilatational ones the positivity
+    # check never reads, must be finite
+    good = dict(xi_u_delta=9.16, xi_d_delta=1.1, xi_u_L=16.14, xi_d_L=-6.0)
+    for name in good:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                DeformationPotentials(**{**good, name: bad})
 
 
 def test_lattice_validation():
@@ -94,6 +105,8 @@ def test_lattice_validation():
         LatticeParams(a_si=5.6575, a_ge=5.4307, bowing_b=-0.0273)
     with pytest.raises(ValueError):
         LatticeParams(a_si=5.4307, a_ge=5.6575, bowing_b=-0.5)
+    with pytest.raises(ValueError, match="finite"):
+        LatticeParams(a_si=5.4307, a_ge=math.inf, bowing_b=-0.0273)
 
 
 def test_band_edges_validation():
@@ -101,11 +114,17 @@ def test_band_edges_validation():
         BandEdges(e0_L=1.0, e0_delta=1.17, v0_offset_111=0.28)
     with pytest.raises(ValueError):
         BandEdges(e0_L=2.10, e0_delta=1.17, v0_offset_111=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        BandEdges(e0_L=math.inf, e0_delta=1.17, v0_offset_111=0.28)
 
 
 def test_physical_constants_validation():
     with pytest.raises(ValueError):
         PhysicalConstants(hbar2_over_2m0=0.04)
+    with pytest.raises(ValueError, match="finite"):
+        PhysicalConstants(hbar2_over_2m0=math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        EffectiveMasses(m_in=0.26, m_out=math.inf)
 
 
 def test_mixed_barrier_masses_rejected():

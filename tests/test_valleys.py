@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,10 @@ def test_bulk_energy_rejects_unsupported_strain():
         bulk_energy(Valley.L1, PARAMS, 0.11)
     with pytest.raises(ValueError):
         bulk_energy(Valley.L1, PARAMS, -0.2)
+    # NaN slips past a plain range comparison
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            bulk_energy(Valley.L1, PARAMS, bad)
 
 
 def test_valley_energy_total_is_component_sum():

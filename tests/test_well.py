@@ -167,6 +167,11 @@ def test_config_validation():
         WellConfig(3.0, 0.0, 0.26, 1.59)
     with pytest.raises(ValueError):
         WellConfig(3.0, 0.28, 0.26, -1.59)
+    for bad in (math.inf, math.nan):
+        for args in ((bad, 0.28, 0.26, 1.59), (3.0, bad, 0.26, 1.59),
+                     (3.0, 0.28, bad, 1.59), (3.0, 0.28, 0.26, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                WellConfig(*args)
 
 
 def test_grid_validation():
