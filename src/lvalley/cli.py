@@ -25,6 +25,10 @@ from .valleys import bulk_energy
 
 ENV_OUTDIR = "LVALLEY_OUTDIR"
 
+# Largest sweep a grid flag may request; a tiny step is a usage error, not
+# an allocation that runs until memory is exhausted.
+MAX_GRID_POINTS = 100_000
+
 _VALLEY_CHOICES = tuple(v.value for v in Valley)
 
 
@@ -198,11 +202,21 @@ def _emit(cfg: RunConfig, header: list[str], rows: list[tuple]) -> None:
 # grids and command builders
 
 def make_grid(lo: float, hi: float, step: float, name: str) -> list[float]:
+    """Points lo, lo + step, ... up to hi; at most ``MAX_GRID_POINTS`` of them."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
+        raise UsageError(f"{name}: min, max and step must be finite numbers")
     if step <= 0.0:
         raise UsageError(f"{name}: step must be > 0, got {step:g}")
     if hi < lo:
         raise UsageError(f"{name}: max {hi:g} is below min {lo:g}")
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    # (hi - lo) may overflow to inf, which the comparison also rejects
+    span = (hi - lo) / step + 1e-9
+    if not span < MAX_GRID_POINTS:
+        raise UsageError(
+            f"{name}: the grid would have more than {MAX_GRID_POINTS} points; "
+            "use a larger step or a narrower range"
+        )
+    n = int(math.floor(span)) + 1
     return [lo + i * step for i in range(n)]
 
 

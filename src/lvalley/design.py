@@ -176,7 +176,7 @@ def total_energy(
     sol = ground_state(
         well_config(valley, params, thickness_t), params.constants.hbar2_over_2m0
     )
-    return replace(bulk, eq=sol.energy_eq)
+    return ValleyEnergy(valley, bulk.e0, bulk.de1, bulk.de2, sol.energy_eq)
 
 
 def _gap_offset(params: MaterialParams, eqs: dict[Valley, float]) -> float:

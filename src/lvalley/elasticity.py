@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,22 +85,27 @@ class StrainState:
 
     tensor_111 is diagonal (eps_par, eps_par, eps_perp) in the film frame;
     tensor_crystal is the same strain expressed on the cubic crystal axes.
+    Both are read-only arrays built on first access: the valley shifts need
+    only the two scalars.
     """
 
     eps_par: float
     eps_perp: float
-    tensor_111: np.ndarray
-    tensor_crystal: np.ndarray
+
+    @cached_property
+    def tensor_111(self) -> np.ndarray:
+        t111 = np.diag([self.eps_par, self.eps_par, self.eps_perp])
+        t111.setflags(write=False)
+        return t111
+
+    @cached_property
+    def tensor_crystal(self) -> np.ndarray:
+        tcry = np.full((3, 3), (self.eps_perp - self.eps_par) / 3.0)
+        np.fill_diagonal(tcry, (2.0 * self.eps_par + self.eps_perp) / 3.0)
+        tcry.setflags(write=False)
+        return tcry
 
 
 def strain_state(c: ElasticConstants, eps_par: float) -> StrainState:
-    """Build the full strain state for in-plane strain eps_par."""
-    eps_perp = perp_strain(c, eps_par)
-    t111 = np.diag([eps_par, eps_par, eps_perp])
-    diag = (2.0 * eps_par + eps_perp) / 3.0
-    off = (eps_perp - eps_par) / 3.0
-    tcry = np.full((3, 3), off)
-    np.fill_diagonal(tcry, diag)
-    t111.setflags(write=False)
-    tcry.setflags(write=False)
-    return StrainState(eps_par=eps_par, eps_perp=eps_perp, tensor_111=t111, tensor_crystal=tcry)
+    """Strain state of a (111) film with in-plane strain eps_par."""
+    return StrainState(eps_par=eps_par, eps_perp=perp_strain(c, eps_par))

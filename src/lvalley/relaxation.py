@@ -5,10 +5,12 @@ The energy-balance model gives the implicit relation
     h_c = (b / (32 pi f^2)) ((1 - nu) / (1 + nu)) ln(h_c / b)
 
 with misfit f, Burgers vector b and the effective [111] Poisson ratio nu.
-The relation has two positive roots; the physical critical thickness is the
-larger one (the small root sits below a monolayer).  Fixed-point iteration
-from well above the root converges only to the larger root, where the
-iteration map h -> A ln(h/b) has slope A/h < 1.
+The relation has two positive roots for A > e b, where A is the prefactor
+of the logarithm; the physical critical thickness is the larger one (the
+small root sits below a monolayer).  It is h_c = -A W_-1(-b/A) on the lower
+branch of the Lambert W function (Corless et al., "On the Lambert W
+function", 1996), computed by Newton's method on the convex
+F(h) = h - A ln(h/b) started above the larger root.
 """
 
 from __future__ import annotations
@@ -19,11 +21,16 @@ from dataclasses import dataclass, replace
 from .design import x_to_strain
 from .errors import InfeasibleError, SolverError
 from .materials import BURGERS_SI_NM, ElasticConstants, LatticeParams
-from .rootfind import bisect_root
+from .rootfind import STEP_RTOL
 
 # Linearized misfit of Si against the relaxed Si(1-x)Ge(x) barrier per unit
 # Ge fraction.
 DEFAULT_MISFIT_SLOPE = 0.0418
+
+# Newton on the People-Bean relation stops once a step is within
+# rootfind.STEP_RTOL of h; the iteration cap only guards against a broken
+# input.
+_MAX_NEWTON = 64
 
 
 def poisson_111(elastic: ElasticConstants) -> tuple[float, float]:
@@ -81,28 +88,29 @@ def critical_thickness(inp: RelaxationInput) -> CriticalThickness:
     f = inp.misfit()
     nu, _ = poisson_111(inp.elastic)
     amp = b / (32.0 * math.pi * f * f) * (1.0 - nu) / (1.0 + nu)
-    if amp <= math.e * b:
+    # h = A ln(h/b) has roots only for A > e b, the edge of the W_-1 domain;
+    # u = ln(A/b) - 1 must also stay positive after rounding
+    u = math.log(amp / b) - 1.0 if amp > math.e * b else 0.0
+    if not u > 0.0:
         # h and A ln(h/b) never intersect: the model has no root
         raise InfeasibleError(
             f"no critical-thickness root: misfit {f:.4g} too large for the "
             "energy-balance relation",
             reason="no_root",
         )
-    h = 50.0 * b
-    for i in range(1, 201):
-        h_next = amp * math.log(h / b)
-        if abs(h_next - h) < 1e-12:
-            return CriticalThickness(h_c=h_next, misfit_f=f, nu_111=nu, iterations=i)
-        h = h_next
-    # near-tangency contraction can crawl; fall back to bisection on the
-    # descending side of A ln(h/b) - h, which brackets only the larger root
-    hi = max(amp, 50.0 * b)
-    while amp * math.log(hi / b) - hi >= 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise SolverError(f"critical-thickness bracket expansion failed (f={f:.4g})")
-    res = bisect_root(lambda x: amp * math.log(x / b) - x, amp, hi, xtol=1e-12)
-    return CriticalThickness(h_c=res.root, misfit_f=f, nu_111=nu, iterations=200 + res.iterations)
+    # F(h) = h - A ln(h/b) is convex with its minimum at h = A, so Newton
+    # started above the larger root descends monotonically onto it.  The
+    # start is the upper bound 1 + sqrt(2u) + u of -W_-1(-exp(-1 - u))
+    # (Chatzigeorgiou, IEEE Commun. Lett. 17, 2013), where F(h0) > 0.
+    # A step that does not descend (F(h) <= 0 by rounding) means h is
+    # within rounding of the root.
+    h = amp * (1.0 + math.sqrt(2.0 * u) + u)
+    for i in range(1, _MAX_NEWTON + 1):
+        step = (h - amp * math.log(h / b)) / (1.0 - amp / h)
+        if step <= STEP_RTOL * h:
+            return CriticalThickness(h_c=min(h, h - step), misfit_f=f, nu_111=nu, iterations=i)
+        h -= step
+    raise SolverError(f"critical-thickness Newton did not converge (f={f:.4g})")
 
 
 def hc_curve(inp: RelaxationInput, x_grid: list[float]) -> list[CriticalThickness]:

@@ -1,11 +1,20 @@
-"""Bracketed bisection used by the finite-well and critical-thickness solvers."""
+"""Bracket-safeguarded Newton solver used by the finite-well solver.
+
+This is ``rtsafe`` of Press et al., Numerical Recipes, section 9.4: Newton
+steps on a sign-changing bracket, with a bisection step whenever the Newton
+step would leave the bracket or the derivative vanishes.
+"""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 from .errors import SolverError
+
+# Newton has converged once its step is at most four ulp of the iterate.
+STEP_RTOL = 4.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -21,15 +30,19 @@ def bisect_root(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    xtol: float = 0.0,
+    df: Callable[[float], float],
     max_iter: int = 256,
 ) -> BisectResult:
     """Find a root of ``f`` inside the sign-changing bracket [lo, hi].
 
-    With ``xtol = 0`` the bracket is shrunk until no representable midpoint
-    remains, i.e. to machine precision; otherwise iteration stops once
-    ``hi - lo <= xtol``.  Raises :class:`SolverError` if the bracket does
-    not change sign or the iteration cap is hit.
+    Each iteration takes the Newton step (derivative ``df``) from the
+    current point when it lands strictly inside the bracket and halves the
+    bracket otherwise; the bracket shrinks around the root either way.  It
+    stops once the Newton step is within a few ulp of the iterate (tested
+    before the bracket, so a converged step that rounds onto a bracket end
+    does not fall back to bisection), or when no representable midpoint
+    remains.  Raises :class:`SolverError` if the bracket does not change
+    sign or the iteration cap is hit.
     """
     if not hi > lo:
         raise SolverError(f"empty bracket [{lo}, {hi}]")
@@ -39,25 +52,33 @@ def bisect_root(
         return BisectResult(lo, 0.0, 0, lo, lo)
     if fhi == 0.0:
         return BisectResult(hi, 0.0, 0, hi, hi)
-    if (flo < 0.0) == (fhi < 0.0):
+    rising = flo < 0.0
+    if rising == (fhi < 0.0):
         raise SolverError(
             f"no sign change over [{lo}, {hi}]: f(lo)={flo:.6g}, f(hi)={fhi:.6g}"
         )
+    x = 0.5 * (lo + hi)
     for i in range(1, max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return BisectResult(mid, f(mid), i, lo, hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return BisectResult(mid, 0.0, i, mid, mid)
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
+        fx = f(x)
+        if fx == 0.0:
+            return BisectResult(x, 0.0, i, x, x)
+        if (fx < 0.0) == rising:
+            lo = x
         else:
-            hi, fhi = mid, fm
-        if xtol > 0.0 and (hi - lo) <= xtol:
-            root = 0.5 * (lo + hi)
-            return BisectResult(root, f(root), i, lo, hi)
+            hi = x
+        slope = df(x)
+        if slope != 0.0:
+            step = fx / slope
+            if abs(step) <= STEP_RTOL * abs(x):
+                return BisectResult(x, fx, i, lo, hi)
+            x_new = x - step
+            if lo < x_new < hi:
+                x = x_new
+                continue
+        x = 0.5 * (lo + hi)
+        if x == lo or x == hi:
+            return BisectResult(x, f(x), i, lo, hi)
     raise SolverError(
-        f"bisection did not converge after {max_iter} iterations; "
-        f"bracket [{lo}, {hi}], f(lo)={flo:.6g}, f(hi)={fhi:.6g}"
+        f"root search did not converge after {max_iter} iterations; "
+        f"bracket [{lo}, {hi}]"
     )

@@ -7,9 +7,15 @@ transcendental equation
     tan(k_in t / 2) = sqrt((m_in / m_out) (V0 - E) / E),
     k_in = sqrt(2 m_in E) / hbar.
 
-The solver brackets the first tangent branch, k_in t/2 in (0, pi/2), where
-the left side rises 0 -> inf and the right side falls inf -> finite, so
-exactly one root exists for any valid configuration.
+It is solved in z = k_in t/2, with E = 4 K z**2 / (m_in t**2) and
+K = hbar**2 / 2 m0, as
+
+    g(z) = z sin z - r sqrt(u0**2 - z**2) cos z = 0,
+    r = sqrt(m_in / m_out),  u0**2 = m_in V0 t**2 / (4 K).
+
+On the first branch, z in (0, min(u0, pi/2)), g has no tangent pole and
+rises strictly from -r u0 to a positive value, so exactly one root exists
+and the bracket-safeguarded Newton solver reaches it in a few steps.
 """
 
 from __future__ import annotations
@@ -17,9 +23,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import InfeasibleError
 from .materials import HBAR2_OVER_2M0, MaterialParams, Valley
 from .rootfind import bisect_root
 
+# Smallest relative gap the solver resolves at either end of the first
+# branch: the binding (V0 - E)/V0 of a thin well, where z nears u0, and the
+# distance (E_inf - E)/E_inf below the hard-wall level of a wide or deep
+# well, where z nears pi/2.  z converges to a few ulp, so at this gap the
+# gap itself still carries about four significant digits.  Next to u0 the
+# slope of g is infinite and the Newton step shrinks; above this gap the
+# step stays larger than the stopping tolerance at every representable z
+# below u0, so convergence cannot be declared there.
+MIN_RELATIVE_GAP = 1e-12
 
 @dataclass(frozen=True)
 class WellConfig:
@@ -75,25 +91,56 @@ def infinite_well_reference(
 def ground_state(cfg: WellConfig, hbar2_over_2m0: float = HBAR2_OVER_2M0) -> WellSolution:
     """Solve for the even ground state of the well.
 
-    Bisection runs to machine precision; the 1e-12 eV nominal tolerance is
-    always exceeded.  The energy where k_in t/2 hits pi/2 equals the
-    infinite-barrier energy, which caps the bracket together with V0.
+    The root is found in z = k_in t/2 on (0, min(u0, pi/2)) by the
+    bracket-safeguarded Newton solver, to a few ulp of z; E = V0 (z/u0)**2
+    and k_in = 2 z / t.  ``residual`` is the mismatch of the original tan
+    form at that energy.  Two limits raise :class:`InfeasibleError` when
+    their leading-order gap is below ``MIN_RELATIVE_GAP``: a thin well
+    whose relative binding (V0 - E)/V0 ~ (u0/r)**2 = m_out V0 t**2 / (4 K)
+    is unresolved (reason ``"thin_well"``), and a wide or deep well whose
+    level sits within (E_inf - E)/E_inf ~ 2/(r u0) of the hard-wall level
+    (reason ``"hard_wall_limit"``).  A returned solution has 0 < E < V0, E
+    no higher than the hard-wall level and k_out > 0.
     """
-    cap = min(cfg.barrier_v0, infinite_well_reference(cfg.thickness_t, cfg.m_in, hbar2_over_2m0))
-    # relative offsets keep the bracket valid for arbitrarily wide wells,
-    # where the branch ceiling itself is far below any absolute epsilon
-    res = bisect_root(
-        lambda e: matching_mismatch(cfg, e, hbar2_over_2m0),
-        cap * 1e-12,
-        cap * (1.0 - 1e-12),
-    )
-    energy = res.root
-    k_in = math.sqrt(energy * cfg.m_in / hbar2_over_2m0)
-    k_out = math.sqrt((cfg.barrier_v0 - energy) * cfg.m_out / hbar2_over_2m0)
+    t = cfg.thickness_t
+    v0 = cfg.barrier_v0
+    u0 = t * math.sqrt(cfg.m_in * v0 / (4.0 * hbar2_over_2m0))
+    r = math.sqrt(cfg.m_in / cfg.m_out)
+    binding = (u0 / r) * (u0 / r)
+    if not binding >= MIN_RELATIVE_GAP:
+        raise InfeasibleError(
+            f"a {t:.3g} nm well under a {v0:.3g} eV barrier binds its ground state "
+            f"by only {binding:.2g} of the barrier height, below the "
+            f"{MIN_RELATIVE_GAP:g} that double precision resolves; use a "
+            "thicker well or a higher barrier",
+            reason="thin_well",
+        )
+    deficit = 2.0 / (r * u0)
+    if not deficit >= MIN_RELATIVE_GAP:
+        raise InfeasibleError(
+            f"the level of a {t:.3g} nm well under a {v0:.3g} eV barrier lies only "
+            f"{deficit:.2g} below the hard-wall level pi^2 hbar^2 / (2 m_in t^2), "
+            f"closer than the {MIN_RELATIVE_GAP:g} that double precision resolves; "
+            "use the hard-wall level",
+            reason="hard_wall_limit",
+        )
+
+    def g(z: float) -> float:
+        return z * math.sin(z) - r * math.sqrt((u0 - z) * (u0 + z)) * math.cos(z)
+
+    def dg(z: float) -> float:
+        w = math.sqrt((u0 - z) * (u0 + z))
+        if w == 0.0:
+            return 0.0  # w underflows only at absurd mass ratios: bisect instead
+        s, c = math.sin(z), math.cos(z)
+        return s + z * c + r * (z * c / w + w * s)
+
+    z = bisect_root(g, 0.0, min(u0, 0.5 * math.pi), dg).root
+    energy = v0 * (z / u0) * (z / u0)
     return WellSolution(
         energy_eq=energy,
-        k_in=k_in,
-        k_out=k_out,
+        k_in=2.0 * z / t,
+        k_out=math.sqrt((v0 - energy) * cfg.m_out / hbar2_over_2m0),
         residual=abs(matching_mismatch(cfg, energy, hbar2_over_2m0)),
     )
 

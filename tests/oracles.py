@@ -40,6 +40,25 @@ def grid_scan_ground_state(t, v0, m_in, m_out, de=1e-6):
     raise AssertionError(f"oracle found no bound state for t={t}, v0={v0}")
 
 
+def bisect_well_energy(t, v0, m_in, m_out):
+    """Ground-state energy by bisection on well_mismatch to machine precision.
+
+    The bracket is (0, min(v0, first tangent branch top)); the mismatch is
+    negative below the root on that branch, and bisection runs until no
+    representable midpoint remains.  Only interior points are evaluated.
+    """
+    lo = 0.0
+    hi = min(v0, (math.pi / t) ** 2 * K_ORACLE / m_in)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+        if well_mismatch(mid, t, v0, m_in, m_out) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
 def hard_wall_with_penetration(t, v0, m_in, m_out, rtol=1e-15):
     """Hard-wall level of a well widened by the barrier penetration depth.
 

@@ -1,10 +1,12 @@
 import json
+import math
 import os
 
 import pytest
 
 from lvalley import default_params
 from lvalley.cli import (
+    MAX_GRID_POINTS,
     UsageError,
     apply_override,
     emit_figure_data,
@@ -43,6 +45,20 @@ def test_make_grid():
         make_grid(1.0, 2.0, 0.0, "g")
     with pytest.raises(UsageError):
         make_grid(2.0, 1.0, 0.5, "g")
+
+
+def test_make_grid_rejects_non_finite_and_caps_points():
+    for bad in (math.inf, -math.inf, math.nan):
+        for args in ((bad, 2.0, 0.5), (1.0, bad, 0.5), (1.0, 2.0, bad)):
+            with pytest.raises(UsageError, match="finite"):
+                make_grid(*args, "g")
+    assert len(make_grid(0.0, MAX_GRID_POINTS - 1.0, 1.0, "g")) == MAX_GRID_POINTS
+    with pytest.raises(UsageError, match="more than"):
+        make_grid(0.0, float(MAX_GRID_POINTS), 1.0, "g")
+    with pytest.raises(UsageError, match="more than"):
+        make_grid(1.0, 10.0, 1e-300, "g")
+    with pytest.raises(UsageError, match="more than"):  # hi - lo overflows
+        make_grid(-1e308, 1e308, 1.0, "g")
 
 
 def test_apply_override_paths():
@@ -235,6 +251,34 @@ def test_non_finite_inputs_rejected_cleanly(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+def test_bad_grid_flags_are_usage_errors(capsys):
+    # an infinite bound used to die with an OverflowError traceback and a
+    # NaN step with "cannot convert float NaN to integer"
+    assert run(["hc", "--x-max", "inf", "--out", "-"]) == 2
+    assert run(["well", "--valley", "L1", "--t-step", "nan", "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("must be finite") == 2
+    assert "convert" not in captured.err
+
+
+def test_well_limits_reach_user_as_domain_errors(capsys):
+    # the relative binding of a 1e-9 nm well is below double precision
+    assert run(["splitting", "--t", "1e-9", "--x", "1", "--out", "-"]) == 1
+    assert run(["well", "--valley", "L3", "--t", "1e-9", "--out", "-"]) == 1
+    thin = capsys.readouterr()
+    # at the wide end the level is the hard-wall one to double precision,
+    # and at 1e160 nm an intermediate would overflow
+    assert run(["well", "--valley", "L1", "--t", "1e17", "--out", "-"]) == 1
+    assert run(["well", "--valley", "L1", "--t", "1e160", "--out", "-"]) == 1
+    wide = capsys.readouterr()
+    assert thin.out == wide.out == ""
+    assert thin.err.count("thicker well") == 2
+    assert wide.err.count("use the hard-wall level") == 2
+    for solver_text in ("sign change", "bracket", "domain error", "converge", "iteration"):
+        assert solver_text not in thin.err + wide.err
 
 
 def test_unwritable_path_exit_1(capsys):

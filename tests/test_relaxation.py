@@ -47,6 +47,31 @@ def test_hc_pure_ge_against_fixed_point_oracle():
     assert got == pytest.approx(HC_FROZEN[1.0], abs=1e-5)
 
 
+def test_hc_matches_fixed_point_oracle_over_x():
+    nu, _ = poisson_111(ELASTIC)
+    worst = 0.0
+    for i in range(191):
+        x = 0.05 + 0.005 * i
+        got = critical_thickness(make_input(x)).h_c
+        worst = max(worst, abs(got - fixed_point_hc(x, nu)) / got)
+    assert worst <= 1e-12
+
+
+def test_hc_near_w_branch_edge():
+    # A = e b (1 + 1e-6): the two roots sit either side of h = A, about
+    # sqrt(2u) A apart with u = ln(A/b) - 1; fixed-point iteration crawls here
+    nu, _ = poisson_111(ELASTIC)
+    b = 0.384
+    amp = math.e * b * (1.0 + 1e-6)
+    slope = math.sqrt(b / (32.0 * math.pi * amp) * (1.0 - nu) / (1.0 + nu))
+    r = critical_thickness(make_input(1.0, misfit_slope=slope))
+    assert r.iterations <= 8
+    assert abs(r.h_c - amp * math.log(r.h_c / b)) <= 1e-15 * r.h_c
+    # larger root: inside the bounds 1 + sqrt(2u) + 2u/3 < h/A < 1 + sqrt(2u) + u
+    u = math.log(amp / b) - 1.0
+    assert 1.0 + math.sqrt(2.0 * u) + 2.0 * u / 3.0 < r.h_c / amp < 1.0 + math.sqrt(2.0 * u) + u
+
+
 def test_hc_at_094():
     r = critical_thickness(make_input(0.94))
     assert r.h_c > 3.0

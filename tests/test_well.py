@@ -1,10 +1,14 @@
 import math
+import random
 
 import numpy as np
 import pytest
-from oracles import EQ_FROZEN, grid_scan_ground_state
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import EQ_FROZEN, bisect_well_energy, grid_scan_ground_state
 
 from lvalley import (
+    InfeasibleError,
     Valley,
     WellConfig,
     default_params,
@@ -29,6 +33,22 @@ def test_ground_state_against_live_grid_scan():
         expected = grid_scan_ground_state(t, V0, mi, mo)
         got = ground_state(WellConfig(t, V0, mi, mo)).energy_eq
         assert got == pytest.approx(expected, abs=1e-6)
+
+
+def test_ground_state_matches_bisection_oracle():
+    # 1000 seeded configurations around and beyond the design range,
+    # against a machine-precision bisection of the original tan form
+    rng = random.Random(4)
+    worst = 0.0
+    for _ in range(1000):
+        t, v0, mi, mo = (
+            math.exp(rng.uniform(math.log(lo), math.log(hi)))
+            for lo, hi in ((0.3, 100.0), (0.01, 5.0), (0.02, 5.0), (0.02, 5.0))
+        )
+        expected = bisect_well_energy(t, v0, mi, mo)
+        got = ground_state(WellConfig(t, v0, mi, mo)).energy_eq
+        worst = max(worst, abs(got - expected) / expected)
+    assert worst <= 1e-13
 
 
 def test_ground_state_against_frozen_oracle_values():
@@ -160,6 +180,51 @@ def test_residual_on_random_configs():
         )
         worst = max(worst, ground_state(c).residual)
     assert worst < 1e-10
+
+
+def test_thin_well_limit_is_a_tagged_domain_error():
+    # (V0 - E)/V0 ~ m_out V0 t^2 / (4K) is ~3e-18 here, below double precision
+    with pytest.raises(InfeasibleError) as exc:
+        ground_state(WellConfig(1e-9, 0.28, 1.70, 1.59))
+    assert exc.value.reason == "thin_well"
+    assert "thicker well" in str(exc.value)
+    # just above the resolvable binding the level is still returned
+    t = 2.0 * math.sqrt(4.0 * PARAMS.constants.hbar2_over_2m0 * 1e-12 / (1.59 * V0))
+    sol = ground_state(WellConfig(t, V0, 1.70, 1.59))
+    assert 0.0 < sol.energy_eq < V0 and sol.k_out > 0.0
+
+
+def test_hard_wall_limit_is_a_tagged_domain_error():
+    # at 1e17 nm the level is 1e-17 below the hard-wall one, past fl(pi/2)
+    # in z; at 1e160 nm the hard-wall level itself underflows
+    for t in (1e17, 1e160):
+        with pytest.raises(InfeasibleError) as exc:
+            ground_state(WellConfig(t, 0.28, 1.70, 1.59))
+        assert exc.value.reason == "hard_wall_limit"
+    sol = ground_state(WellConfig(1e12, 0.28, 1.70, 1.59))
+    ref = infinite_well_reference(1e12, 1.70)
+    assert 0.0 < sol.energy_eq <= ref
+    assert sol.energy_eq == pytest.approx(ref, rel=1e-11)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    t=st.floats(min_value=-12.0, max_value=4.0),
+    v0=st.floats(min_value=-3.0, max_value=1.0),
+    m_in=st.floats(min_value=-2.0, max_value=1.0),
+    m_out=st.floats(min_value=-2.0, max_value=1.0),
+)
+def test_ground_state_bounds_or_thin_well(t, v0, m_in, m_out):
+    # decades: t in [1e-12, 1e4] nm, V0 in [1e-3, 10] eV, masses in [0.01, 10]
+    t, v0, m_in, m_out = 10.0**t, 10.0**v0, 10.0**m_in, 10.0**m_out
+    try:
+        sol = ground_state(WellConfig(t, v0, m_in, m_out))
+    except InfeasibleError as err:
+        assert err.reason == "thin_well"
+        return
+    assert 0.0 < sol.energy_eq < v0
+    assert sol.energy_eq <= infinite_well_reference(t, m_in)
+    assert sol.k_out > 0.0
 
 
 def test_config_validation():
