@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import design, relaxation, well
@@ -36,17 +36,6 @@ class UsageError(Exception):
     """Malformed invocation: bad grid, bad override key, bad config line."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully resolved CLI request."""
-
-    command: str
-    params: MaterialParams
-    options: dict
-    out: str            # path or "-" for stdout
-    fmt: str            # "csv" or "json-lines"
-
-
 # ---------------------------------------------------------------------------
 # parameter overrides
 
@@ -64,8 +53,9 @@ def override_keys(params: MaterialParams) -> list[str]:
             for f in fields(obj)
             if isinstance(getattr(obj, f.name), float)
         ]
-    for seg, attr in _MASS_SEGMENTS.items():
-        keys += [f"masses.{seg}.m_in", f"masses.{seg}.m_out"]
+    keys += [f"masses.{seg}.m_in" for seg in _MASS_SEGMENTS]
+    # the barrier mass is one value shared by every valley
+    keys.append("masses.m_out")
     return keys
 
 
@@ -82,12 +72,13 @@ def apply_override(params: MaterialParams, key: str, raw_value: str) -> Material
         value = float(raw_value)
     except ValueError:
         raise UsageError(f"override {key!r}: {raw_value!r} is not a number") from None
-    if len(parts) == 3 and parts[0] == "masses":
-        attr = _MASS_SEGMENTS.get(parts[1])
-        if attr is None or parts[2] not in ("m_in", "m_out"):
-            raise UsageError(_unknown_key_message(params, key))
-        masses = getattr(params, attr)
-        return replace(params, **{attr: replace(masses, **{parts[2]: value})})
+    if key == "masses.m_out":
+        return replace(params, **{
+            attr: replace(getattr(params, attr), m_out=value) for attr in _MASS_SEGMENTS.values()
+        })
+    if len(parts) == 3 and parts[0] == "masses" and parts[1] in _MASS_SEGMENTS and parts[2] == "m_in":
+        attr = _MASS_SEGMENTS[parts[1]]
+        return replace(params, **{attr: replace(getattr(params, attr), m_in=value)})
     if len(parts) == 2 and parts[0] in _GROUP_FIELDS:
         group = getattr(params, parts[0])
         if parts[1] in {f.name for f in fields(group)} and isinstance(
@@ -190,19 +181,15 @@ def write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _emit(cfg: RunConfig, header: list[str], rows: list[tuple]) -> None:
-    text = render(header, rows, cfg.fmt)
-    if cfg.out == "-":
-        sys.stdout.write(text)
-    else:
-        write_atomic(Path(cfg.out), text)
-
-
 # ---------------------------------------------------------------------------
-# grids and command builders
+# grids and subcommands
 
 def make_grid(lo: float, hi: float, step: float, name: str) -> list[float]:
-    """Points lo, lo + step, ... up to hi; at most ``MAX_GRID_POINTS`` of them."""
+    """Points lo, lo + step, ... up to hi; at most ``MAX_GRID_POINTS`` of them.
+
+    The one place a grid's shape is checked: finite, ascending, non-empty
+    and capped.  The library sweeps take any list of points.
+    """
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
         raise UsageError(f"{name}: min, max and step must be finite numbers")
     if step <= 0.0:
@@ -220,34 +207,52 @@ def make_grid(lo: float, hi: float, step: float, name: str) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
-def _energy_rows(params: MaterialParams, t: float, eps_grid: list[float]):
+def _grid(ns: argparse.Namespace, axis: str) -> list[float]:
+    """The single ``--AXIS`` value if given, else the ``--AXIS-min/max/step`` grid."""
+    single = getattr(ns, axis, None)
+    if single is not None:
+        return [single]
+    flags = f"--{axis}-min/--{axis}-max/--{axis}-step"
+    return make_grid(
+        getattr(ns, f"{axis}_min"), getattr(ns, f"{axis}_max"), getattr(ns, f"{axis}_step"), flags
+    )
+
+
+# Each subcommand is one function (params, ns) -> (header, rows).
+
+def _energy(params: MaterialParams, ns: argparse.Namespace):
+    if ns.eps is not None and ns.x is not None:
+        raise UsageError("give either --eps or --x, not both")
+    eps_grid = [design.x_to_strain(ns.x, params.lattice)] if ns.x is not None else _grid(ns, "eps")
+    eqs = design.confinement_energies(params, ns.t)
     header = ["eps_par", "e_l1_ev", "e_l3_ev", "e_delta6_ev"]
-    eqs = design.confinement_energies(params, t)
     rows = [
-        (
-            e,
-            bulk_energy(Valley.L1, params, e).total + eqs[Valley.L1],
-            bulk_energy(Valley.L3, params, e).total + eqs[Valley.L3],
-            bulk_energy(Valley.DELTA6, params, e).total + eqs[Valley.DELTA6],
-        )
-        for e in eps_grid
+        (e, *(bulk_energy(v, params, e).total + eqs[v] for v in Valley)) for e in eps_grid
     ]
     return header, rows
 
 
-def _crossover_rows(params: MaterialParams, t_grid: list[float]):
-    header = ["t_nm", "eps_critical", "x_critical"]
-    results, failures = design.crossover_curve(params, t_grid)
+def _well(params: MaterialParams, ns: argparse.Namespace):
+    t_grid = _grid(ns, "t")
+    if ns.valley is not None:
+        return ["t_nm", "e_q_ev"], well.eq_vs_thickness(Valley(ns.valley), params, t_grid)
+    # one column per valley; confinement_energies keys its result in Valley order
+    header = ["t_nm"] + [f"e_q_{v.value.lower()}_ev" for v in Valley]
+    return header, [(t, *design.confinement_energies(params, t).values()) for t in t_grid]
+
+
+def _crossover(params: MaterialParams, ns: argparse.Namespace):
+    results, failures = design.crossover_curve(params, _grid(ns, "t"))
     for t, err in failures:
         print(f"warning: t = {t:g} nm: {err}", file=sys.stderr)
     if failures and not results:
         raise failures[0][1]
     rows = [(r.thickness_t, r.eps_critical, r.x_critical) for r in results]
-    return header, rows
+    return ["t_nm", "eps_critical", "x_critical"], rows
 
 
-def _hc_rows(params: MaterialParams, x_grid: list[float]):
-    header = ["x", "f", "nu_111", "h_c_nm"]
+def _hc(params: MaterialParams, ns: argparse.Namespace):
+    x_grid = _grid(ns, "x")
     inp = relaxation.RelaxationInput(
         ge_fraction_x=x_grid[0],
         elastic=params.elastic,
@@ -257,97 +262,57 @@ def _hc_rows(params: MaterialParams, x_grid: list[float]):
         (x, r.misfit_f, r.nu_111, r.h_c)
         for x, r in zip(x_grid, relaxation.hc_curve(inp, x_grid))
     ]
-    return header, rows
+    return ["x", "f", "nu_111", "h_c_nm"], rows
 
 
-def _sensitivity_rows(params: MaterialParams, t_grid: list[float], mode: str):
-    header = ["t_nm", "x_low", "x_nominal", "x_high", "clipped"]
-    bands = design.sensitivity_band(params, t_grid, mode)
+def _sensitivity(params: MaterialParams, ns: argparse.Namespace):
+    bands = design.sensitivity_band(params, _grid(ns, "t"), ns.mode)
     rows = [(b.thickness_t, b.x_low, b.x_nominal, b.x_high, b.clipped) for b in bands]
-    return header, rows
+    return ["t_nm", "x_low", "x_nominal", "x_high", "clipped"], rows
 
 
-def _build_energy(params, opt):
-    return _energy_rows(params, opt["t"], opt["eps_grid"])
-
-
-def _build_well(params, opt):
-    header = ["t_nm", "e_q_ev"]
-    pairs = well.eq_vs_thickness(opt["valley"], params, opt["t_grid"])
-    return header, list(pairs)
-
-
-def _build_crossover(params, opt):
-    return _crossover_rows(params, opt["t_grid"])
-
-
-def _build_hc(params, opt):
-    return _hc_rows(params, opt["x_grid"])
-
-
-def _build_sensitivity(params, opt):
-    return _sensitivity_rows(params, opt["t_grid"], opt["mode"])
-
-
-def _build_splitting(params, opt):
+def _splitting(params: MaterialParams, ns: argparse.Namespace):
+    s = design.splitting_report(params, ns.t, ns.x)
     header = ["t_nm", "x", "delta6_minus_l1_ev", "l3_minus_l1_ev"]
-    s = design.splitting_report(params, opt["t"], opt["x"])
-    return header, [(opt["t"], opt["x"], s.delta6_minus_l1, s.l3_minus_l1)]
+    return header, [(ns.t, ns.x, s.delta6_minus_l1, s.l3_minus_l1)]
 
 
-_BUILDERS = {
-    "energy": _build_energy,
-    "well": _build_well,
-    "crossover": _build_crossover,
-    "hc": _build_hc,
-    "sensitivity": _build_sensitivity,
-    "splitting": _build_splitting,
+# The data sweep behind each figure is a fixed invocation of a subcommand,
+# run with the caller's parameters, format and output path.
+FIGURES = {
+    "fig1": ["well", "--t-step", "0.1"],
+    "fig2": ["energy", "--t", "10", "--eps-step", "1e-4"],
+    "fig3": ["energy", "--t", "3", "--eps-step", "1e-4"],
+    "fig4": ["crossover", "--t-step", "0.1"],
+    "fig5": ["crossover", "--t-step", "0.1"],
+    "fig7": ["hc"],
+    "fig8": ["sensitivity", "--mode", "linear10pct"],
+    "fig9": ["sensitivity", "--mode", "quadratic_range"],
+    "fig10": ["sensitivity", "--mode", "both"],
 }
 
 
-# ---------------------------------------------------------------------------
-# figure data
-
-FIGURE_IDS = (
-    "fig1", "fig2", "fig3", "fig4", "fig5", "fig7", "fig8", "fig9", "fig10",
-)
-
-
-def _figure_data(figure_id: str, params: MaterialParams):
-    if figure_id == "fig1":
-        header = ["t_nm", "e_q_l1_ev", "e_q_l3_ev", "e_q_delta6_ev"]
-        t_grid = make_grid(1.0, 10.0, 0.1, "fig1 t grid")
-        rows = [
-            (t,) + tuple(design.confinement_energies(params, t)[v] for v in Valley)
-            for t in t_grid
-        ]
-        return header, rows
-    if figure_id in ("fig2", "fig3"):
-        t = 10.0 if figure_id == "fig2" else 3.0
-        return _energy_rows(params, t, make_grid(0.0, 0.05, 1e-4, "strain grid"))
-    if figure_id in ("fig4", "fig5"):
-        return _crossover_rows(params, make_grid(1.0, 10.0, 0.1, "t grid"))
-    if figure_id == "fig7":
-        return _hc_rows(params, make_grid(0.5, 1.0, 0.01, "x grid"))
-    if figure_id in ("fig8", "fig9", "fig10"):
-        mode = {"fig8": "linear10pct", "fig9": "quadratic_range", "fig10": "both"}[figure_id]
-        return _sensitivity_rows(params, make_grid(1.0, 10.0, 0.5, "t grid"), mode)
-    raise ValueError(
-        f"unknown figure id {figure_id!r}; valid ids: {', '.join(FIGURE_IDS)} "
-        "(fig6 is a schematic with no computed curve)"
-    )
-
-
-def emit_figure_data(
-    figure_id: str, params: MaterialParams, path: str | Path, fmt: str = "csv"
-) -> None:
-    """Write the exact data sweep behind one figure to ``path``."""
-    header, rows = _figure_data(figure_id, params)
-    write_atomic(Path(path), render(header, rows, fmt))
+def _figure(params: MaterialParams, ns: argparse.Namespace):
+    if ns.id not in FIGURES:
+        raise UsageError(
+            f"unknown figure id {ns.id!r}; valid ids: {', '.join(FIGURES)} "
+            "(fig6 is a schematic with no computed curve)"
+        )
+    preset = _build_parser().parse_args(FIGURES[ns.id])
+    return preset.rows(params, preset)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
+
+def _add_axis(sp, axis: str, lo: float, hi: float, step: float, single: str | None = None) -> None:
+    """The ``--AXIS-min/max/step`` flags ``_grid`` reads, and ``--AXIS`` if ``single`` is its help."""
+    if single:
+        sp.add_argument(f"--{axis}", type=float, help=single)
+    sp.add_argument(f"--{axis}-min", type=float, default=lo)
+    sp.add_argument(f"--{axis}-max", type=float, default=hi)
+    sp.add_argument(f"--{axis}-step", type=float, default=step)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -374,76 +339,38 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("energy", parents=[common], help="valley energies vs strain at fixed thickness")
+    def command(name, rows, summary):
+        sp = sub.add_parser(name, parents=[common], help=summary)
+        sp.set_defaults(rows=rows)
+        return sp
+
+    sp = command("energy", _energy, "valley energies vs strain at fixed thickness")
     sp.add_argument("--t", type=float, required=True, help="well thickness, nm")
-    sp.add_argument("--eps", type=float, help="single strain instead of a sweep")
     sp.add_argument("--x", type=float, help="single Ge fraction instead of a sweep")
-    sp.add_argument("--eps-min", type=float, default=0.0)
-    sp.add_argument("--eps-max", type=float, default=0.05)
-    sp.add_argument("--eps-step", type=float, default=0.001)
+    _add_axis(sp, "eps", 0.0, 0.05, 0.001, single="single strain instead of a sweep")
 
-    sp = sub.add_parser("well", parents=[common], help="confinement energy vs thickness")
-    sp.add_argument("--valley", choices=_VALLEY_CHOICES, required=True)
-    sp.add_argument("--t", type=float, help="single thickness, nm")
-    sp.add_argument("--t-min", type=float, default=1.0)
-    sp.add_argument("--t-max", type=float, default=10.0)
-    sp.add_argument("--t-step", type=float, default=0.1)
+    sp = command("well", _well, "confinement energy vs thickness")
+    sp.add_argument("--valley", choices=_VALLEY_CHOICES, help="one valley; default: one column per valley")
+    _add_axis(sp, "t", 1.0, 10.0, 0.1, single="single thickness, nm")
 
-    sp = sub.add_parser("crossover", parents=[common], help="critical strain and Ge fraction vs thickness")
-    sp.add_argument("--t", type=float, help="single thickness, nm")
-    sp.add_argument("--t-min", type=float, default=1.0)
-    sp.add_argument("--t-max", type=float, default=10.0)
-    sp.add_argument("--t-step", type=float, default=0.5)
+    sp = command("crossover", _crossover, "critical strain and Ge fraction vs thickness")
+    _add_axis(sp, "t", 1.0, 10.0, 0.5, single="single thickness, nm")
 
-    sp = sub.add_parser("hc", parents=[common], help="critical thickness vs Ge fraction")
-    sp.add_argument("--x", type=float, help="single Ge fraction")
-    sp.add_argument("--x-min", type=float, default=0.5)
-    sp.add_argument("--x-max", type=float, default=1.0)
-    sp.add_argument("--x-step", type=float, default=0.01)
+    sp = command("hc", _hc, "critical thickness vs Ge fraction")
+    _add_axis(sp, "x", 0.5, 1.0, 0.01, single="single Ge fraction")
 
-    sp = sub.add_parser("sensitivity", parents=[common], help="critical-x envelopes under coefficient variation")
+    sp = command("sensitivity", _sensitivity, "critical-x envelopes under coefficient variation")
     sp.add_argument("--mode", choices=design.SENSITIVITY_MODES, default="both")
-    sp.add_argument("--t-min", type=float, default=1.0)
-    sp.add_argument("--t-max", type=float, default=10.0)
-    sp.add_argument("--t-step", type=float, default=0.5)
+    _add_axis(sp, "t", 1.0, 10.0, 0.5)
 
-    sp = sub.add_parser("splitting", parents=[common], help="valley splittings at one design point")
+    sp = command("splitting", _splitting, "valley splittings at one design point")
     sp.add_argument("--t", type=float, required=True, help="well thickness, nm")
     sp.add_argument("--x", type=float, required=True, help="barrier Ge fraction")
 
-    sp = sub.add_parser("figure", parents=[common], help="emit the data sweep behind one figure")
+    sp = command("figure", _figure, "emit the data sweep behind one figure")
     sp.add_argument("--id", required=True, help="figure id, fig1..fig5 or fig7..fig10")
 
     return p
-
-
-def _collect_options(ns: argparse.Namespace, params: MaterialParams) -> dict:
-    cmd = ns.command
-    if cmd == "energy":
-        if ns.eps is not None and ns.x is not None:
-            raise UsageError("give either --eps or --x, not both")
-        if ns.eps is not None:
-            grid = [ns.eps]
-        elif ns.x is not None:
-            grid = [design.x_to_strain(ns.x, params.lattice)]
-        else:
-            grid = make_grid(ns.eps_min, ns.eps_max, ns.eps_step, "--eps-min/--eps-max/--eps-step")
-        return {"t": ns.t, "eps_grid": grid}
-    if cmd == "well":
-        grid = [ns.t] if ns.t is not None else make_grid(ns.t_min, ns.t_max, ns.t_step, "--t-min/--t-max/--t-step")
-        return {"valley": Valley(ns.valley), "t_grid": grid}
-    if cmd == "crossover":
-        grid = [ns.t] if ns.t is not None else make_grid(ns.t_min, ns.t_max, ns.t_step, "--t-min/--t-max/--t-step")
-        return {"t_grid": grid}
-    if cmd == "hc":
-        grid = [ns.x] if ns.x is not None else make_grid(ns.x_min, ns.x_max, ns.x_step, "--x-min/--x-max/--x-step")
-        return {"x_grid": grid}
-    if cmd == "sensitivity":
-        grid = make_grid(ns.t_min, ns.t_max, ns.t_step, "--t-min/--t-max/--t-step")
-        return {"t_grid": grid, "mode": ns.mode}
-    if cmd == "splitting":
-        return {"t": ns.t, "x": ns.x}
-    return {"figure_id": ns.id}
 
 
 def _default_out(command: str, fmt: str) -> str:
@@ -453,7 +380,7 @@ def _default_out(command: str, fmt: str) -> str:
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Parse arguments, dispatch, write output; returns the exit status."""
+    """Parse arguments, build the rows, write output; returns the exit status."""
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
@@ -461,19 +388,12 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         params = resolve_params(ns.config, ns.dp_set, ns.set)
-        options = _collect_options(ns, params)
-        cfg = RunConfig(
-            command=ns.command,
-            params=params,
-            options=options,
-            out=ns.out or _default_out(ns.command, ns.format),
-            fmt=ns.format,
-        )
-        if cfg.command == "figure":
-            header, rows = _figure_data(options["figure_id"], params)
+        header, rows = ns.rows(params, ns)
+        text = render(header, rows, ns.format)
+        if ns.out == "-":
+            sys.stdout.write(text)
         else:
-            header, rows = _BUILDERS[cfg.command](params, options)
-        _emit(cfg, header, rows)
+            write_atomic(Path(ns.out or _default_out(ns.command, ns.format)), text)
         return 0
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -64,16 +64,11 @@ class DesignPoint:
 
 @dataclass(frozen=True)
 class CrossoverResult:
-    """Critical strain and Ge fraction where L1 and Delta6 intersect.
-
-    ``bracket_width`` is always 0.0: the root comes from the closed-form
-    quadratic, not from a shrinking bracket.
-    """
+    """Critical strain and Ge fraction where L1 and Delta6 intersect."""
 
     thickness_t: float
     eps_critical: float
     x_critical: float
-    bracket_width: float
 
 
 @dataclass(frozen=True)
@@ -242,7 +237,6 @@ def critical_strain(params: MaterialParams, thickness_t: float) -> CrossoverResu
         thickness_t=thickness_t,
         eps_critical=eps,
         x_critical=strain_to_x(eps, params.lattice),
-        bracket_width=0.0,
     )
 
 
@@ -250,8 +244,6 @@ def crossover_curve(
     params: MaterialParams, t_grid: list[float]
 ) -> tuple[list[CrossoverResult], list[tuple[float, Exception]]]:
     """Crossover over a thickness grid; per-point failures are collected."""
-    if not t_grid:
-        raise ValueError("thickness grid must be non-empty")
     results: list[CrossoverResult] = []
     failures: list[tuple[float, Exception]] = []
     for t in t_grid:

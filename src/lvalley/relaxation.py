@@ -80,14 +80,12 @@ class CriticalThickness:
 
 def critical_thickness(inp: RelaxationInput) -> CriticalThickness:
     """Solve the energy-balance relation for the larger positive root."""
-    if inp.ge_fraction_x == 0.0:
-        raise InfeasibleError(
-            "zero misfit: the critical thickness is unbounded", reason="unbounded"
-        )
     b = inp.burgers_b
     f = inp.misfit()
     nu, _ = poisson_111(inp.elastic)
-    amp = b / (32.0 * math.pi * f * f) * (1.0 - nu) / (1.0 + nu)
+    # A vanishing misfit (f^2 may underflow to zero) sends A to infinity
+    f2 = f * f
+    amp = b / (32.0 * math.pi * f2) * (1.0 - nu) / (1.0 + nu) if f2 > 0.0 else math.inf
     # h = A ln(h/b) has roots only for A > e b, the edge of the W_-1 domain;
     # u = ln(A/b) - 1 must also stay positive after rounding
     u = math.log(amp / b) - 1.0 if amp > math.e * b else 0.0
@@ -105,6 +103,11 @@ def critical_thickness(inp: RelaxationInput) -> CriticalThickness:
     # A step that does not descend (F(h) <= 0 by rounding) means h is
     # within rounding of the root.
     h = amp * (1.0 + math.sqrt(2.0 * u) + u)
+    if not math.isfinite(h):
+        raise InfeasibleError(
+            f"vanishing misfit {f:.4g}: the critical thickness is unbounded",
+            reason="unbounded",
+        )
     for i in range(1, _MAX_NEWTON + 1):
         step = (h - amp * math.log(h / b)) / (1.0 - amp / h)
         if step <= STEP_RTOL * h:
@@ -114,11 +117,7 @@ def critical_thickness(inp: RelaxationInput) -> CriticalThickness:
 
 
 def hc_curve(inp: RelaxationInput, x_grid: list[float]) -> list[CriticalThickness]:
-    """Critical thickness over an ascending Ge-fraction grid."""
-    if not x_grid:
-        raise ValueError("Ge-fraction grid must be non-empty")
+    """Critical thickness at each Ge fraction of a grid within [0.05, 1]."""
     if any(not 0.05 <= x <= 1.0 for x in x_grid):
         raise ValueError("Ge-fraction grid must lie within [0.05, 1]")
-    if any(b <= a for a, b in zip(x_grid, x_grid[1:])):
-        raise ValueError("Ge-fraction grid must be strictly ascending")
     return [critical_thickness(replace(inp, ge_fraction_x=x)) for x in x_grid]

@@ -159,13 +159,7 @@ def well_config(valley: Valley, params: MaterialParams, thickness_t: float) -> W
 def eq_vs_thickness(
     valley: Valley, params: MaterialParams, t_grid: list[float]
 ) -> list[tuple[float, float]]:
-    """Confinement energy of one valley over a thickness grid, (t, E_q) pairs."""
-    if not t_grid:
-        raise ValueError("thickness grid must be non-empty")
-    if any(t <= 0.0 for t in t_grid):
-        raise ValueError("thickness grid values must be positive")
-    if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
-        raise ValueError("thickness grid must be strictly ascending")
+    """Confinement energy of one valley at each thickness, (t, E_q) pairs."""
     k = params.constants.hbar2_over_2m0
     return [
         (t, ground_state(well_config(valley, params, t), k).energy_eq) for t in t_grid

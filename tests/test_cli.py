@@ -1,15 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lvalley import default_params
 from lvalley.cli import (
     MAX_GRID_POINTS,
     UsageError,
     apply_override,
-    emit_figure_data,
     format_number,
     make_grid,
     override_keys,
@@ -80,9 +83,22 @@ def test_apply_override_paths():
 def test_override_keys_inventory():
     keys = override_keys(PARAMS)
     assert "deformation.xi_u_L" in keys
-    assert "masses.Delta6.m_out" in keys
+    assert "masses.m_out" in keys
     assert "lattice.a_si" in keys
     assert "deformation.set" in keys
+
+
+def test_barrier_mass_override_sets_every_valley(capsys):
+    assert run(["well", "--t", "3", "--out", "-"]) == 0
+    base = capsys.readouterr().out
+    assert run(["well", "--t", "3", "--set", "masses.m_out=1.7", "--out", "-"]) == 0
+    heavier = capsys.readouterr().out
+    assert heavier != base
+    p = apply_override(PARAMS, "masses.m_out", "1.7")
+    assert p.masses_l1.m_out == p.masses_l3.m_out == p.masses_delta6.m_out == 1.7
+    # per-valley barrier masses would break the shared-barrier invariant
+    with pytest.raises(UsageError, match="valid keys"):
+        apply_override(PARAMS, "masses.L1.m_out", "1.6")
 
 
 def test_read_config(tmp_path):
@@ -116,6 +132,19 @@ def test_well_single_row(tmp_path):
     assert header == ["t_nm", "e_q_ev"]
     assert rows[0][0] == "3.0"
     assert abs(float(rows[0][1]) - 0.040) < 2e-3
+
+
+def test_well_without_valley_has_one_column_per_valley(tmp_path):
+    out = tmp_path / "w.csv"
+    assert run(["well", "--t-min", "2", "--t-max", "4", "--t-step", "1", "--out", str(out)]) == 0
+    header, rows = read_rows(out)
+    assert header == ["t_nm", "e_q_l1_ev", "e_q_l3_ev", "e_q_delta6_ev"]
+    for col, valley in enumerate(("L1", "L3", "Delta6"), start=1):
+        one = tmp_path / f"{valley}.csv"
+        assert run(["well", "--valley", valley, "--t-min", "2", "--t-max", "4",
+                    "--t-step", "1", "--out", str(one)]) == 0
+        _, single = read_rows(one)
+        assert [r[col] for r in rows] == [r[1] for r in single]
 
 
 def test_hc_command(tmp_path):
@@ -294,16 +323,18 @@ def test_no_temp_files_left_behind(tmp_path):
 
 # --- figure data ------------------------------------------------------------------
 
-def test_figure_invalid_id(tmp_path):
-    with pytest.raises(ValueError, match="fig6 is a schematic"):
-        emit_figure_data("fig6", PARAMS, tmp_path / "x.csv")
-    with pytest.raises(ValueError, match="valid ids"):
-        emit_figure_data("fig99", PARAMS, tmp_path / "x.csv")
+def test_figure_invalid_id(tmp_path, capsys):
+    # a bad figure id is a malformed invocation, like a bad grid flag
+    assert run(["figure", "--id", "fig6", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "fig6 is a schematic" in capsys.readouterr().err
+    assert run(["figure", "--id", "fig99", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "valid ids" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_fig1_columns_decreasing(tmp_path):
     path = tmp_path / "fig1.csv"
-    emit_figure_data("fig1", PARAMS, path)
+    assert run(["figure", "--id", "fig1", "--out", str(path)]) == 0
     header, rows = read_rows(path)
     assert header == ["t_nm", "e_q_l1_ev", "e_q_l3_ev", "e_q_delta6_ev"]
     assert len(rows) == 91
@@ -314,7 +345,7 @@ def test_fig1_columns_decreasing(tmp_path):
 
 def test_fig3_shows_crossing_near_published_strain(tmp_path):
     path = tmp_path / "fig3.csv"
-    emit_figure_data("fig3", PARAMS, path)
+    assert run(["figure", "--id", "fig3", "--out", str(path)]) == 0
     _, rows = read_rows(path)
     row = next(r for r in rows if abs(float(r[0]) - 0.0388) < 1e-9)
     assert abs(float(row[1]) - float(row[3])) < 3e-3
@@ -322,7 +353,7 @@ def test_fig3_shows_crossing_near_published_strain(tmp_path):
 
 def test_fig8_band_contains_nominal(tmp_path):
     path = tmp_path / "fig8.csv"
-    emit_figure_data("fig8", PARAMS, path)
+    assert run(["figure", "--id", "fig8", "--out", str(path)]) == 0
     header, rows = read_rows(path)
     assert header == ["t_nm", "x_low", "x_nominal", "x_high", "clipped"]
     for r in rows:
@@ -335,3 +366,104 @@ def test_figure_via_cli(tmp_path):
     header, rows = read_rows(out)
     assert header == ["x", "f", "nu_111", "h_c_nm"]
     assert len(rows) == 51
+
+
+# --- every invocation: clean data or a clean error ---------------------------------
+
+NON_FINITE = (math.inf, -math.inf, math.nan)
+
+
+def _value(lo, hi, *outside):
+    """A flag value within [lo, hi], one just outside it, or a non-finite one."""
+    return st.one_of(
+        st.floats(min_value=lo, max_value=hi), st.sampled_from(outside), st.sampled_from(NON_FINITE)
+    )
+
+
+THICKNESS = _value(0.5, 20.0, 0.0, -1.0, 0.2, 99.0, 1e-9, 1e17)
+GE_FRACTION = _value(0.05, 1.0, 0.0, 0.01, -0.1, 1.5)
+STRAIN = _value(0.0, 0.06, -0.01, 0.5)
+
+
+def _flag(name, value):
+    return f"--{name}={value!r}"  # the = form keeps "-inf" from reading as a flag
+
+
+@st.composite
+def _axis(draw, axis, values, single=True):
+    """One --AXIS value, or a --AXIS-min/max/step sweep of at most 20 points."""
+    if single and draw(st.booleans()):
+        return [_flag(axis, draw(values))]
+    lo = draw(values)
+    step = draw(_value(1e-3, 1.0, 0.0, -0.5))
+    n = draw(st.integers(min_value=0, max_value=20))  # 0 puts max below min
+    hi = lo + (n - 1) * step
+    return [_flag(f"{axis}-min", lo), _flag(f"{axis}-max", hi), _flag(f"{axis}-step", step)]
+
+
+@st.composite
+def _invocation(draw, command):
+    argv = [command]
+    if command == "energy":
+        argv.append(_flag("t", draw(THICKNESS)))
+        which = draw(st.sampled_from(("sweep", "eps", "x", "both")))
+        if which == "sweep":
+            argv += draw(_axis("eps", STRAIN, single=False))
+        if which in ("eps", "both"):
+            argv.append(_flag("eps", draw(STRAIN)))
+        if which in ("x", "both"):
+            argv.append(_flag("x", draw(GE_FRACTION)))
+    elif command == "well":
+        valley = draw(st.sampled_from((None, "L1", "L3", "Delta6")))
+        argv += ["--valley", valley] if valley else []
+        argv += draw(_axis("t", THICKNESS))
+    elif command == "crossover":
+        argv += draw(_axis("t", THICKNESS))
+    elif command == "hc":
+        argv += draw(_axis("x", GE_FRACTION))
+    elif command == "sensitivity":
+        argv += ["--mode", draw(st.sampled_from(("linear10pct", "quadratic_range", "both")))]
+        argv += draw(_axis("t", THICKNESS, single=False))
+    elif command == "splitting":
+        argv += [_flag("t", draw(THICKNESS)), _flag("x", draw(GE_FRACTION))]
+    else:
+        argv += ["--id", draw(st.sampled_from(("fig6", "fig11", "")))]
+    if draw(st.integers(min_value=0, max_value=2)) == 0:
+        key = draw(st.sampled_from((
+            "masses.m_out", "masses.L3.m_in", "bands.v0_offset_111",
+            "deformation.xi_u_L", "quadratic.d_L1", "elastic.c44",
+        )))
+        argv += ["--set", f"{key}={draw(_value(0.05, 5.0, 0.0, -1.0))!r}"]
+    return argv + ["--format", "json-lines", "--out", "-"]
+
+
+def _finite_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "command", ("energy", "well", "crossover", "hc", "sensitivity", "splitting", "figure")
+)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_invocation_gives_finite_json_or_a_clean_error(command, data):
+    argv = data.draw(_invocation(command), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 0:
+        lines = out.splitlines()
+        assert lines
+        for line in lines:
+            record = json.loads(line, parse_constant=_finite_constant)
+            assert all(math.isfinite(v) for v in record.values()), line
+        return
+    assert out == ""
+    # a crossover sweep whose every point failed notes each point first
+    *notes, last = err.splitlines()
+    assert last.startswith("error: ")
+    assert all(n.startswith("warning: ") for n in notes)
+    for solver_text in ("Traceback", "sign change", "bracket", "converge"):
+        assert solver_text not in err

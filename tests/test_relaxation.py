@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import HC_FROZEN, fixed_point_hc
 
 from lvalley import (
@@ -106,6 +108,21 @@ def test_hc_unbounded_at_zero_misfit():
     assert exc.value.reason == "unbounded"
 
 
+@settings(max_examples=500, deadline=None)
+@given(log_x=st.floats(min_value=math.log10(5e-324), max_value=0.0), vegard=st.booleans())
+def test_hc_finite_or_tagged_over_all_x(log_x, vegard):
+    # x log-uniform over [5e-324, 1]: f^2 underflows and A overflows at the
+    # small end, which must read as an unbounded critical thickness
+    x = min(max(10.0**log_x, 5e-324), 1.0)
+    lattice = default_params().lattice if vegard else None
+    try:
+        h_c = critical_thickness(make_input(x, lattice=lattice)).h_c
+    except InfeasibleError as err:
+        assert err.reason in ("unbounded", "no_root")
+        return
+    assert math.isfinite(h_c) and h_c > 0.0
+
+
 def test_hc_curve_decreasing():
     grid = [round(0.5 + 0.05 * i, 2) for i in range(11)]
     values = [r.h_c for r in hc_curve(make_input(0.5), grid)]
@@ -123,11 +140,11 @@ def test_hc_curve_single_point_matches():
 
 def test_hc_curve_grid_validation():
     with pytest.raises(ValueError):
-        hc_curve(make_input(0.5), [])
-    with pytest.raises(ValueError):
         hc_curve(make_input(0.5), [0.01, 0.5])
-    with pytest.raises(ValueError, match="ascending"):
-        hc_curve(make_input(0.5), [0.9, 0.6])
+    # each point is solved on its own: grid order and length are free
+    ascending = hc_curve(make_input(0.5), [0.6, 0.9])
+    assert hc_curve(make_input(0.5), [0.9, 0.6]) == ascending[::-1]
+    assert hc_curve(make_input(0.5), []) == []
 
 
 def test_vegard_misfit_option():

@@ -242,9 +242,9 @@ def test_config_validation():
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError, match="ascending"):
-        eq_vs_thickness(Valley.L1, PARAMS, [3.0, 2.0])
     with pytest.raises(ValueError, match="positive"):
         eq_vs_thickness(Valley.L1, PARAMS, [-1.0, 2.0])
-    with pytest.raises(ValueError):
-        eq_vs_thickness(Valley.L1, PARAMS, [])
+    # each point is solved on its own: grid order and length are free
+    ascending = eq_vs_thickness(Valley.L1, PARAMS, [2.0, 3.0])
+    assert eq_vs_thickness(Valley.L1, PARAMS, [3.0, 2.0]) == ascending[::-1]
+    assert eq_vs_thickness(Valley.L1, PARAMS, []) == []
