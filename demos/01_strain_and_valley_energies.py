@@ -23,11 +23,17 @@ def main():
     print(f"eps_perp / eps_par = {ratio:+.4f}  (tension in-plane -> compression out-of-plane)\n")
 
     s = lv.strain_state(p.elastic, 0.03)
+    # film frame: diag(eps_par, eps_par, eps_perp); on the cubic axes every
+    # diagonal entry is the mean strain and every off-diagonal one
+    # (eps_perp - eps_par)/3
+    film = np.diag([s.eps_par, s.eps_par, s.eps_perp])
+    crystal = np.full((3, 3), (s.eps_perp - s.eps_par) / 3.0)
+    np.fill_diagonal(crystal, (2.0 * s.eps_par + s.eps_perp) / 3.0)
     print("Strain state at eps_par = 3%:")
-    print("  film frame (diagonal):   ", np.diag(s.tensor_111))
-    print("  crystal frame diagonal:  ", np.diag(s.tensor_crystal))
-    print("  crystal frame off-diag:  ", s.tensor_crystal[0, 1])
-    print(f"  trace in both frames:     {np.trace(s.tensor_crystal):.6f}\n")
+    print("  film frame (diagonal):   ", np.diag(film))
+    print("  crystal frame diagonal:  ", np.diag(crystal))
+    print("  crystal frame off-diag:  ", crystal[0, 1])
+    print(f"  trace in both frames:     {np.trace(crystal):.6f}\n")
 
     print("Bulk valley energies vs strain (eV)")
     print("-----------------------------------")

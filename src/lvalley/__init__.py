@@ -37,12 +37,8 @@ from .design import (
 )
 from .elasticity import (
     StrainState,
-    cubic_stiffness,
     perp_strain,
     perp_strain_ratio,
-    rotate_stiffness,
-    rotation_111,
-    rotation_from_angles,
     strain_state,
 )
 from .errors import InfeasibleError, SolverError
@@ -111,7 +107,6 @@ __all__ = [
     "critical_strain",
     "critical_thickness",
     "crossover_curve",
-    "cubic_stiffness",
     "default_params",
     "design_point",
     "eq_vs_thickness",
@@ -124,9 +119,6 @@ __all__ = [
     "perp_strain_ratio",
     "poisson_111",
     "quadratic_shift",
-    "rotate_stiffness",
-    "rotation_111",
-    "rotation_from_angles",
     "sensitivity_band",
     "splitting_report",
     "strain_state",

@@ -243,10 +243,10 @@ def _well(params: MaterialParams, ns: argparse.Namespace):
 
 def _crossover(params: MaterialParams, ns: argparse.Namespace):
     results, failures = design.crossover_curve(params, _grid(ns, "t"))
+    if not results:
+        raise failures[0][1]
     for t, err in failures:
         print(f"warning: t = {t:g} nm: {err}", file=sys.stderr)
-    if failures and not results:
-        raise failures[0][1]
     rows = [(r.thickness_t, r.eps_critical, r.x_critical) for r in results]
     return ["t_nm", "eps_critical", "x_critical"], rows
 

@@ -102,8 +102,14 @@ def vegard_a(x: float, lat: LatticeParams) -> float:
 
 
 def x_to_strain(x: float, lat: LatticeParams) -> float:
-    """In-plane strain of the Si well on a relaxed Si(1-x)Ge(x) barrier."""
-    return vegard_a(x, lat) / lat.a_si - 1.0
+    """In-plane strain of the Si well on a relaxed Si(1-x)Ge(x) barrier.
+
+    vegard_a(x) / a_si - 1 with the a_si terms cancelled by hand, so the
+    strain keeps full relative precision down to the smallest x.
+    """
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"Ge fraction must lie in [0, 1], got {x}")
+    return x * ((lat.a_ge - lat.a_si) + lat.bowing_b * (1.0 - x)) / lat.a_si
 
 
 def strain_to_x(eps_par: float, lat: LatticeParams) -> float:

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .design import x_to_strain
+from .elasticity import perp_strain_ratio
 from .errors import InfeasibleError, SolverError
 from .materials import BURGERS_SI_NM, ElasticConstants, LatticeParams
 from .rootfind import STEP_RTOL
@@ -34,11 +35,11 @@ _MAX_NEWTON = 64
 
 
 def poisson_111(elastic: ElasticConstants) -> tuple[float, float]:
-    """Effective [111] Poisson ratio and its stiffness ratio, (nu_111, r_111)."""
-    denom = elastic.c11 + 2.0 * elastic.c12 + 4.0 * elastic.c44
-    if not denom > 0.0:
-        raise ValueError("C11 + 2 C12 + 4 C44 must be positive")
-    r_111 = 2.0 * (elastic.c11 + 2.0 * elastic.c12 - 2.0 * elastic.c44) / denom
+    """Effective [111] Poisson ratio and its stiffness ratio, (nu_111, r_111).
+
+    r_111 = -eps_perp / eps_par is the (111) biaxial response.
+    """
+    r_111 = -perp_strain_ratio(elastic)
     return r_111 / (2.0 + r_111), r_111
 
 

@@ -63,7 +63,7 @@ class WellSolution:
     energy_eq: float  # eV
     k_in: float       # nm^-1
     k_out: float      # nm^-1, decay constant in the barrier
-    residual: float   # |mismatch| of the matching equation at the root
+    residual: float   # |g(z)| / (r u0) at the root
 
 
 def matching_mismatch(
@@ -93,8 +93,10 @@ def ground_state(cfg: WellConfig, hbar2_over_2m0: float = HBAR2_OVER_2M0) -> Wel
 
     The root is found in z = k_in t/2 on (0, min(u0, pi/2)) by the
     bracket-safeguarded Newton solver, to a few ulp of z; E = V0 (z/u0)**2
-    and k_in = 2 z / t.  ``residual`` is the mismatch of the original tan
-    form at that energy.  Two limits raise :class:`InfeasibleError` when
+    and k_in = 2 z / t.  ``residual`` is |g(z)| / (r u0) at the root, g
+    relative to its value g(0) = -r u0: unlike the tan-form mismatch of
+    :func:`matching_mismatch`, which diverges near its pole in wide, deep
+    wells, it is scale-free.  Two limits raise :class:`InfeasibleError` when
     their leading-order gap is below ``MIN_RELATIVE_GAP``: a thin well
     whose relative binding (V0 - E)/V0 ~ (u0/r)**2 = m_out V0 t**2 / (4 K)
     is unresolved (reason ``"thin_well"``), and a wide or deep well whose
@@ -135,13 +137,14 @@ def ground_state(cfg: WellConfig, hbar2_over_2m0: float = HBAR2_OVER_2M0) -> Wel
         s, c = math.sin(z), math.cos(z)
         return s + z * c + r * (z * c / w + w * s)
 
-    z = bisect_root(g, 0.0, min(u0, 0.5 * math.pi), dg).root
+    root = bisect_root(g, 0.0, min(u0, 0.5 * math.pi), dg)
+    z = root.root
     energy = v0 * (z / u0) * (z / u0)
     return WellSolution(
         energy_eq=energy,
         k_in=2.0 * z / t,
         k_out=math.sqrt((v0 - energy) * cfg.m_out / hbar2_over_2m0),
-        residual=abs(matching_mismatch(cfg, energy, hbar2_over_2m0)),
+        residual=abs(root.value) / (r * u0),
     )
 
 

@@ -1,11 +1,13 @@
 """Independent brute-force oracles used to pin expected test values.
 
-Everything here is deliberately written from scratch (plain ``math``, no
-library imports) so the numbers cross-check the library instead of echoing
-its code paths.
+Everything here is deliberately written from scratch (plain ``math`` and
+``numpy``, no library imports) so the numbers cross-check the library
+instead of echoing its code paths.
 """
 
 import math
+
+import numpy as np
 
 # hbar^2 / (2 m0) in eV nm^2 from CODATA 2018, recomputed here rather than
 # imported, so a typo in the library constant would be caught.
@@ -154,6 +156,76 @@ def bisect_vegard(eps, a_si, a_ge, bowing_b, xtol=1e-15):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def rotation_from_angles(theta, phi):
+    """Rotation mapping the cubic crystal axes onto a film frame.
+
+    theta is the polar tilt of the film normal and phi its azimuth; the
+    result is proper orthogonal (det = +1) for any angle pair.
+    """
+    ct, st = math.cos(theta), math.sin(theta)
+    cp, sp = math.cos(phi), math.sin(phi)
+    return np.array(
+        [
+            [cp * ct, -sp, cp * st],
+            [sp * ct, cp, sp * st],
+            [-st, 0.0, ct],
+        ]
+    )
+
+
+def rotation_111():
+    """The (111)-film rotation with its exact closed-form entries."""
+    s6 = 1.0 / math.sqrt(6.0)
+    s2 = 1.0 / math.sqrt(2.0)
+    s3 = 1.0 / math.sqrt(3.0)
+    return np.array(
+        [
+            [s6, -s2, s3],
+            [s6, s2, s3],
+            [-math.sqrt(2.0 / 3.0), 0.0, s3],
+        ]
+    )
+
+
+def cubic_stiffness(c11, c12, c44):
+    """The full 3x3x3x3 stiffness tensor of a cubic crystal, GPa."""
+    eye = np.eye(3)
+    tensor = c12 * np.einsum("ij,kl->ijkl", eye, eye)
+    tensor += c44 * (np.einsum("ik,jl->ijkl", eye, eye) + np.einsum("il,jk->ijkl", eye, eye))
+    for m in range(3):
+        tensor[m, m, m, m] += c11 - c12 - 2.0 * c44  # cubic anisotropy on the axes
+    return tensor
+
+
+def rotate_stiffness(c11, c12, c44, u):
+    """Stiffness tensor in the film frame: C'_pqrs = U_ap U_bq U_ir U_js C_abij."""
+    return np.einsum("ap,bq,ir,js,abij->pqrs", u, u, u, u, cubic_stiffness(c11, c12, c44))
+
+
+def tensor_perp_ratio(c11, c12, c44):
+    """eps_perp / eps_par of a (111) film from the rotated rank-4 stiffness.
+
+    A free film-normal surface needs sigma'_33 = 0, so
+    eps_perp = -(C'_3311 + C'_3322) / C'_3333 eps_par.
+    """
+    cp = rotate_stiffness(c11, c12, c44, rotation_111())
+    return -(cp[2, 2, 0, 0] + cp[2, 2, 1, 1]) / cp[2, 2, 2, 2]
+
+
+def strain_tensors(eps_par, eps_perp):
+    """Film-frame and crystal-frame strain tensors of a biaxial (111) film.
+
+    The film frame is diagonal (eps_par, eps_par, eps_perp).  On the cubic
+    axes each diagonal entry is the mean (2 eps_par + eps_perp)/3 and each
+    off-diagonal entry (eps_perp - eps_par)/3, written out by hand rather
+    than rotated, so the rotation can be checked against it.
+    """
+    film = np.diag([eps_par, eps_par, eps_perp])
+    crystal = np.full((3, 3), (eps_perp - eps_par) / 3.0)
+    np.fill_diagonal(crystal, (2.0 * eps_par + eps_perp) / 3.0)
+    return film, crystal
 
 
 # Ground-state energies frozen from grid_scan_ground_state with de = 1e-6

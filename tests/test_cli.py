@@ -3,6 +3,9 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -262,6 +265,38 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_crossover_failures_warn_per_point_or_error_once(capsys):
+    # some points fail: one warning each, the rest are written
+    assert run(["crossover", "--t-min", "0.2", "--t-max", "1.0", "--t-step", "0.4",
+                "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 3
+    assert captured.err.splitlines() == [
+        "warning: t = 0.2 nm: thickness 0.2 nm outside the supported range [0.5, 50.0] nm"
+    ]
+    # every point fails: the first failure is the one error line
+    assert run(["crossover", "--t", "0.2", "--out", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: thickness 0.2 nm outside the supported range [0.5, 50.0] nm"
+    ]
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, lvalley.cli; print('numpy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_non_finite_inputs_rejected_cleanly(capsys):
     # a NaN strain used to print a bare `nan`, which is not JSON, with exit 0
     assert run(["energy", "--t", "3", "--eps", "nan", "--format", "json-lines",
@@ -461,9 +496,7 @@ def test_every_invocation_gives_finite_json_or_a_clean_error(command, data):
             assert all(math.isfinite(v) for v in record.values()), line
         return
     assert out == ""
-    # a crossover sweep whose every point failed notes each point first
-    *notes, last = err.splitlines()
-    assert last.startswith("error: ")
-    assert all(n.startswith("warning: ") for n in notes)
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
     for solver_text in ("Traceback", "sign change", "bracket", "converge"):
         assert solver_text not in err

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -73,12 +74,25 @@ def test_vegard_domain():
         vegard_a(1.2, LAT)
     with pytest.raises(ValueError):
         vegard_a(-0.1, LAT)
+    for x in (1.2, -0.1, math.nan):
+        with pytest.raises(ValueError):
+            x_to_strain(x, LAT)
 
 
 def test_x_to_strain_values():
     assert x_to_strain(0.0, LAT) == 0.0
     assert x_to_strain(1.0, LAT) == pytest.approx(0.04176, abs=2e-4)
     assert x_to_strain(0.935, LAT) == pytest.approx(0.0387, abs=5e-4)
+
+
+def test_x_to_strain_full_precision_at_every_scale():
+    # exact rational vegard_a(x)/a_si - 1 of the float inputs; the rounded
+    # difference form is 0 at x = 1e-16 and loses digits at every small x
+    a_si, a_ge, b = Fraction(LAT.a_si), Fraction(LAT.a_ge), Fraction(LAT.bowing_b)
+    for x in (1e-300, 1e-16, 1e-6, 1e-3, 0.5, 0.935, 1.0):
+        fx = Fraction(x)
+        exact = ((1 - fx) * a_si + fx * a_ge + b * fx * (1 - fx)) / a_si - 1
+        assert abs(Fraction(x_to_strain(x, LAT)) - exact) <= Fraction(4e-16) * exact, x
 
 
 def test_strain_to_x_endpoints_and_inverse():

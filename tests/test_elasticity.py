@@ -1,26 +1,35 @@
+"""The closed-form (111) strain relation against the rank-4 oracle route.
+
+The rotation and stiffness tests check the oracle itself; every other test
+keeps a library operand (perp_strain_ratio, perp_strain or strain_state) on
+one side.
+"""
+
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-
-from lvalley import (
-    ElasticConstants,
+from oracles import (
     cubic_stiffness,
-    default_params,
-    perp_strain,
-    perp_strain_ratio,
     rotate_stiffness,
     rotation_111,
     rotation_from_angles,
+    strain_tensors,
+    tensor_perp_ratio,
+)
+
+from lvalley import (
+    ElasticConstants,
+    StrainState,
+    default_params,
+    perp_strain,
+    perp_strain_ratio,
     strain_state,
 )
 
 ELASTIC = default_params().elastic
-
-
-def closed_form_ratio(c):
-    # hand-evaluated out-of-plane/in-plane magnitude for a (111) film
-    return (2 * c.c11 + 4 * c.c12 - 4 * c.c44) / (c.c11 + 2 * c.c12 + 4 * c.c44)
+CONSTANTS = (ELASTIC.c11, ELASTIC.c12, ELASTIC.c44)
 
 
 def random_cubic_sets(n, seed):
@@ -34,7 +43,7 @@ def random_cubic_sets(n, seed):
     return out
 
 
-# --- rotation matrices ---------------------------------------------------
+# --- oracle sanity: rotation matrices -------------------------------------
 
 def test_rotation_111_printed_entries():
     u = rotation_111()
@@ -73,24 +82,23 @@ def test_rotation_from_angles_always_proper():
         np.testing.assert_allclose(u.T @ u, np.eye(3), atol=1e-12)
 
 
-# --- stiffness rotation ---------------------------------------------------
+# --- oracle sanity: stiffness rotation ------------------------------------
 
 def test_identity_rotation_keeps_c1111():
-    c = rotate_stiffness(ELASTIC, np.eye(3))
+    c = rotate_stiffness(*CONSTANTS, np.eye(3))
     assert c[0, 0, 0, 0] == pytest.approx(165.7, abs=1e-12)
     assert c[0, 0, 1, 1] == pytest.approx(63.9, abs=1e-12)
     assert c[0, 1, 0, 1] == pytest.approx(79.6, abs=1e-12)
 
 
 def test_rotated_ratio_matches_hand_value():
-    cp = rotate_stiffness(ELASTIC, rotation_111())
-    ratio = (cp[2, 2, 0, 0] + cp[2, 2, 1, 1]) / cp[2, 2, 2, 2]
-    assert ratio == pytest.approx(0.4390, abs=5e-4)
-    assert ratio == pytest.approx(closed_form_ratio(ELASTIC), abs=1e-12)
+    ratio = tensor_perp_ratio(*CONSTANTS)
+    assert ratio == pytest.approx(-0.4390, abs=5e-4)
+    assert ratio == pytest.approx(perp_strain_ratio(ELASTIC), abs=1e-12)
 
 
 def test_rotated_tensor_symmetries():
-    cp = rotate_stiffness(ELASTIC, rotation_111())
+    cp = rotate_stiffness(*CONSTANTS, rotation_111())
     np.testing.assert_allclose(cp, np.swapaxes(cp, 0, 1), atol=1e-9)  # minor ij
     np.testing.assert_allclose(cp, np.swapaxes(cp, 2, 3), atol=1e-9)  # minor kl
     np.testing.assert_allclose(cp, np.transpose(cp, (2, 3, 0, 1)), atol=1e-9)  # major
@@ -98,10 +106,10 @@ def test_rotated_tensor_symmetries():
 
 def test_rotation_preserves_tensor_norm():
     rng = np.random.default_rng(11)
-    base = np.sum(cubic_stiffness(ELASTIC) ** 2)
+    base = np.sum(cubic_stiffness(*CONSTANTS) ** 2)
     for _ in range(20):
         u = rotation_from_angles(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-        rotated = np.sum(rotate_stiffness(ELASTIC, u) ** 2)
+        rotated = np.sum(rotate_stiffness(*CONSTANTS, u) ** 2)
         assert rotated == pytest.approx(base, rel=1e-6)
 
 
@@ -123,56 +131,52 @@ def test_perp_ratio_default():
 def test_closed_form_agrees_with_tensor_path():
     # dual-route check: Eq-8-style evaluation through the rotated rank-4
     # tensor against the closed form, over random cubic constants
-    u = rotation_111()
     for c in random_cubic_sets(100, seed=23):
-        cp = rotate_stiffness(c, u)
-        tensor_ratio = -(cp[2, 2, 0, 0] + cp[2, 2, 1, 1]) / cp[2, 2, 2, 2]
-        assert abs(tensor_ratio - perp_strain_ratio(c)) < 1e-9
+        assert abs(tensor_perp_ratio(c.c11, c.c12, c.c44) - perp_strain_ratio(c)) < 1e-9
 
 
-# --- strain state ----------------------------------------------------------
+# --- strain state through the oracle tensors -------------------------------
+
+def tensors(s):
+    return strain_tensors(s.eps_par, s.eps_perp)
+
 
 def test_strain_state_zero_everywhere():
     s = strain_state(ELASTIC, 0.0)
-    assert not s.tensor_111.any()
-    assert not s.tensor_crystal.any()
+    film, crystal = tensors(s)
+    assert not film.any()
+    assert not crystal.any()
 
 
 def test_strain_state_offdiagonal_hand_value():
-    s = strain_state(ELASTIC, 0.03)
-    assert s.tensor_crystal[0, 1] == pytest.approx(-0.01439, abs=1e-4)
+    _, crystal = tensors(strain_state(ELASTIC, 0.03))
+    assert crystal[0, 1] == pytest.approx(-0.01439, abs=1e-4)
 
 
 def test_strain_state_structure():
     s = strain_state(ELASTIC, 0.021)
-    np.testing.assert_array_equal(
-        s.tensor_111, np.diag([s.eps_par, s.eps_par, s.eps_perp])
-    )
+    assert [f.name for f in dataclasses.fields(StrainState)] == ["eps_par", "eps_perp"]
+    assert s.eps_perp == perp_strain(ELASTIC, 0.021)
+    film, crystal = tensors(s)
+    np.testing.assert_array_equal(film, np.diag([s.eps_par, s.eps_par, s.eps_perp]))
     # film frame carries no shear by the n-fold symmetry of the orientation
-    assert s.tensor_111[0, 2] == 0.0 and s.tensor_111[1, 2] == 0.0
-    np.testing.assert_allclose(s.tensor_crystal, s.tensor_crystal.T, atol=0)
+    assert film[0, 2] == 0.0 and film[1, 2] == 0.0
+    np.testing.assert_allclose(crystal, crystal.T, atol=0)
 
 
 def test_change_of_basis_consistency():
     u = rotation_111()
     rng = np.random.default_rng(3)
     for eps in rng.uniform(-0.05, 0.05, size=50):
-        s = strain_state(ELASTIC, float(eps))
-        np.testing.assert_allclose(
-            u @ s.tensor_111 @ u.T, s.tensor_crystal, atol=1e-12
-        )
+        film, crystal = tensors(strain_state(ELASTIC, float(eps)))
+        np.testing.assert_allclose(u @ film @ u.T, crystal, atol=1e-12)
 
 
 def test_trace_invariance_1000_random():
     rng = np.random.default_rng(5)
     for eps in rng.uniform(-0.05, 0.05, size=1000):
         s = strain_state(ELASTIC, float(eps))
+        film, crystal = tensors(s)
         expected = 2.0 * s.eps_par + s.eps_perp
-        assert abs(np.trace(s.tensor_crystal) - expected) < 1e-12
-        assert abs(np.trace(s.tensor_111) - expected) < 1e-12
-
-
-def test_tensors_are_read_only():
-    s = strain_state(ELASTIC, 0.01)
-    with pytest.raises(ValueError):
-        s.tensor_111[0, 0] = 1.0
+        assert abs(np.trace(crystal) - expected) < 1e-12
+        assert abs(np.trace(film) - expected) < 1e-12

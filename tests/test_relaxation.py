@@ -108,6 +108,14 @@ def test_hc_unbounded_at_zero_misfit():
     assert exc.value.reason == "unbounded"
 
 
+def test_hc_finite_for_tiny_vegard_misfit():
+    # the Vegard misfit at x = 1e-16 is ~4e-18, not rounded to zero, so the
+    # critical thickness is large but finite
+    r = critical_thickness(make_input(1e-16, lattice=default_params().lattice))
+    assert r.misfit_f > 0.0
+    assert math.isfinite(r.h_c) and r.h_c > 0.0
+
+
 @settings(max_examples=500, deadline=None)
 @given(log_x=st.floats(min_value=math.log10(5e-324), max_value=0.0), vegard=st.booleans())
 def test_hc_finite_or_tagged_over_all_x(log_x, vegard):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from oracles import strain_tensors
 
 from lvalley import (
+    DeformationPotentials,
     Valley,
     bulk_energy,
     default_params,
@@ -53,6 +55,37 @@ def test_composite_coefficient_reconstruction():
     assert by_hand == pytest.approx(-16.46, abs=0.02)
     slope = linear_shift(Valley.L1, PARAMS.deformation, state(1e-3)) / 1e-3
     assert slope == pytest.approx(by_hand, rel=1e-9)
+
+
+def test_linear_shift_matches_crystal_frame_projection():
+    # Xi_d tr(eps) + Xi_u n^T eps n with eps on the cubic axes from the
+    # oracle: L1 along the film normal, L3 on the three oblique <111> axes,
+    # Delta6 on a cubic axis
+    axes = {
+        Valley.L1: [(1, 1, 1)],
+        Valley.L3: [(-1, 1, 1), (1, -1, 1), (1, 1, -1)],
+        Valley.DELTA6: [(0, 0, 1)],
+    }
+    rng = np.random.default_rng(17)
+    for _ in range(500):
+        dp = DeformationPotentials(
+            xi_u_delta=rng.uniform(1.0, 20.0),
+            xi_d_delta=rng.uniform(-20.0, 20.0),
+            xi_u_L=rng.uniform(1.0, 30.0),
+            xi_d_L=rng.uniform(-20.0, 20.0),
+        )
+        s = state(float(rng.uniform(-0.05, 0.05)))
+        _, crystal = strain_tensors(s.eps_par, s.eps_perp)
+        for v, dirs in axes.items():
+            if v is Valley.DELTA6:
+                xi_d, xi_u = dp.xi_d_delta, dp.xi_u_delta
+            else:
+                xi_d, xi_u = dp.xi_d_L, dp.xi_u_L
+            shift = linear_shift(v, dp, s)
+            for d in dirs:
+                n = np.array(d) / math.sqrt(np.dot(d, d))
+                dil, uni = xi_d * np.trace(crystal), xi_u * (n @ crystal @ n)
+                assert abs(shift - (dil + uni)) <= 1e-12 * (abs(dil) + abs(uni)), (v, d)
 
 
 def test_quadratic_shift_values():

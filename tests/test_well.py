@@ -182,6 +182,22 @@ def test_residual_on_random_configs():
     assert worst < 1e-10
 
 
+def test_residual_is_scale_free_for_wide_wells():
+    # near the tangent pole (t of 1e3 to 1e4 nm) the tan-form mismatch of a
+    # correct root can read 1e-4; the reported residual is relative to r u0
+    rng = np.random.default_rng(31)
+    worst = 0.0
+    for _ in range(2000):
+        c = WellConfig(
+            thickness_t=10.0 ** rng.uniform(3.0, 4.0),
+            barrier_v0=rng.uniform(0.05, 1.0),
+            m_in=rng.uniform(0.05, 2.0),
+            m_out=rng.uniform(0.05, 2.0),
+        )
+        worst = max(worst, ground_state(c).residual)
+    assert worst <= 1e-10
+
+
 def test_thin_well_limit_is_a_tagged_domain_error():
     # (V0 - E)/V0 ~ m_out V0 t^2 / (4K) is ~3e-18 here, below double precision
     with pytest.raises(InfeasibleError) as exc:
