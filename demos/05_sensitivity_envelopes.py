@@ -1,10 +1,11 @@
 """How robust is the design to the deformation-potential literature spread?
 
 The published first-order deformation potentials scatter by around 10%,
-and the second-order coefficients are only known as ranges.  The engine
-re-solves the crossover at every corner of the perturbed-coefficient box
-and reports the envelope of the critical Ge fraction.  Corners whose
-crossover would need x > 1 are clipped to x = 1 and flagged.
+and the second-order coefficients are only known as ranges.  The
+crossover falls as the gap's slope or curvature rises, so the engine solves
+it at the two extreme corners of the perturbed-coefficient box and reports
+the envelope of the critical Ge fraction between them.  A corner whose
+crossover would need x > 1 is clipped to x = 1 and flagged.
 
 Run:  python3 demos/05_sensitivity_envelopes.py
 Writes sensitivity_envelopes.csv and, with matplotlib, a PNG.

@@ -3,8 +3,8 @@
 Combines strained bulk valley energies with the confinement energy of each
 valley, locates the critical in-plane strain where the L1 level drops below
 Delta6, maps strain to the Ge fraction of the barrier alloy through the
-Vegard rule, and evaluates deformation-potential sensitivity envelopes by
-corner sampling.
+Vegard rule, and evaluates deformation-potential sensitivity envelopes from
+the two corners of the perturbed box that bound the crossover.
 
 Both roots are closed-form.  The Delta6 - L1 gap is exactly the quadratic
 c0 + c1 eps + c2 eps**2 in the in-plane strain, and the Vegard strain is
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import product
 from typing import NamedTuple
 
 from .elasticity import StrainState, strain_state
@@ -272,47 +271,52 @@ def splitting_report(params: MaterialParams, thickness_t: float, x: float) -> Sp
 
 
 # ---------------------------------------------------------------------------
-# Sensitivity envelopes by corner sampling
+# Sensitivity envelopes from the two extreme corners
 
-def _corner_coefficients(
+def _extreme_corners(
     params: MaterialParams, unit: StrainState, mode: str
-) -> list[tuple[float, float]]:
-    """(c1, c2) gap coefficients at every corner of the perturbed box.
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(c1, c2) gap coefficients at the up and the down corner of the perturbed box.
 
-    A corner perturbs only the deformation potentials (through the slope c1)
-    or the quadratic coefficients (through the curvature c2), never c0.
+    The up corner has the largest slope and curvature in the box, the down
+    corner the smallest.  Each deformation potential takes the factor that
+    raises (up) or lowers (down) its signed term of ``_gap_slope``; rounding
+    is monotone, so these are the same floats as the extremes over all 16
+    factor combinations.
     """
     if mode not in SENSITIVITY_MODES:
         raise ValueError(f"unknown sensitivity mode {mode!r}; valid: {SENSITIVITY_MODES}")
     dp = params.deformation
-    if mode == "quadratic_range":
-        slopes = [_gap_slope(dp, unit)]
-    else:
-        slopes = [
-            _gap_slope(
-                replace(
-                    dp,
-                    xi_d_delta=dp.xi_d_delta * fd_d,
-                    xi_u_delta=dp.xi_u_delta * fu_d,
-                    xi_d_L=dp.xi_d_L * fd_l,
-                    xi_u_L=dp.xi_u_L * fu_l,
-                ),
-                unit,
-            )
-            for fd_d, fu_d, fd_l, fu_l in product(LINEAR_VARIATION_FACTORS, repeat=4)
-        ]
-    if mode == "linear10pct":
-        curvatures = [_gap_curvature(params.quadratic)]
-    else:
-        curvatures = [
-            _gap_curvature(QuadraticCoefficients(d_L1=d1, d_L3=d3, d_delta6=d6))
-            for d1, d3, d6 in product(
-                QUADRATIC_COEFF_RANGES[Valley.L1],
-                QUADRATIC_COEFF_RANGES[Valley.L3],
-                QUADRATIC_COEFF_RANGES[Valley.DELTA6],
-            )
-        ]
-    return list(product(slopes, curvatures))
+    c1_up = c1_down = _gap_slope(dp, unit)
+    if mode != "quadratic_range":
+        trace = 2.0 * unit.eps_par + unit.eps_perp
+        terms = {
+            "xi_d_delta": dp.xi_d_delta * trace,
+            "xi_u_delta": dp.xi_u_delta * trace,
+            "xi_d_L": -dp.xi_d_L * trace,
+            "xi_u_L": -dp.xi_u_L * unit.eps_perp,
+        }
+        lo, hi = min(LINEAR_VARIATION_FACTORS), max(LINEAR_VARIATION_FACTORS)
+        c1_up, c1_down = (
+            _gap_slope(replace(dp, **{
+                name: getattr(dp, name) * (hi if (term > 0.0) == up else lo)
+                for name, term in terms.items()
+            }), unit)
+            for up in (True, False)
+        )
+    c2_up = c2_down = _gap_curvature(params.quadratic)
+    if mode != "linear10pct":
+        d6, l1 = QUADRATIC_COEFF_RANGES[Valley.DELTA6], QUADRATIC_COEFF_RANGES[Valley.L1]
+        c2_up, c2_down = max(d6) - min(l1), min(d6) - max(l1)
+    return (c1_up, c2_up), (c1_down, c2_down)
+
+
+def _corner_x(c0: float, c1: float, c2: float, lat: LatticeParams) -> tuple[float, bool]:
+    """Critical Ge fraction of one corner and whether it was clipped to x = 1."""
+    try:
+        return strain_to_x(_gap_root(c0, c1, c2), lat), False
+    except InfeasibleError:
+        return 1.0, True
 
 
 def sensitivity_band(
@@ -320,17 +324,19 @@ def sensitivity_band(
 ) -> list[SensitivityBand]:
     """Envelope of the critical Ge fraction over the perturbed-parameter box.
 
-    The critical strain is monotone in each perturbed coefficient, so the
-    band extremes occur at corners of the box; corners are enumerated
-    exhaustively (16 for linear10pct, 8 for quadratic_range, 128 for both).
-    Each corner is a (slope, curvature) pair of the gap quadratic.  Corners
-    whose crossover would need x > 1, or none at all, enter the envelope at
-    x = 1 and set the ``clipped`` flag.
+    The crossing is the first upward zero of c0 + c1 eps + c2 eps**2 with
+    c0 < 0, so it falls as c1 or c2 rises, the no-crossing guard moves the
+    same way and strain_to_x is increasing.  x_low is therefore the
+    crossover of the (max c1, max c2) corner and x_high that of the
+    (min c1, min c2) corner: three gap roots per band in every mode.  A
+    corner whose crossover would need x > 1, or none at all, enters at
+    x = 1 and sets the ``clipped`` flag.
     """
     unit = strain_state(params.elastic, 1.0)
-    corners = _corner_coefficients(params, unit, mode)
+    up, down = _extreme_corners(params, unit, mode)
     c1_nom = _gap_slope(params.deformation, unit)
     c2_nom = _gap_curvature(params.quadratic)
+    lat = params.lattice
     bands: list[SensitivityBand] = []
     for t in t_grid:
         if not T_MIN_NM <= t <= T_MAX_NM:
@@ -338,28 +344,14 @@ def sensitivity_band(
                 f"thickness {t} nm outside the supported range "
                 f"[{T_MIN_NM}, {T_MAX_NM}] nm"
             )
-        # corner sets perturb only band coefficients, never masses or V0,
-        # so the confinement energies are shared across the whole box
-        c0 = _gap_offset(params, confinement_energies(params, t))
-        x_nom = strain_to_x(_gap_root(c0, c1_nom, c2_nom), params.lattice)
-        xs: list[float] = []
-        clipped = False
-        for c1, c2 in corners:
-            try:
-                xs.append(strain_to_x(_gap_root(c0, c1, c2), params.lattice))
-            except InfeasibleError as err:
-                if err.reason == "below_at_zero":
-                    xs.append(0.0)
-                else:
-                    xs.append(1.0)
-                    clipped = True
-        bands.append(
-            SensitivityBand(
-                thickness_t=t,
-                x_low=min(xs),
-                x_nominal=x_nom,
-                x_high=max(xs),
-                clipped=clipped,
-            )
-        )
+        # corners perturb only c1 and c2, so c0 and its below_at_zero check
+        # are shared by the whole box
+        try:
+            c0 = _gap_offset(params, confinement_energies(params, t))
+            x_nom = strain_to_x(_gap_root(c0, c1_nom, c2_nom), lat)
+        except InfeasibleError as err:
+            raise InfeasibleError(f"t = {t:g} nm: {err}", reason=err.reason) from err
+        x_low, _ = _corner_x(c0, *up, lat)
+        x_high, clipped = _corner_x(c0, *down, lat)
+        bands.append(SensitivityBand(t, x_low, x_nom, x_high, clipped))
     return bands

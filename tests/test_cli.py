@@ -283,6 +283,18 @@ def test_crossover_failures_warn_per_point_or_error_once(capsys):
     ]
 
 
+def test_sensitivity_error_names_the_thickness(capsys):
+    # the nominal crossover at 1 nm already needs x > 1
+    assert run(["sensitivity", "--mode", "linear10pct", "--t-min", "1", "--t-max", "3",
+                "--t-step", "1", "--set", "deformation.xi_d_L=-3", "--out", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: t = 1 nm: strain ")
+    assert lines[0].endswith("requires x > 1")
+
+
 def test_cli_import_leaves_numpy_unloaded():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -5,22 +5,26 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import bisect_crossover, bisect_vegard, crossover_gap
 
 from lvalley import (
+    DeformationPotentials,
     InfeasibleError,
     LatticeParams,
     QuadraticCoefficients,
+    SensitivityBand,
     Valley,
     confinement_energies,
     critical_strain,
     crossover_curve,
     default_params,
+    design,
     design_point,
     sensitivity_band,
     splitting_report,
+    strain_state,
     strain_to_x,
     total_energy,
     vegard_a,
@@ -284,6 +288,109 @@ def test_clipped_corners_are_flagged():
 def test_sensitivity_rejects_unknown_mode():
     with pytest.raises(ValueError, match="mode"):
         sensitivity_band(PARAMS, [3.0], "bogus")
+    # the mode is checked before, not inside, the thickness loop
+    with pytest.raises(ValueError, match="mode"):
+        sensitivity_band(PARAMS, [], "bogus")
+
+
+def test_sensitivity_error_keeps_reason_and_names_thickness():
+    params = replace(PARAMS, deformation=replace(PARAMS.deformation, xi_d_L=-3.0))
+    with pytest.raises(InfeasibleError, match=r"^t = 1 nm: strain ") as info:
+        sensitivity_band(params, [1.0, 2.0], "linear10pct")
+    assert info.value.reason == "requires_x_gt_1"
+
+
+def _enumerated_band(params, t, mode):
+    """The band from every corner of the box (16, 8 or 128), by the library's gap helpers.
+
+    Corners are clipped as the exhaustive enumeration did: below_at_zero
+    enters at x = 0, no crossing or x > 1 at x = 1 with the clipped flag.
+    """
+    unit = strain_state(params.elastic, 1.0)
+    dp = params.deformation
+    slopes = [design._gap_slope(dp, unit)]
+    if mode != "quadratic_range":
+        slopes = [
+            design._gap_slope(
+                replace(dp, xi_d_delta=dp.xi_d_delta * a, xi_u_delta=dp.xi_u_delta * b,
+                        xi_d_L=dp.xi_d_L * c, xi_u_L=dp.xi_u_L * d),
+                unit,
+            )
+            for a, b, c, d in product(design.LINEAR_VARIATION_FACTORS, repeat=4)
+        ]
+    curvatures = [design._gap_curvature(params.quadratic)]
+    if mode != "linear10pct":
+        ranges = design.QUADRATIC_COEFF_RANGES
+        curvatures = [
+            design._gap_curvature(QuadraticCoefficients(d_L1=d1, d_L3=d3, d_delta6=d6))
+            for d1, d3, d6 in product(
+                ranges[Valley.L1], ranges[Valley.L3], ranges[Valley.DELTA6]
+            )
+        ]
+    c0 = design._gap_offset(params, confinement_energies(params, t))
+    x_nom = strain_to_x(
+        design._gap_root(c0, design._gap_slope(dp, unit), design._gap_curvature(params.quadratic)),
+        params.lattice,
+    )
+    xs, clipped = [], False
+    for c1, c2 in product(slopes, curvatures):
+        try:
+            xs.append(strain_to_x(design._gap_root(c0, c1, c2), params.lattice))
+        except InfeasibleError as err:
+            if err.reason == "below_at_zero":
+                xs.append(0.0)
+            else:
+                xs.append(1.0)
+                clipped = True
+    return SensitivityBand(t, min(xs), x_nom, max(xs), clipped)
+
+
+def _band_or_error(fn):
+    try:
+        return fn()
+    except InfeasibleError as err:
+        return err
+
+
+_dilatational = st.floats(-12.0, 12.0)
+_uniaxial = st.floats(0.5, 25.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    xi_u_delta=_uniaxial, xi_d_delta=_dilatational, xi_u_L=_uniaxial, xi_d_L=_dilatational,
+    # down to just above E0(Delta6), where thin wells start out crossed
+    e0_L_shift=st.floats(-0.92, 0.8),
+    # nominal curvatures outside the literature box, where even the up
+    # corner can be clipped
+    d_L1=st.floats(-60.0, 10.0),
+    d_delta6=st.floats(-40.0, 10.0),
+    t=st.floats(0.5, 20.0),
+)
+# the nominal crosses below x = 1 only thanks to its curvature of 50 eV, the
+# up corner's 25 eV does not: the whole band is clipped to x = 1
+@example(
+    xi_u_delta=9.16, xi_d_delta=1.1, xi_u_L=16.14, xi_d_L=-6.0,
+    e0_L_shift=0.1, d_L1=-60.0, d_delta6=-10.0, t=3.0,
+)
+def test_two_corner_band_is_bit_identical_to_enumeration(
+    xi_u_delta, xi_d_delta, xi_u_L, xi_d_L, e0_L_shift, d_L1, d_delta6, t
+):
+    params = replace(
+        PARAMS,
+        deformation=DeformationPotentials(xi_u_delta, xi_d_delta, xi_u_L, xi_d_L),
+        quadratic=replace(PARAMS.quadratic, d_L1=d_L1, d_delta6=d_delta6),
+        bands=replace(PARAMS.bands, e0_L=PARAMS.bands.e0_L + e0_L_shift),
+    )
+    for mode in design.SENSITIVITY_MODES:
+        want = _band_or_error(lambda: _enumerated_band(params, t, mode))
+        got = _band_or_error(lambda: sensitivity_band(params, [t], mode)[0])
+        if isinstance(want, InfeasibleError):
+            assert type(got) is type(want), (mode, got)
+            assert got.reason == want.reason, (mode, got)
+        else:
+            # repr tells 0.0 from -0.0 and shows every bit of each float
+            assert repr(got) == repr(want), mode
 
 
 # --- closed forms against plain-math bisection oracles ---------------------------
