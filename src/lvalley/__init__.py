@@ -29,6 +29,7 @@ from .design import (
     crossover_curve,
     design_point,
     sensitivity_band,
+    sensitivity_curve,
     splitting_report,
     strain_to_x,
     total_energy,
@@ -73,6 +74,7 @@ from .well import (
     ground_state,
     infinite_well_reference,
     matching_mismatch,
+    solve_well,
     well_config,
 )
 
@@ -120,6 +122,8 @@ __all__ = [
     "poisson_111",
     "quadratic_shift",
     "sensitivity_band",
+    "sensitivity_curve",
+    "solve_well",
     "splitting_report",
     "strain_state",
     "strain_to_x",

@@ -266,7 +266,11 @@ def _hc(params: MaterialParams, ns: argparse.Namespace):
 
 
 def _sensitivity(params: MaterialParams, ns: argparse.Namespace):
-    bands = design.sensitivity_band(params, _grid(ns, "t"), ns.mode)
+    bands, failures = design.sensitivity_curve(params, _grid(ns, "t"), ns.mode)
+    if not bands:
+        raise failures[0][1]
+    for _, err in failures:  # each error names its thickness
+        print(f"warning: {err}", file=sys.stderr)
     rows = [(b.thickness_t, b.x_low, b.x_nominal, b.x_high, b.clipped) for b in bands]
     return ["t_nm", "x_low", "x_nominal", "x_high", "clipped"], rows
 
@@ -361,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = command("sensitivity", _sensitivity, "critical-x envelopes under coefficient variation")
     sp.add_argument("--mode", choices=design.SENSITIVITY_MODES, default="both")
-    _add_axis(sp, "t", 1.0, 10.0, 0.5)
+    _add_axis(sp, "t", 1.0, 10.0, 0.5, single="single thickness, nm")
 
     sp = command("splitting", _splitting, "valley splittings at one design point")
     sp.add_argument("--t", type=float, required=True, help="well thickness, nm")

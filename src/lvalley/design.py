@@ -27,8 +27,14 @@ from .materials import (
     QuadraticCoefficients,
     Valley,
 )
-from .valleys import ValleyEnergy, bulk_energy, linear_shift
-from .well import ground_state, well_config
+from .valleys import (
+    ValleyEnergy,
+    bulk_energy,
+    linear_shift,
+    quadratic_shift,
+    require_supported_strain,
+)
+from .well import ground_state, solve_well, well_config
 
 # Crossover search bracket: slightly above the strain of pure-Ge barriers,
 # so "no crossing at all" is distinguishable from "requires x > 1".
@@ -161,11 +167,18 @@ def design_point(
 # Combined energies and the L1/Delta6 crossover
 
 def confinement_energies(params: MaterialParams, thickness_t: float) -> dict[Valley, float]:
-    """Confinement energy of each valley at one thickness, eV."""
+    """Confinement energy of each valley at one thickness, eV.
+
+    Calls the float well kernel with the parameter set's barrier and masses,
+    which the set has already validated.
+    """
     k = params.constants.hbar2_over_2m0
-    return {
-        v: ground_state(well_config(v, params, thickness_t), k).energy_eq for v in Valley
-    }
+    v0 = params.bands.v0_offset_111
+    eqs = {}
+    for v in Valley:
+        m = params.masses(v)
+        eqs[v] = solve_well(thickness_t, v0, m.m_in, m.m_out, k)[0]
+    return eqs
 
 
 def total_energy(
@@ -264,9 +277,19 @@ def splitting_report(params: MaterialParams, thickness_t: float, x: float) -> Sp
     if not thickness_t > 0.0:
         raise ValueError("thickness must be positive")
     eps = x_to_strain(x, params.lattice)
-    e_l1 = total_energy(Valley.L1, params, thickness_t, eps).total
-    e_l3 = total_energy(Valley.L3, params, thickness_t, eps).total
-    e_d6 = total_energy(Valley.DELTA6, params, thickness_t, eps).total
+    require_supported_strain(eps)
+    s = strain_state(params.elastic, eps)
+    eqs = confinement_energies(params, thickness_t)
+    dp, q, bands = params.deformation, params.quadratic, params.bands
+
+    def level(v: Valley, e0: float) -> float:
+        # e0 + de1 + de2 + eq in the order of ValleyEnergy.total, so each
+        # level is the same float as total_energy(...).total
+        return e0 + linear_shift(v, dp, s) + quadratic_shift(v, q, eps) + eqs[v]
+
+    e_l1 = level(Valley.L1, bands.e0_L)
+    e_l3 = level(Valley.L3, bands.e0_L)
+    e_d6 = level(Valley.DELTA6, bands.e0_delta)
     return Splitting(delta6_minus_l1=e_d6 - e_l1, l3_minus_l1=e_l3 - e_l1)
 
 
@@ -319,9 +342,21 @@ def _corner_x(c0: float, c1: float, c2: float, lat: LatticeParams) -> tuple[floa
         return 1.0, True
 
 
-def sensitivity_band(
+def _at_thickness(t: float, err: InfeasibleError | ValueError) -> InfeasibleError | ValueError:
+    """``err`` of one sweep point, its message prefixed ``t = <t> nm:``, reason kept."""
+    message = f"t = {t:g} nm: {err}"
+    named = (
+        InfeasibleError(message, reason=err.reason)
+        if isinstance(err, InfeasibleError)
+        else ValueError(message)
+    )
+    named.__cause__ = err
+    return named
+
+
+def sensitivity_curve(
     params: MaterialParams, t_grid: list[float], mode: str
-) -> list[SensitivityBand]:
+) -> tuple[list[SensitivityBand], list[tuple[float, Exception]]]:
     """Envelope of the critical Ge fraction over the perturbed-parameter box.
 
     The crossing is the first upward zero of c0 + c1 eps + c2 eps**2 with
@@ -331,6 +366,11 @@ def sensitivity_band(
     (min c1, min c2) corner: three gap roots per band in every mode.  A
     corner whose crossover would need x > 1, or none at all, enters at
     x = 1 and sets the ``clipped`` flag.
+
+    A thickness whose nominal crossover fails, or which lies outside the
+    supported range, is collected as (t, error) with the error's message
+    prefixed ``t = <t> nm:`` and its reason tag kept; the other points
+    still get their bands.
     """
     unit = strain_state(params.elastic, 1.0)
     up, down = _extreme_corners(params, unit, mode)
@@ -338,20 +378,32 @@ def sensitivity_band(
     c2_nom = _gap_curvature(params.quadratic)
     lat = params.lattice
     bands: list[SensitivityBand] = []
+    failures: list[tuple[float, Exception]] = []
     for t in t_grid:
-        if not T_MIN_NM <= t <= T_MAX_NM:
-            raise ValueError(
-                f"thickness {t} nm outside the supported range "
-                f"[{T_MIN_NM}, {T_MAX_NM}] nm"
-            )
         # corners perturb only c1 and c2, so c0 and its below_at_zero check
         # are shared by the whole box
         try:
+            if not T_MIN_NM <= t <= T_MAX_NM:
+                raise ValueError(
+                    f"thickness {t} nm outside the supported range "
+                    f"[{T_MIN_NM}, {T_MAX_NM}] nm"
+                )
             c0 = _gap_offset(params, confinement_energies(params, t))
             x_nom = strain_to_x(_gap_root(c0, c1_nom, c2_nom), lat)
-        except InfeasibleError as err:
-            raise InfeasibleError(f"t = {t:g} nm: {err}", reason=err.reason) from err
+        except (InfeasibleError, ValueError) as err:
+            failures.append((t, _at_thickness(t, err)))
+            continue
         x_low, _ = _corner_x(c0, *up, lat)
         x_high, clipped = _corner_x(c0, *down, lat)
         bands.append(SensitivityBand(t, x_low, x_nom, x_high, clipped))
+    return bands, failures
+
+
+def sensitivity_band(
+    params: MaterialParams, t_grid: list[float], mode: str
+) -> list[SensitivityBand]:
+    """Bands of :func:`sensitivity_curve`; raises its first failure, if any."""
+    bands, failures = sensitivity_curve(params, t_grid, mode)
+    if failures:
+        raise failures[0][1]
     return bands

@@ -2,7 +2,10 @@
 
 This is ``rtsafe`` of Press et al., Numerical Recipes, section 9.4: Newton
 steps on a sign-changing bracket, with a bisection step whenever the Newton
-step would leave the bracket or the derivative vanishes.
+step would leave the bracket or the derivative vanishes.  The function and
+its derivative come from one callable, so a caller whose value and slope
+share costly terms (the well's sin z, cos z and square root) evaluates them
+once per iterate.
 """
 
 from __future__ import annotations
@@ -27,27 +30,26 @@ class BisectResult:
 
 
 def bisect_root(
-    f: Callable[[float], float],
+    fdf: Callable[[float], tuple[float, float]],
     lo: float,
     hi: float,
-    df: Callable[[float], float],
     max_iter: int = 256,
 ) -> BisectResult:
-    """Find a root of ``f`` inside the sign-changing bracket [lo, hi].
+    """Find a root of f inside the sign-changing bracket [lo, hi].
 
-    Each iteration takes the Newton step (derivative ``df``) from the
-    current point when it lands strictly inside the bracket and halves the
-    bracket otherwise; the bracket shrinks around the root either way.  It
-    stops once the Newton step is within a few ulp of the iterate (tested
-    before the bracket, so a converged step that rounds onto a bracket end
-    does not fall back to bisection), or when no representable midpoint
-    remains.  Raises :class:`SolverError` if the bracket does not change
-    sign or the iteration cap is hit.
+    ``fdf(x)`` returns the pair (f(x), f'(x)).  Each iteration takes the
+    Newton step from the current point when it lands strictly inside the
+    bracket and halves the bracket otherwise; the bracket shrinks around the
+    root either way.  It stops once the Newton step is within a few ulp of
+    the iterate (tested before the bracket, so a converged step that rounds
+    onto a bracket end does not fall back to bisection), or when no
+    representable midpoint remains.  Raises :class:`SolverError` if the
+    bracket is empty, does not change sign, or the iteration cap is hit.
     """
     if not hi > lo:
         raise SolverError(f"empty bracket [{lo}, {hi}]")
-    flo = f(lo)
-    fhi = f(hi)
+    flo = fdf(lo)[0]
+    fhi = fdf(hi)[0]
     if flo == 0.0:
         return BisectResult(lo, 0.0, 0, lo, lo)
     if fhi == 0.0:
@@ -59,14 +61,13 @@ def bisect_root(
         )
     x = 0.5 * (lo + hi)
     for i in range(1, max_iter + 1):
-        fx = f(x)
+        fx, slope = fdf(x)
         if fx == 0.0:
             return BisectResult(x, 0.0, i, x, x)
         if (fx < 0.0) == rising:
             lo = x
         else:
             hi = x
-        slope = df(x)
         if slope != 0.0:
             step = fx / slope
             if abs(step) <= STEP_RTOL * abs(x):
@@ -77,7 +78,7 @@ def bisect_root(
                 continue
         x = 0.5 * (lo + hi)
         if x == lo or x == hi:
-            return BisectResult(x, f(x), i, lo, hi)
+            return BisectResult(x, fdf(x)[0], i, lo, hi)
     raise SolverError(
         f"root search did not converge after {max_iter} iterations; "
         f"bracket [{lo}, {hi}]"

@@ -54,8 +54,8 @@ def quadratic_shift(valley: Valley, q: QuadraticCoefficients, eps_par: float) ->
     return q.coefficient(valley) * eps_par * eps_par
 
 
-def bulk_energy(valley: Valley, params: MaterialParams, eps_par: float) -> ValleyEnergy:
-    """Absolute valley energy of the strained bulk film (no confinement)."""
+def require_supported_strain(eps_par: float) -> None:
+    """Reject a non-finite strain or one beyond ``MAX_SUPPORTED_STRAIN``."""
     if not math.isfinite(eps_par):
         raise ValueError(f"strain must be finite, got {eps_par}")
     if abs(eps_par) > MAX_SUPPORTED_STRAIN:
@@ -63,6 +63,11 @@ def bulk_energy(valley: Valley, params: MaterialParams, eps_par: float) -> Valle
             f"|eps_par| = {abs(eps_par):.4g} exceeds the supported range "
             f"{MAX_SUPPORTED_STRAIN} of the quadratic coefficients"
         )
+
+
+def bulk_energy(valley: Valley, params: MaterialParams, eps_par: float) -> ValleyEnergy:
+    """Absolute valley energy of the strained bulk film (no confinement)."""
+    require_supported_strain(eps_par)
     e0 = params.bands.e0_delta if valley is Valley.DELTA6 else params.bands.e0_L
     s = strain_state(params.elastic, eps_par)
     return ValleyEnergy(

@@ -15,7 +15,13 @@ K = hbar**2 / 2 m0, as
 
 On the first branch, z in (0, min(u0, pi/2)), g has no tangent pole and
 rises strictly from -r u0 to a positive value, so exactly one root exists
-and the bracket-safeguarded Newton solver reaches it in a few steps.
+and the bracket-safeguarded Newton solver reaches it in a few steps.  Each
+step evaluates g and g' together, sharing sin z, cos z and sqrt(u0**2 - z**2).
+
+:func:`solve_well` is the float kernel: thickness, barrier and masses in,
+(energy, z, residual) out, with no configuration or solution object.  The
+per-point design sweeps call it directly; :func:`ground_state` wraps it for
+a validated :class:`WellConfig` and returns a :class:`WellSolution`.
 """
 
 from __future__ import annotations
@@ -88,26 +94,28 @@ def infinite_well_reference(
     return math.pi**2 * hbar2_over_2m0 / (m_in * thickness_t**2)
 
 
-def ground_state(cfg: WellConfig, hbar2_over_2m0: float = HBAR2_OVER_2M0) -> WellSolution:
-    """Solve for the even ground state of the well.
+def solve_well(
+    thickness_t: float,
+    barrier_v0: float,
+    m_in: float,
+    m_out: float,
+    hbar2_over_2m0: float = HBAR2_OVER_2M0,
+) -> tuple[float, float, float]:
+    """Even ground state of one well as plain floats: (energy, z, residual).
 
-    The root is found in z = k_in t/2 on (0, min(u0, pi/2)) by the
-    bracket-safeguarded Newton solver, to a few ulp of z; E = V0 (z/u0)**2
-    and k_in = 2 z / t.  ``residual`` is |g(z)| / (r u0) at the root, g
-    relative to its value g(0) = -r u0: unlike the tan-form mismatch of
-    :func:`matching_mismatch`, which diverges near its pole in wide, deep
-    wells, it is scale-free.  Two limits raise :class:`InfeasibleError` when
-    their leading-order gap is below ``MIN_RELATIVE_GAP``: a thin well
-    whose relative binding (V0 - E)/V0 ~ (u0/r)**2 = m_out V0 t**2 / (4 K)
-    is unresolved (reason ``"thin_well"``), and a wide or deep well whose
-    level sits within (E_inf - E)/E_inf ~ 2/(r u0) of the hard-wall level
-    (reason ``"hard_wall_limit"``).  A returned solution has 0 < E < V0, E
-    no higher than the hard-wall level and k_out > 0.
+    The float kernel behind :func:`ground_state`, for callers that hold
+    already-validated barrier and masses (a :class:`MaterialParams` set) and
+    need only the energy.  The thickness is checked here as
+    :class:`WellConfig` checks it.  ``z`` = k_in t/2 is the root and
+    ``residual`` is |g(z)| / (r u0); both limits raise as described in
+    :func:`ground_state`.
     """
-    t = cfg.thickness_t
-    v0 = cfg.barrier_v0
-    u0 = t * math.sqrt(cfg.m_in * v0 / (4.0 * hbar2_over_2m0))
-    r = math.sqrt(cfg.m_in / cfg.m_out)
+    t = thickness_t
+    if not 0.0 < t < math.inf:
+        raise ValueError("well thickness must be positive and finite")
+    v0 = barrier_v0
+    u0 = t * math.sqrt(m_in * v0 / (4.0 * hbar2_over_2m0))
+    r = math.sqrt(m_in / m_out)
     binding = (u0 / r) * (u0 / r)
     if not binding >= MIN_RELATIVE_GAP:
         raise InfeasibleError(
@@ -127,24 +135,43 @@ def ground_state(cfg: WellConfig, hbar2_over_2m0: float = HBAR2_OVER_2M0) -> Wel
             reason="hard_wall_limit",
         )
 
-    def g(z: float) -> float:
-        return z * math.sin(z) - r * math.sqrt((u0 - z) * (u0 + z)) * math.cos(z)
-
-    def dg(z: float) -> float:
-        w = math.sqrt((u0 - z) * (u0 + z))
-        if w == 0.0:
-            return 0.0  # w underflows only at absurd mass ratios: bisect instead
+    def g_and_slope(z: float) -> tuple[float, float]:
         s, c = math.sin(z), math.cos(z)
-        return s + z * c + r * (z * c / w + w * s)
+        w = math.sqrt((u0 - z) * (u0 + z))
+        g = z * s - r * w * c
+        if w == 0.0:
+            return g, 0.0  # w underflows only at absurd mass ratios: bisect instead
+        return g, s + z * c + r * (z * c / w + w * s)
 
-    root = bisect_root(g, 0.0, min(u0, 0.5 * math.pi), dg)
+    root = bisect_root(g_and_slope, 0.0, min(u0, 0.5 * math.pi))
     z = root.root
-    energy = v0 * (z / u0) * (z / u0)
+    return v0 * (z / u0) * (z / u0), z, abs(root.value) / (r * u0)
+
+
+def ground_state(cfg: WellConfig, hbar2_over_2m0: float = HBAR2_OVER_2M0) -> WellSolution:
+    """Solve for the even ground state of the well.
+
+    The root is found in z = k_in t/2 on (0, min(u0, pi/2)) by the
+    bracket-safeguarded Newton solver, to a few ulp of z; E = V0 (z/u0)**2
+    and k_in = 2 z / t.  ``residual`` is |g(z)| / (r u0) at the root, g
+    relative to its value g(0) = -r u0: unlike the tan-form mismatch of
+    :func:`matching_mismatch`, which diverges near its pole in wide, deep
+    wells, it is scale-free.  Two limits raise :class:`InfeasibleError` when
+    their leading-order gap is below ``MIN_RELATIVE_GAP``: a thin well
+    whose relative binding (V0 - E)/V0 ~ (u0/r)**2 = m_out V0 t**2 / (4 K)
+    is unresolved (reason ``"thin_well"``), and a wide or deep well whose
+    level sits within (E_inf - E)/E_inf ~ 2/(r u0) of the hard-wall level
+    (reason ``"hard_wall_limit"``).  A returned solution has 0 < E < V0, E
+    no higher than the hard-wall level and k_out > 0.
+    """
+    energy, z, residual = solve_well(
+        cfg.thickness_t, cfg.barrier_v0, cfg.m_in, cfg.m_out, hbar2_over_2m0
+    )
     return WellSolution(
         energy_eq=energy,
-        k_in=2.0 * z / t,
-        k_out=math.sqrt((v0 - energy) * cfg.m_out / hbar2_over_2m0),
-        residual=abs(root.value) / (r * u0),
+        k_in=2.0 * z / cfg.thickness_t,
+        k_out=math.sqrt((cfg.barrier_v0 - energy) * cfg.m_out / hbar2_over_2m0),
+        residual=residual,
     )
 
 
@@ -164,6 +191,6 @@ def eq_vs_thickness(
 ) -> list[tuple[float, float]]:
     """Confinement energy of one valley at each thickness, (t, E_q) pairs."""
     k = params.constants.hbar2_over_2m0
-    return [
-        (t, ground_state(well_config(valley, params, t), k).energy_eq) for t in t_grid
-    ]
+    v0 = params.bands.v0_offset_111
+    m = params.masses(valley)
+    return [(t, solve_well(t, v0, m.m_in, m.m_out, k)[0]) for t in t_grid]

@@ -295,6 +295,30 @@ def test_sensitivity_error_names_the_thickness(capsys):
     assert lines[0].endswith("requires x > 1")
 
 
+def test_sensitivity_single_thickness_matches_one_point_grid(capsys):
+    assert run(["sensitivity", "--mode", "both", "--t", "3", "--out", "-"]) == 0
+    single = capsys.readouterr().out
+    assert run(["sensitivity", "--mode", "both", "--t-min", "3", "--t-max", "3",
+                "--t-step", "1", "--out", "-"]) == 0
+    assert single == capsys.readouterr().out
+    assert len(single.splitlines()) == 2
+
+
+def test_sensitivity_keeps_feasible_points_and_warns_per_failure(capsys):
+    # the nominal crossover needs x > 1 from 5 nm on; 1-4 nm still have one
+    assert run(["sensitivity", "--mode", "quadratic_range", "--set", "deformation.xi_d_L=-5",
+                "--t-min", "1", "--t-max", "6", "--t-step", "1", "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == "t_nm,x_low,x_nominal,x_high,clipped"
+    assert [row.split(",")[0] for row in lines[1:]] == ["1.0", "2.0", "3.0", "4.0"]
+    warnings = captured.err.splitlines()
+    assert len(warnings) == 2
+    for t, line in zip((5, 6), warnings):
+        assert line.startswith(f"warning: t = {t} nm: strain ")
+        assert line.endswith("requires x > 1")
+
+
 def test_cli_import_leaves_numpy_unloaded():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -470,7 +494,7 @@ def _invocation(draw, command):
         argv += draw(_axis("x", GE_FRACTION))
     elif command == "sensitivity":
         argv += ["--mode", draw(st.sampled_from(("linear10pct", "quadratic_range", "both")))]
-        argv += draw(_axis("t", THICKNESS, single=False))
+        argv += draw(_axis("t", THICKNESS))
     elif command == "splitting":
         argv += [_flag("t", draw(THICKNESS)), _flag("x", draw(GE_FRACTION))]
     else:

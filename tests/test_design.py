@@ -15,6 +15,7 @@ from lvalley import (
     LatticeParams,
     QuadraticCoefficients,
     SensitivityBand,
+    Splitting,
     Valley,
     confinement_energies,
     critical_strain,
@@ -22,12 +23,15 @@ from lvalley import (
     default_params,
     design,
     design_point,
+    ground_state,
     sensitivity_band,
+    sensitivity_curve,
     splitting_report,
     strain_state,
     strain_to_x,
     total_energy,
     vegard_a,
+    well_config,
     x_to_strain,
 )
 
@@ -247,6 +251,62 @@ def test_splitting_validation():
         splitting_report(PARAMS, 3.0, 1.5)
 
 
+def _repr_or_error(fn):
+    """repr of the result, or the raised error's type, reason and message."""
+    try:
+        return repr(fn())
+    except (InfeasibleError, ValueError) as err:
+        return type(err), getattr(err, "reason", None), str(err)
+
+
+_scale = st.floats(0.2, 5.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    t=st.floats(-3.0, 4.0).map(lambda e: 10.0**e),
+    x=st.floats(0.0, 1.0),
+    v0_scale=_scale,
+    l1_scale=_scale,
+    l3_scale=_scale,
+    d6_scale=_scale,
+)
+# the failing paths: a thin well, a well at the hard-wall limit, an infinite thickness
+@example(t=1e-9, x=0.5, v0_scale=1.0, l1_scale=1.0, l3_scale=1.0, d6_scale=1.0)
+@example(t=1e13, x=0.5, v0_scale=1.0, l1_scale=1.0, l3_scale=1.0, d6_scale=1.0)
+@example(t=math.inf, x=0.5, v0_scale=1.0, l1_scale=1.0, l3_scale=1.0, d6_scale=1.0)
+def test_float_well_path_is_bit_identical_to_object_path(
+    t, x, v0_scale, l1_scale, l3_scale, d6_scale
+):
+    # confinement_energies and splitting_report call the float well kernel;
+    # ground_state(well_config(...)) and total_energy build the objects
+    params = replace(
+        PARAMS,
+        bands=replace(PARAMS.bands, v0_offset_111=PARAMS.bands.v0_offset_111 * v0_scale),
+        masses_l1=replace(PARAMS.masses_l1, m_in=PARAMS.masses_l1.m_in * l1_scale),
+        masses_l3=replace(PARAMS.masses_l3, m_in=PARAMS.masses_l3.m_in * l3_scale),
+        masses_delta6=replace(PARAMS.masses_delta6, m_in=PARAMS.masses_delta6.m_in * d6_scale),
+    )
+    k = params.constants.hbar2_over_2m0
+
+    def object_eqs():
+        return {v: ground_state(well_config(v, params, t), k).energy_eq for v in Valley}
+
+    def object_splitting():
+        eps = x_to_strain(x, params.lattice)
+        e = {v: total_energy(v, params, t, eps).total for v in Valley}
+        return Splitting(
+            delta6_minus_l1=e[Valley.DELTA6] - e[Valley.L1],
+            l3_minus_l1=e[Valley.L3] - e[Valley.L1],
+        )
+
+    # repr tells 0.0 from -0.0 and shows every bit of each float
+    assert _repr_or_error(lambda: confinement_energies(params, t)) == _repr_or_error(object_eqs)
+    assert _repr_or_error(lambda: splitting_report(params, t, x)) == _repr_or_error(
+        object_splitting
+    )
+
+
 # --- sensitivity envelopes -------------------------------------------------------
 
 def test_sensitivity_nominal_matches_crossover():
@@ -297,6 +357,24 @@ def test_sensitivity_error_keeps_reason_and_names_thickness():
     params = replace(PARAMS, deformation=replace(PARAMS.deformation, xi_d_L=-3.0))
     with pytest.raises(InfeasibleError, match=r"^t = 1 nm: strain ") as info:
         sensitivity_band(params, [1.0, 2.0], "linear10pct")
+    assert info.value.reason == "requires_x_gt_1"
+
+
+def test_sensitivity_curve_keeps_feasible_points():
+    params = replace(PARAMS, deformation=replace(PARAMS.deformation, xi_d_L=-5.0))
+    grid = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 99.0]
+    bands, failures = sensitivity_curve(params, grid, "quadratic_range")
+    assert [b.thickness_t for b in bands] == [1.0, 2.0, 3.0, 4.0]
+    assert bands == [sensitivity_band(params, [t], "quadratic_range")[0] for t in grid[:4]]
+    assert [t for t, _ in failures] == [5.0, 6.0, 99.0]
+    for t, err in failures[:2]:
+        assert isinstance(err, InfeasibleError) and err.reason == "requires_x_gt_1"
+        assert str(err).startswith(f"t = {t:g} nm: strain ")
+    assert type(failures[2][1]) is ValueError
+    assert str(failures[2][1]).startswith("t = 99 nm: thickness 99.0 nm outside")
+    # the band list raises the first failure
+    with pytest.raises(InfeasibleError, match=r"^t = 5 nm: ") as info:
+        sensitivity_band(params, grid, "quadratic_range")
     assert info.value.reason == "requires_x_gt_1"
 
 
