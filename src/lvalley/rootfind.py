@@ -1,11 +1,15 @@
-"""Bracket-safeguarded Newton solver used by the finite-well solver.
+"""Bracket-safeguarded Newton solver for any sign-changing bracket.
 
 This is ``rtsafe`` of Press et al., Numerical Recipes, section 9.4: Newton
 steps on a sign-changing bracket, with a bisection step whenever the Newton
 step would leave the bracket or the derivative vanishes.  The function and
 its derivative come from one callable, so a caller whose value and slope
-share costly terms (the well's sin z, cos z and square root) evaluates them
-once per iterate.
+share costly terms evaluates them once per iterate.
+
+The finite-well solver runs the same iteration as an in-place loop
+(:func:`lvalley.well.solve_well`), where the bracket-end signs are known and
+no callable is needed; :func:`bisect_root` is its reference in the tests,
+and ``STEP_RTOL`` is the stopping rule both share.
 """
 
 from __future__ import annotations

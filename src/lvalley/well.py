@@ -15,8 +15,12 @@ K = hbar**2 / 2 m0, as
 
 On the first branch, z in (0, min(u0, pi/2)), g has no tangent pole and
 rises strictly from -r u0 to a positive value, so exactly one root exists
-and the bracket-safeguarded Newton solver reaches it in a few steps.  Each
-step evaluates g and g' together, sharing sin z, cos z and sqrt(u0**2 - z**2).
+and a bracket-safeguarded Newton iteration (``rtsafe``) reaches it in a few
+steps.  The iteration is a plain loop over floats inside :func:`solve_well`:
+the signs at both bracket ends are known, so neither end is evaluated, and
+each step computes g and g' together, sharing sin z, cos z and
+sqrt(u0**2 - z**2).  Its iterates are those of :func:`rootfind.bisect_root`
+on the same bracket, which the tests use as the reference.
 
 :func:`solve_well` is the float kernel: thickness, barrier and masses in,
 (energy, z, residual) out, with no configuration or solution object.  The
@@ -27,11 +31,13 @@ a validated :class:`WellConfig` and returns a :class:`WellSolution`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from math import cos, sin, sqrt
 
-from .errors import InfeasibleError
+from .errors import InfeasibleError, SolverError
 from .materials import HBAR2_OVER_2M0, MaterialParams, Valley
-from .rootfind import bisect_root
+from .rootfind import STEP_RTOL
 
 # Smallest relative gap the solver resolves at either end of the first
 # branch: the binding (V0 - E)/V0 of a thin well, where z nears u0, and the
@@ -107,7 +113,7 @@ def solve_well(
     already-validated barrier and masses (a :class:`MaterialParams` set) and
     need only the energy.  The thickness is checked here as
     :class:`WellConfig` checks it.  ``z`` = k_in t/2 is the root and
-    ``residual`` is |g(z)| / (r u0); both limits raise as described in
+    ``residual`` is |g(z)| / (r u0); the limits raise as described in
     :func:`ground_state`.
     """
     t = thickness_t
@@ -125,7 +131,9 @@ def solve_well(
             "thicker well or a higher barrier",
             reason="thin_well",
         )
-    deficit = 2.0 / (r * u0)
+    # r u0 is 0 only when the mass ratio underflows, which the check below reports
+    ru0 = r * u0
+    deficit = 2.0 / ru0 if ru0 > 0.0 else math.inf
     if not deficit >= MIN_RELATIVE_GAP:
         raise InfeasibleError(
             f"the level of a {t:.3g} nm well under a {v0:.3g} eV barrier lies only "
@@ -134,18 +142,51 @@ def solve_well(
             "use the hard-wall level",
             reason="hard_wall_limit",
         )
+    if not (ru0 >= sys.float_info.min and sys.float_info.min <= u0 * u0 < math.inf):
+        raise InfeasibleError(
+            f"a {t:.3g} nm well with masses m_in = {m_in:.3g} and m_out = {m_out:.3g} m0 "
+            f"under a {v0:.3g} eV barrier has a mass ratio m_in/m_out too small for "
+            "double precision to solve; use physical effective masses",
+            reason="mass_ratio",
+        )
 
-    def g_and_slope(z: float) -> tuple[float, float]:
-        s, c = math.sin(z), math.cos(z)
-        w = math.sqrt((u0 - z) * (u0 + z))
+    # rtsafe on the rising bracket (0, hi).  Past the guards the end signs are
+    # known, so neither end is evaluated: g(0) = -r u0 < 0, and g(hi) is
+    # u0 sin u0 > 0 at hi = u0, or pi/2 - r w cos(pi/2) > 0 at hi = pi/2,
+    # where r w <= 2 / MIN_RELATIVE_GAP and cos(pi/2) rounds to 6e-17.  The
+    # steps, stopping rule and fallbacks are those of rootfind.bisect_root,
+    # iterate for iterate.
+    lo, hi = 0.0, min(u0, 0.5 * math.pi)
+    z = 0.5 * hi
+    for _ in range(256):
+        s, c = sin(z), cos(z)
+        w = sqrt((u0 - z) * (u0 + z))
         g = z * s - r * w * c
-        if w == 0.0:
-            return g, 0.0  # w underflows only at absurd mass ratios: bisect instead
-        return g, s + z * c + r * (z * c / w + w * s)
-
-    root = bisect_root(g_and_slope, 0.0, min(u0, 0.5 * math.pi))
-    z = root.root
-    return v0 * (z / u0) * (z / u0), z, abs(root.value) / (r * u0)
+        if g == 0.0:
+            break
+        if g < 0.0:
+            lo = z
+        else:
+            hi = z
+        # w is 0 only where (u0 - z)(u0 + z) underflows: bisect instead
+        slope = s + z * c + r * (z * c / w + w * s) if w != 0.0 else 0.0
+        if slope != 0.0:
+            step = g / slope
+            if abs(step) <= STEP_RTOL * z:
+                break
+            z_new = z - step
+            if lo < z_new < hi:
+                z = z_new
+                continue
+        z = 0.5 * (lo + hi)
+        if z == lo or z == hi:  # no representable midpoint left
+            g = z * sin(z) - r * sqrt((u0 - z) * (u0 + z)) * cos(z)
+            break
+    else:
+        raise SolverError(
+            f"root search did not converge after 256 iterations; bracket [{lo}, {hi}]"
+        )
+    return v0 * (z / u0) * (z / u0), z, abs(g) / ru0
 
 
 def ground_state(cfg: WellConfig, hbar2_over_2m0: float = HBAR2_OVER_2M0) -> WellSolution:
@@ -161,8 +202,10 @@ def ground_state(cfg: WellConfig, hbar2_over_2m0: float = HBAR2_OVER_2M0) -> Wel
     whose relative binding (V0 - E)/V0 ~ (u0/r)**2 = m_out V0 t**2 / (4 K)
     is unresolved (reason ``"thin_well"``), and a wide or deep well whose
     level sits within (E_inf - E)/E_inf ~ 2/(r u0) of the hard-wall level
-    (reason ``"hard_wall_limit"``).  A returned solution has 0 < E < V0, E
-    no higher than the hard-wall level and k_out > 0.
+    (reason ``"hard_wall_limit"``).  A mass ratio m_in/m_out below about
+    2e-284, where r u0 or u0**2 leaves the normal double-precision range,
+    raises it too (reason ``"mass_ratio"``).  A returned solution has
+    0 < E < V0, E no higher than the hard-wall level and k_out > 0.
     """
     energy, z, residual = solve_well(
         cfg.thickness_t, cfg.barrier_v0, cfg.m_in, cfg.m_out, hbar2_over_2m0

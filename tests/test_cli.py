@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lvalley import default_params
@@ -512,11 +512,24 @@ def _finite_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
+class _Argv:
+    """Stands in for ``st.data()`` in an ``@example``: draws one fixed argv."""
+
+    def __init__(self, *argv):
+        self.argv = [*argv, "--format", "json-lines", "--out", "-"]
+
+    def draw(self, strategy, label=None):
+        return self.argv
+
+
+# each example runs under every command parameter; its argv names its own command
 @pytest.mark.parametrize(
     "command", ("energy", "well", "crossover", "hc", "sensitivity", "splitting", "figure")
 )
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
+@example(data=_Argv("well", "--valley", "L3", "--t", "1e-4", "--set", "masses.L3.m_in=1e-320"))
+@example(data=_Argv("well", "--t", "0.001", "--set", "masses.L1.m_in=1e-320"))
 def test_every_invocation_gives_finite_json_or_a_clean_error(command, data):
     argv = data.draw(_invocation(command), label="argv")
     out, err = io.StringIO(), io.StringIO()

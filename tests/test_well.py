@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import EQ_FROZEN, bisect_well_energy, grid_scan_ground_state
 
@@ -16,8 +16,10 @@ from lvalley import (
     ground_state,
     infinite_well_reference,
     matching_mismatch,
+    solve_well,
     well_config,
 )
+from lvalley.rootfind import bisect_root
 
 PARAMS = default_params()
 V0 = 0.28
@@ -221,6 +223,59 @@ def test_hard_wall_limit_is_a_tagged_domain_error():
     ref = infinite_well_reference(1e12, 1.70)
     assert 0.0 < sol.energy_eq <= ref
     assert sol.energy_eq == pytest.approx(ref, rel=1e-11)
+
+
+def test_mass_ratio_underflow_is_a_tagged_domain_error():
+    # r u0 underflows to 0 in the first well and u0**2 in the second, where a
+    # bare solve would return E = 0; in the third u0**2 overflows
+    for args in ((1e-4, 0.28, 1e-320, 1.59), (1e-3, 0.28, 1e-320, 1.59),
+                 (1e302, 0.28, 1e-290, 1.0)):
+        with pytest.raises(InfeasibleError) as exc:
+            solve_well(*args)
+        assert exc.value.reason == "mass_ratio"
+        assert f"m_in = {args[2]:.3g}" in str(exc.value)
+
+
+def _bisect_root_well(t, v0, m_in, m_out):
+    """(energy, z, residual) of a guarded well from rootfind.bisect_root."""
+    k = PARAMS.constants.hbar2_over_2m0
+    u0 = t * math.sqrt(m_in * v0 / (4.0 * k))
+    r = math.sqrt(m_in / m_out)
+
+    def g_and_slope(z):
+        s, c = math.sin(z), math.cos(z)
+        w = math.sqrt((u0 - z) * (u0 + z))
+        g = z * s - r * w * c
+        if w == 0.0:
+            return g, 0.0
+        return g, s + z * c + r * (z * c / w + w * s)
+
+    root = bisect_root(g_and_slope, 0.0, min(u0, 0.5 * math.pi))
+    z = root.root
+    return v0 * (z / u0) * (z / u0), z, abs(root.value) / (r * u0)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    t=st.floats(min_value=-6.0, max_value=4.0).map(lambda e: 10.0**e),
+    v0=st.floats(min_value=-1.0, max_value=1.0).map(lambda e: V0 * 10.0**e),
+    m_in=st.floats(min_value=0.03, max_value=5.0),
+    m_out=st.floats(min_value=0.03, max_value=5.0),
+)
+@example(t=1.0, v0=V0, m_in=0.26, m_out=1.59)  # bracket end u0 < pi/2
+@example(t=5.0, v0=V0, m_in=1.70, m_out=1.59)  # bracket end pi/2, Newton only
+@example(t=10.0, v0=V0, m_in=1.70, m_out=1.59)  # first step bisects
+@example(t=1e-5, v0=V0, m_in=0.26, m_out=1.59)  # thirty bisections near u0
+@example(t=1e-6, v0=0.1 * V0, m_in=1.0, m_out=0.03)  # thin_well
+@example(t=1e17, v0=V0, m_in=1.70, m_out=1.59)  # hard_wall_limit
+def test_solve_well_matches_bisect_root_reference(t, v0, m_in, m_out):
+    # the in-place loop takes the iterates of rootfind.bisect_root exactly
+    try:
+        got = solve_well(t, v0, m_in, m_out)
+    except InfeasibleError as err:
+        assert err.reason in ("thin_well", "hard_wall_limit")
+        return
+    assert repr(got) == repr(_bisect_root_well(t, v0, m_in, m_out))
 
 
 @settings(max_examples=500, deadline=None)
