@@ -21,13 +21,11 @@ each capability.
 
 from .design import (
     CrossoverResult,
-    DesignPoint,
     SensitivityBand,
     Splitting,
     confinement_energies,
     critical_strain,
     crossover_curve,
-    design_point,
     sensitivity_band,
     sensitivity_curve,
     splitting_report,
@@ -87,7 +85,6 @@ __all__ = [
     "CriticalThickness",
     "CrossoverResult",
     "DeformationPotentials",
-    "DesignPoint",
     "EffectiveMasses",
     "ElasticConstants",
     "InfeasibleError",
@@ -110,7 +107,6 @@ __all__ = [
     "critical_thickness",
     "crossover_curve",
     "default_params",
-    "design_point",
     "eq_vs_thickness",
     "ground_state",
     "hc_curve",

@@ -63,31 +63,32 @@ def apply_override(params: MaterialParams, key: str, raw_value: str) -> Material
     """Apply one dotted-key override, e.g. ``deformation.xi_u_L = 16.14``.
 
     ``deformation.set`` selects a whole literature deformation-potential set
-    by label; every other key takes a number.
+    by label; every other key takes a number.  A value the parameter set
+    rejects is a usage error that names the key.
     """
     parts = key.split(".")
-    if key == "deformation.set":
-        return replace(params, deformation=table1_set(raw_value))
     try:
-        value = float(raw_value)
-    except ValueError:
-        raise UsageError(f"override {key!r}: {raw_value!r} is not a number") from None
-    if key == "masses.m_out":
-        return replace(params, **{
-            attr: replace(getattr(params, attr), m_out=value) for attr in _MASS_SEGMENTS.values()
-        })
-    if len(parts) == 3 and parts[0] == "masses" and parts[1] in _MASS_SEGMENTS and parts[2] == "m_in":
-        attr = _MASS_SEGMENTS[parts[1]]
-        return replace(params, **{attr: replace(getattr(params, attr), m_in=value)})
-    if len(parts) == 2 and parts[0] in _GROUP_FIELDS:
-        group = getattr(params, parts[0])
-        if parts[1] in {f.name for f in fields(group)} and isinstance(
-            getattr(group, parts[1]), float
-        ):
-            try:
+        if key == "deformation.set":
+            return replace(params, deformation=table1_set(raw_value))
+        try:
+            value = float(raw_value)
+        except ValueError:
+            raise UsageError(f"override {key!r}: {raw_value!r} is not a number") from None
+        if key == "masses.m_out":
+            return replace(params, **{
+                attr: replace(getattr(params, attr), m_out=value) for attr in _MASS_SEGMENTS.values()
+            })
+        if len(parts) == 3 and parts[0] == "masses" and parts[1] in _MASS_SEGMENTS and parts[2] == "m_in":
+            attr = _MASS_SEGMENTS[parts[1]]
+            return replace(params, **{attr: replace(getattr(params, attr), m_in=value)})
+        if len(parts) == 2 and parts[0] in _GROUP_FIELDS:
+            group = getattr(params, parts[0])
+            if parts[1] in {f.name for f in fields(group)} and isinstance(
+                getattr(group, parts[1]), float
+            ):
                 return replace(params, **{parts[0]: replace(group, **{parts[1]: value})})
-            except ValueError as err:
-                raise UsageError(f"override {key!r} = {value:g}: {err}") from None
+    except ValueError as err:
+        raise UsageError(f"override {key!r} = {raw_value}: {err}") from None
     raise UsageError(_unknown_key_message(params, key))
 
 
@@ -131,10 +132,7 @@ def resolve_params(
         key, value = item.split("=", 1)
         pairs.append((key.strip(), value.strip()))
     for key, value in pairs:
-        try:
-            params = apply_override(params, key, value)
-        except ValueError as err:
-            raise UsageError(str(err)) from None
+        params = apply_override(params, key, value)
     return params
 
 
@@ -241,12 +239,17 @@ def _well(params: MaterialParams, ns: argparse.Namespace):
     return header, [(t, *design.confinement_energies(params, t).values()) for t in t_grid]
 
 
-def _crossover(params: MaterialParams, ns: argparse.Namespace):
-    results, failures = design.crossover_curve(params, _grid(ns, "t"))
-    if not results:
+def _feasible(points: list, failures: list[tuple[float, Exception]]) -> list:
+    """A sweep's points; raises its first failure if no point succeeded, else warns per failure."""
+    if not points:
         raise failures[0][1]
-    for t, err in failures:
-        print(f"warning: t = {t:g} nm: {err}", file=sys.stderr)
+    for _, err in failures:  # each error names its thickness
+        print(f"warning: {err}", file=sys.stderr)
+    return points
+
+
+def _crossover(params: MaterialParams, ns: argparse.Namespace):
+    results = _feasible(*design.crossover_curve(params, _grid(ns, "t")))
     rows = [(r.thickness_t, r.eps_critical, r.x_critical) for r in results]
     return ["t_nm", "eps_critical", "x_critical"], rows
 
@@ -266,11 +269,7 @@ def _hc(params: MaterialParams, ns: argparse.Namespace):
 
 
 def _sensitivity(params: MaterialParams, ns: argparse.Namespace):
-    bands, failures = design.sensitivity_curve(params, _grid(ns, "t"), ns.mode)
-    if not bands:
-        raise failures[0][1]
-    for _, err in failures:  # each error names its thickness
-        print(f"warning: {err}", file=sys.stderr)
+    bands = _feasible(*design.sensitivity_curve(params, _grid(ns, "t"), ns.mode))
     rows = [(b.thickness_t, b.x_low, b.x_nominal, b.x_high, b.clipped) for b in bands]
     return ["t_nm", "x_low", "x_nominal", "x_high", "clipped"], rows
 

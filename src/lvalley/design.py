@@ -59,15 +59,6 @@ QUADRATIC_COEFF_RANGES = {
 
 
 @dataclass(frozen=True)
-class DesignPoint:
-    """One (thickness, strain, Ge fraction) operating point."""
-
-    thickness_t: float
-    eps_par: float
-    ge_fraction_x: float
-
-
-@dataclass(frozen=True)
 class CrossoverResult:
     """Critical strain and Ge fraction where L1 and Delta6 intersect."""
 
@@ -147,22 +138,6 @@ def strain_to_x(eps_par: float, lat: LatticeParams) -> float:
     return min(2.0 * a_eps / (lin + math.sqrt(disc)), 1.0)
 
 
-def design_point(
-    lat: LatticeParams,
-    thickness_t: float,
-    eps_par: float | None = None,
-    ge_fraction_x: float | None = None,
-) -> DesignPoint:
-    """Build an operating point from exactly one of strain or Ge fraction."""
-    if (eps_par is None) == (ge_fraction_x is None):
-        raise ValueError("give exactly one of eps_par or ge_fraction_x")
-    if eps_par is None:
-        eps_par = x_to_strain(ge_fraction_x, lat)
-    else:
-        ge_fraction_x = strain_to_x(eps_par, lat)
-    return DesignPoint(thickness_t=thickness_t, eps_par=eps_par, ge_fraction_x=ge_fraction_x)
-
-
 # ---------------------------------------------------------------------------
 # Combined energies and the L1/Delta6 crossover
 
@@ -239,15 +214,21 @@ def _gap_root(c0: float, c1: float, c2: float) -> float:
     return min(root, EPS_BRACKET_MAX)
 
 
+def _crossing(params: MaterialParams, t: float, c1: float, c2: float) -> tuple[float, float]:
+    """(c0, eps*) of the gap with slope c1 and curvature c2 at a supported thickness t."""
+    if not T_MIN_NM <= t <= T_MAX_NM:
+        raise ValueError(
+            f"thickness {t} nm outside the supported range [{T_MIN_NM}, {T_MAX_NM}] nm"
+        )
+    c0 = _gap_offset(params, confinement_energies(params, t))
+    return c0, _gap_root(c0, c1, c2)
+
+
 def critical_strain(params: MaterialParams, thickness_t: float) -> CrossoverResult:
     """Critical strain and Ge fraction at which L1 and Delta6 intersect."""
-    if not T_MIN_NM <= thickness_t <= T_MAX_NM:
-        raise ValueError(
-            f"thickness {thickness_t} nm outside the supported range "
-            f"[{T_MIN_NM}, {T_MAX_NM}] nm"
-        )
-    eps = _gap_root(
-        _gap_offset(params, confinement_energies(params, thickness_t)),
+    _, eps = _crossing(
+        params,
+        thickness_t,
         _gap_slope(params.deformation, strain_state(params.elastic, 1.0)),
         _gap_curvature(params.quadratic),
     )
@@ -258,24 +239,38 @@ def critical_strain(params: MaterialParams, thickness_t: float) -> CrossoverResu
     )
 
 
+def _at_thickness(t: float, err: InfeasibleError | ValueError) -> InfeasibleError | ValueError:
+    """``err`` of one sweep point, its message prefixed ``t = <t> nm:``, reason kept."""
+    message = f"t = {t:g} nm: {err}"
+    named = (
+        InfeasibleError(message, reason=err.reason)
+        if isinstance(err, InfeasibleError)
+        else ValueError(message)
+    )
+    named.__cause__ = err
+    return named
+
+
 def crossover_curve(
     params: MaterialParams, t_grid: list[float]
 ) -> tuple[list[CrossoverResult], list[tuple[float, Exception]]]:
-    """Crossover over a thickness grid; per-point failures are collected."""
+    """Crossover over a thickness grid.
+
+    A failing thickness is collected as (t, error), named as in
+    :func:`sensitivity_curve`; the other points still get their crossover.
+    """
     results: list[CrossoverResult] = []
     failures: list[tuple[float, Exception]] = []
     for t in t_grid:
         try:
             results.append(critical_strain(params, t))
         except (InfeasibleError, ValueError) as err:
-            failures.append((t, err))
+            failures.append((t, _at_thickness(t, err)))
     return results, failures
 
 
 def splitting_report(params: MaterialParams, thickness_t: float, x: float) -> Splitting:
     """Valley splittings relative to L1 at a (thickness, Ge fraction) point."""
-    if not thickness_t > 0.0:
-        raise ValueError("thickness must be positive")
     eps = x_to_strain(x, params.lattice)
     require_supported_strain(eps)
     s = strain_state(params.elastic, eps)
@@ -327,9 +322,12 @@ def _extreme_corners(
             }), unit)
             for up in (True, False)
         )
-    c2_up = c2_down = _gap_curvature(params.quadratic)
+    q = params.quadratic
+    c2_up = c2_down = _gap_curvature(q)
     if mode != "linear10pct":
-        d6, l1 = QUADRATIC_COEFF_RANGES[Valley.DELTA6], QUADRATIC_COEFF_RANGES[Valley.L1]
+        # each literature range is widened to hold the nominal coefficient
+        d6 = (*QUADRATIC_COEFF_RANGES[Valley.DELTA6], q.d_delta6)
+        l1 = (*QUADRATIC_COEFF_RANGES[Valley.L1], q.d_L1)
         c2_up, c2_down = max(d6) - min(l1), min(d6) - max(l1)
     return (c1_up, c2_up), (c1_down, c2_down)
 
@@ -340,18 +338,6 @@ def _corner_x(c0: float, c1: float, c2: float, lat: LatticeParams) -> tuple[floa
         return strain_to_x(_gap_root(c0, c1, c2), lat), False
     except InfeasibleError:
         return 1.0, True
-
-
-def _at_thickness(t: float, err: InfeasibleError | ValueError) -> InfeasibleError | ValueError:
-    """``err`` of one sweep point, its message prefixed ``t = <t> nm:``, reason kept."""
-    message = f"t = {t:g} nm: {err}"
-    named = (
-        InfeasibleError(message, reason=err.reason)
-        if isinstance(err, InfeasibleError)
-        else ValueError(message)
-    )
-    named.__cause__ = err
-    return named
 
 
 def sensitivity_curve(
@@ -383,13 +369,8 @@ def sensitivity_curve(
         # corners perturb only c1 and c2, so c0 and its below_at_zero check
         # are shared by the whole box
         try:
-            if not T_MIN_NM <= t <= T_MAX_NM:
-                raise ValueError(
-                    f"thickness {t} nm outside the supported range "
-                    f"[{T_MIN_NM}, {T_MAX_NM}] nm"
-                )
-            c0 = _gap_offset(params, confinement_energies(params, t))
-            x_nom = strain_to_x(_gap_root(c0, c1_nom, c2_nom), lat)
+            c0, eps = _crossing(params, t, c1_nom, c2_nom)
+            x_nom = strain_to_x(eps, lat)
         except (InfeasibleError, ValueError) as err:
             failures.append((t, _at_thickness(t, err)))
             continue

@@ -279,8 +279,34 @@ def test_crossover_failures_warn_per_point_or_error_once(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: thickness 0.2 nm outside the supported range [0.5, 50.0] nm"
+        "error: t = 0.2 nm: thickness 0.2 nm outside the supported range [0.5, 50.0] nm"
     ]
+
+
+def test_all_failing_sweeps_print_the_same_error_line(capsys):
+    lines = []
+    for command in ("crossover", "sensitivity"):
+        assert run([command, "--t", "0.2", "--out", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines.append(captured.err.splitlines())
+    assert lines[0] == lines[1] and len(lines[0]) == 1
+
+
+def test_rejected_override_values_name_their_key(tmp_path, capsys):
+    conf = tmp_path / "p.conf"
+    conf.write_text("masses.m_out = 0\n")
+    cases = (
+        (["--set", "masses.L1.m_in=-1"], "error: override 'masses.L1.m_in' = -1: "),
+        (["--config", str(conf)], "error: override 'masses.m_out' = 0: "),
+        (["--dp-set", "bogus"], "error: override 'deformation.set' = bogus: "),
+    )
+    for flags, prefix in cases:
+        assert run(["crossover", "--t", "3", *flags, "--out", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(prefix), lines
 
 
 def test_sensitivity_error_names_the_thickness(capsys):

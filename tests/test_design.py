@@ -22,7 +22,6 @@ from lvalley import (
     crossover_curve,
     default_params,
     design,
-    design_point,
     ground_state,
     sensitivity_band,
     sensitivity_curve,
@@ -137,17 +136,6 @@ def test_vegard_round_trip_either_bowing_sign(x, bowing):
     assert abs(strain_to_x(x_to_strain(x, lat), lat) - x) <= 1e-12
 
 
-def test_design_point_fills_the_other_coordinate():
-    d = design_point(LAT, 3.0, ge_fraction_x=0.935)
-    assert d.eps_par == pytest.approx(0.0387, abs=5e-4)
-    d2 = design_point(LAT, 3.0, eps_par=d.eps_par)
-    assert d2.ge_fraction_x == pytest.approx(0.935, abs=1e-6)
-    with pytest.raises(ValueError, match="exactly one"):
-        design_point(LAT, 3.0)
-    with pytest.raises(ValueError, match="exactly one"):
-        design_point(LAT, 3.0, eps_par=0.01, ge_fraction_x=0.5)
-
-
 # --- crossover ----------------------------------------------------------------
 
 def test_crossover_t3():
@@ -229,6 +217,8 @@ def test_crossover_curve_collects_out_of_range_points():
     results, failures = crossover_curve(PARAMS, [3.0, 99.0])
     assert len(results) == 1 and len(failures) == 1
     assert failures[0][0] == 99.0
+    assert type(failures[0][1]) is ValueError
+    assert str(failures[0][1]).startswith("t = 99 nm: thickness 99.0 nm outside")
 
 
 # --- splittings -----------------------------------------------------------------
@@ -379,7 +369,7 @@ def test_sensitivity_curve_keeps_feasible_points():
 
 
 def _enumerated_band(params, t, mode):
-    """The band from every corner of the box (16, 8 or 128), by the library's gap helpers.
+    """The band from every corner of the box (16, 18 or 288), by the library's gap helpers.
 
     Corners are clipped as the exhaustive enumeration did: below_at_zero
     enters at x = 0, no crossing or x > 1 at x = 1 with the clipped flag.
@@ -396,13 +386,17 @@ def _enumerated_band(params, t, mode):
             )
             for a, b, c, d in product(design.LINEAR_VARIATION_FACTORS, repeat=4)
         ]
-    curvatures = [design._gap_curvature(params.quadratic)]
+    q = params.quadratic
+    curvatures = [design._gap_curvature(q)]
     if mode != "linear10pct":
+        # the literature ranges, each widened to hold the nominal coefficient
         ranges = design.QUADRATIC_COEFF_RANGES
         curvatures = [
             design._gap_curvature(QuadraticCoefficients(d_L1=d1, d_L3=d3, d_delta6=d6))
             for d1, d3, d6 in product(
-                ranges[Valley.L1], ranges[Valley.L3], ranges[Valley.DELTA6]
+                (*ranges[Valley.L1], q.d_L1),
+                ranges[Valley.L3],
+                (*ranges[Valley.DELTA6], q.d_delta6),
             )
         ]
     c0 = design._gap_offset(params, confinement_energies(params, t))
@@ -445,8 +439,9 @@ _uniaxial = st.floats(0.5, 25.0)
     d_delta6=st.floats(-40.0, 10.0),
     t=st.floats(0.5, 20.0),
 )
-# the nominal crosses below x = 1 only thanks to its curvature of 50 eV, the
-# up corner's 25 eV does not: the whole band is clipped to x = 1
+# a nominal curvature of 50 eV, far outside the literature box: the widened
+# box's up corner (55 eV) crosses below the nominal, its down corner (0 eV)
+# needs x > 1 and is clipped
 @example(
     xi_u_delta=9.16, xi_d_delta=1.1, xi_u_L=16.14, xi_d_L=-6.0,
     e0_L_shift=0.1, d_L1=-60.0, d_delta6=-10.0, t=3.0,
@@ -469,6 +464,18 @@ def test_two_corner_band_is_bit_identical_to_enumeration(
         else:
             # repr tells 0.0 from -0.0 and shows every bit of each float
             assert repr(got) == repr(want), mode
+
+
+@settings(max_examples=300, deadline=None)
+@given(d_L1=st.floats(-60.0, 10.0), d_delta6=st.floats(-40.0, 10.0), t=st.floats(0.5, 20.0))
+# the nominal curvature 40 - 10 = 30 eV lies above the literature box's 25 eV
+@example(d_L1=-40.0, d_delta6=-10.0, t=3.0)
+def test_sensitivity_band_holds_the_nominal(d_L1, d_delta6, t):
+    params = replace(PARAMS, quadratic=replace(PARAMS.quadratic, d_L1=d_L1, d_delta6=d_delta6))
+    for mode in design.SENSITIVITY_MODES:
+        bands, _ = sensitivity_curve(params, [t], mode)
+        for band in bands:
+            assert band.x_low <= band.x_nominal <= band.x_high, (mode, band)
 
 
 # --- closed forms against plain-math bisection oracles ---------------------------
