@@ -52,8 +52,10 @@ from .materials import (
     MaterialParams,
     PhysicalConstants,
     QuadraticCoefficients,
+    Record,
     Valley,
     default_params,
+    replace,
     table1_labels,
     table1_set,
 )
@@ -92,6 +94,7 @@ __all__ = [
     "MaterialParams",
     "PhysicalConstants",
     "QuadraticCoefficients",
+    "Record",
     "RelaxationInput",
     "SensitivityBand",
     "SolverError",
@@ -117,6 +120,7 @@ __all__ = [
     "perp_strain_ratio",
     "poisson_111",
     "quadratic_shift",
+    "replace",
     "sensitivity_band",
     "sensitivity_curve",
     "solve_well",

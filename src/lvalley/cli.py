@@ -15,12 +15,11 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import fields, replace
 from pathlib import Path
 
 from . import design, relaxation, well
 from .errors import InfeasibleError, SolverError
-from .materials import MaterialParams, Valley, default_params, table1_set
+from .materials import MaterialParams, Valley, default_params, replace, table1_set
 from .valleys import bulk_energy
 
 ENV_OUTDIR = "LVALLEY_OUTDIR"
@@ -49,9 +48,7 @@ def override_keys(params: MaterialParams) -> list[str]:
     for group in _GROUP_FIELDS:
         obj = getattr(params, group)
         keys += [
-            f"{group}.{f.name}"
-            for f in fields(obj)
-            if isinstance(getattr(obj, f.name), float)
+            f"{group}.{name}" for name in obj.__slots__ if isinstance(getattr(obj, name), float)
         ]
     keys += [f"masses.{seg}.m_in" for seg in _MASS_SEGMENTS]
     # the barrier mass is one value shared by every valley
@@ -83,9 +80,7 @@ def apply_override(params: MaterialParams, key: str, raw_value: str) -> Material
             return replace(params, **{attr: replace(getattr(params, attr), m_in=value)})
         if len(parts) == 2 and parts[0] in _GROUP_FIELDS:
             group = getattr(params, parts[0])
-            if parts[1] in {f.name for f in fields(group)} and isinstance(
-                getattr(group, parts[1]), float
-            ):
+            if parts[1] in group.__slots__ and isinstance(getattr(group, parts[1]), float):
                 return replace(params, **{parts[0]: replace(group, **{parts[1]: value})})
     except ValueError as err:
         raise UsageError(f"override {key!r} = {raw_value}: {err}") from None
@@ -301,7 +296,7 @@ def _figure(params: MaterialParams, ns: argparse.Namespace):
             f"unknown figure id {ns.id!r}; valid ids: {', '.join(FIGURES)} "
             "(fig6 is a schematic with no computed curve)"
         )
-    preset = _build_parser().parse_args(FIGURES[ns.id])
+    preset = ns.parser.parse_args(FIGURES[ns.id])
     return preset.rows(params, preset)
 
 
@@ -371,6 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", type=float, required=True, help="barrier Ge fraction")
 
     sp = command("figure", _figure, "emit the data sweep behind one figure")
+    sp.set_defaults(parser=p)  # the preset is parsed by this same parser
     sp.add_argument("--id", required=True, help="figure id, fig1..fig5 or fig7..fig10")
 
     return p

@@ -15,7 +15,6 @@ quadratic formula (Press et al., Numerical Recipes, section 5.6).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .elasticity import StrainState, strain_state
@@ -25,7 +24,9 @@ from .materials import (
     LatticeParams,
     MaterialParams,
     QuadraticCoefficients,
+    Record,
     Valley,
+    _require_finite,
 )
 from .valleys import (
     ValleyEnergy,
@@ -58,28 +59,21 @@ QUADRATIC_COEFF_RANGES = {
 }
 
 
-@dataclass(frozen=True)
-class CrossoverResult:
+class CrossoverResult(Record):
     """Critical strain and Ge fraction where L1 and Delta6 intersect."""
 
-    thickness_t: float
-    eps_critical: float
-    x_critical: float
+    __slots__ = ("thickness_t", "eps_critical", "x_critical")
 
 
-@dataclass(frozen=True)
-class SensitivityBand:
+class SensitivityBand(Record):
     """Envelope of the critical Ge fraction over a perturbed-parameter box.
 
     ``clipped`` marks bands where at least one corner has no crossover below
     x = 1; such corners are recorded at x = 1.
     """
 
-    thickness_t: float
-    x_low: float
-    x_nominal: float
-    x_high: float
-    clipped: bool = False
+    __slots__ = ("thickness_t", "x_low", "x_nominal", "x_high", "clipped")
+    _defaults = {"clipped": False}
 
 
 class Splitting(NamedTuple):
@@ -182,7 +176,21 @@ def _gap_slope(dp: DeformationPotentials, unit: StrainState) -> float:
     ``unit`` is the strain state at eps_par = 1; the shifts are linear in
     the strain, so this is the exact slope.
     """
-    return linear_shift(Valley.DELTA6, dp, unit) - linear_shift(Valley.L1, dp, unit)
+    return _gap_slope_of(unit, dp.xi_u_delta, dp.xi_d_delta, dp.xi_u_L, dp.xi_d_L)
+
+
+def _gap_slope_of(
+    unit: StrainState, xi_u_delta: float, xi_d_delta: float, xi_u_L: float, xi_d_L: float
+) -> float:
+    """:func:`_gap_slope` of four loose potentials, with no record to build.
+
+    The operations are those of linear_shift(DELTA6) - linear_shift(L1), in
+    the same order, so the result is the same float.
+    """
+    trace = 2.0 * unit.eps_par + unit.eps_perp
+    return (xi_d_delta * trace + xi_u_delta * trace / 3.0) - (
+        xi_d_L * trace + xi_u_L * unit.eps_perp
+    )
 
 
 def _gap_curvature(q: QuadraticCoefficients) -> float:
@@ -224,19 +232,23 @@ def _crossing(params: MaterialParams, t: float, c1: float, c2: float) -> tuple[f
     return c0, _gap_root(c0, c1, c2)
 
 
-def critical_strain(params: MaterialParams, thickness_t: float) -> CrossoverResult:
-    """Critical strain and Ge fraction at which L1 and Delta6 intersect."""
-    _, eps = _crossing(
-        params,
-        thickness_t,
+def _nominal_gap(params: MaterialParams) -> tuple[float, float]:
+    """(c1, c2) of the nominal gap: strain-independent, so shared by a whole sweep."""
+    return (
         _gap_slope(params.deformation, strain_state(params.elastic, 1.0)),
         _gap_curvature(params.quadratic),
     )
-    return CrossoverResult(
-        thickness_t=thickness_t,
-        eps_critical=eps,
-        x_critical=strain_to_x(eps, params.lattice),
-    )
+
+
+def _crossover_at(params: MaterialParams, t: float, c1: float, c2: float) -> CrossoverResult:
+    """The crossover at t of the gap with slope c1 and curvature c2."""
+    _, eps = _crossing(params, t, c1, c2)
+    return CrossoverResult(t, eps, strain_to_x(eps, params.lattice))
+
+
+def critical_strain(params: MaterialParams, thickness_t: float) -> CrossoverResult:
+    """Critical strain and Ge fraction at which L1 and Delta6 intersect."""
+    return _crossover_at(params, thickness_t, *_nominal_gap(params))
 
 
 def _at_thickness(t: float, err: InfeasibleError | ValueError) -> InfeasibleError | ValueError:
@@ -259,11 +271,12 @@ def crossover_curve(
     A failing thickness is collected as (t, error), named as in
     :func:`sensitivity_curve`; the other points still get their crossover.
     """
+    c1, c2 = _nominal_gap(params)
     results: list[CrossoverResult] = []
     failures: list[tuple[float, Exception]] = []
     for t in t_grid:
         try:
-            results.append(critical_strain(params, t))
+            results.append(_crossover_at(params, t, c1, c2))
         except (InfeasibleError, ValueError) as err:
             failures.append((t, _at_thickness(t, err)))
     return results, failures
@@ -300,7 +313,8 @@ def _extreme_corners(
     corner the smallest.  Each deformation potential takes the factor that
     raises (up) or lowers (down) its signed term of ``_gap_slope``; rounding
     is monotone, so these are the same floats as the extremes over all 16
-    factor combinations.
+    factor combinations.  A scaled potential that overflows is rejected as
+    the parameter set rejects a non-finite one.
     """
     if mode not in SENSITIVITY_MODES:
         raise ValueError(f"unknown sensitivity mode {mode!r}; valid: {SENSITIVITY_MODES}")
@@ -308,20 +322,18 @@ def _extreme_corners(
     c1_up = c1_down = _gap_slope(dp, unit)
     if mode != "quadratic_range":
         trace = 2.0 * unit.eps_par + unit.eps_perp
-        terms = {
-            "xi_d_delta": dp.xi_d_delta * trace,
-            "xi_u_delta": dp.xi_u_delta * trace,
-            "xi_d_L": -dp.xi_d_L * trace,
-            "xi_u_L": -dp.xi_u_L * unit.eps_perp,
-        }
-        lo, hi = min(LINEAR_VARIATION_FACTORS), max(LINEAR_VARIATION_FACTORS)
-        c1_up, c1_down = (
-            _gap_slope(replace(dp, **{
-                name: getattr(dp, name) * (hi if (term > 0.0) == up else lo)
-                for name, term in terms.items()
-            }), unit)
-            for up in (True, False)
+        # (potential, its signed term of the slope) in _gap_slope_of's argument order
+        terms = (
+            (dp.xi_u_delta, dp.xi_u_delta * trace),
+            (dp.xi_d_delta, dp.xi_d_delta * trace),
+            (dp.xi_u_L, -dp.xi_u_L * unit.eps_perp),
+            (dp.xi_d_L, -dp.xi_d_L * trace),
         )
+        lo, hi = min(LINEAR_VARIATION_FACTORS), max(LINEAR_VARIATION_FACTORS)
+        up = [xi * (hi if term > 0.0 else lo) for xi, term in terms]
+        down = [xi * (lo if term > 0.0 else hi) for xi, term in terms]
+        _require_finite("deformation potentials", *up, *down)
+        c1_up, c1_down = _gap_slope_of(unit, *up), _gap_slope_of(unit, *down)
     q = params.quadratic
     c2_up = c2_down = _gap_curvature(q)
     if mode != "linear10pct":

@@ -12,9 +12,7 @@ independent cross-check and lives with the test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .materials import ElasticConstants
+from .materials import ElasticConstants, Record
 
 
 def perp_strain_ratio(c: ElasticConstants) -> float:
@@ -30,12 +28,10 @@ def perp_strain(c: ElasticConstants, eps_par: float) -> float:
     return perp_strain_ratio(c) * eps_par
 
 
-@dataclass(frozen=True)
-class StrainState:
+class StrainState(Record):
     """Strain of a biaxial (111) film: in-plane and film-normal components."""
 
-    eps_par: float
-    eps_perp: float
+    __slots__ = ("eps_par", "eps_perp")
 
 
 def strain_state(c: ElasticConstants, eps_par: float) -> StrainState:

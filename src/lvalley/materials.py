@@ -5,13 +5,13 @@ are fixed library-wide: energies in eV, lengths in nm (lattice constants
 in Angstrom at the boundary), elastic stiffness in GPa, strain
 dimensionless, effective masses in units of the free-electron mass m0.
 
-All containers are frozen dataclasses and safe to share across threads.
+All containers are immutable :class:`Record` instances, safe to share
+across threads; :func:`replace` derives a changed, re-validated copy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 # hbar^2 / (2 m0) in eV nm^2, evaluated once from CODATA 2018 values
@@ -29,6 +29,68 @@ def _require_finite(what: str, *values: float) -> None:
         raise ValueError(f"{what} must be finite")
 
 
+class Record:
+    """Immutable record whose fields are the subclass's ``__slots__``.
+
+    Each subclass gets an ``__init__`` that takes the fields by position or
+    keyword, fills the ones left out from the class's ``_defaults`` and ends
+    in the class's ``_check``, which raises ``ValueError`` on a bad value.
+    ``repr`` is ``Name(field=value, ...)``; records are equal only to
+    records of the same class with equal fields, and hash as their field
+    tuple.  Defining records this way imports nothing, which keeps a
+    command-line start short.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        names = cls.__slots__
+        params = ", ".join(n if n not in cls._defaults else f"{n}=_defaults[{n!r}]" for n in names)
+        body = "".join(f"\n    _set(self, {n!r}, {n})" for n in names)
+        if cls._check is not Record._check:
+            body += "\n    self._check()"
+        namespace = {"_set": object.__setattr__, "_defaults": cls._defaults}
+        exec(f"def __init__(self, {params}):{body}", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _check(self) -> None:
+        """Validate the fields; a record without constraints keeps this no-op."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, n) for n in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable record")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+def replace(record: Record, **changes) -> Record:
+    """Copy of ``record`` with ``changes`` applied, validated as a new record.
+
+    A name that is not a field raises ``TypeError``.
+    """
+    return type(record)(**{**{n: getattr(record, n) for n in record.__slots__}, **changes})
+
+
 class Valley(Enum):
     """Conduction-band valleys of biaxially strained Si(111).
 
@@ -42,15 +104,12 @@ class Valley(Enum):
     DELTA6 = "Delta6"
 
 
-@dataclass(frozen=True)
-class ElasticConstants:
+class ElasticConstants(Record):
     """Cubic elastic stiffness constants, GPa."""
 
-    c11: float
-    c12: float
-    c44: float
+    __slots__ = ("c11", "c12", "c44")
 
-    def __post_init__(self):
+    def _check(self):
         _require_finite("elastic constants", self.c11, self.c12, self.c44)
         if not (self.c11 > 0.0 and self.c12 > 0.0 and self.c44 > 0.0):
             raise ValueError("elastic constants must be strictly positive")
@@ -58,17 +117,13 @@ class ElasticConstants:
             raise ValueError("cubic stability requires c11 > c12")
 
 
-@dataclass(frozen=True)
-class DeformationPotentials:
+class DeformationPotentials(Record):
     """Dilatational (xi_d) and uniaxial (xi_u) deformation potentials, eV."""
 
-    xi_u_delta: float
-    xi_d_delta: float
-    xi_u_L: float
-    xi_d_L: float
-    source_label: str = ""
+    __slots__ = ("xi_u_delta", "xi_d_delta", "xi_u_L", "xi_d_L", "source_label")
+    _defaults = {"source_label": ""}
 
-    def __post_init__(self):
+    def _check(self):
         _require_finite(
             "deformation potentials", self.xi_u_delta, self.xi_d_delta, self.xi_u_L, self.xi_d_L
         )
@@ -76,19 +131,16 @@ class DeformationPotentials:
             raise ValueError("uniaxial deformation potentials must be positive")
 
 
-@dataclass(frozen=True)
-class QuadraticCoefficients:
+class QuadraticCoefficients(Record):
     """Reduced second-order coefficients of the in-plane strain, eV.
 
     The energy contribution is d * eps_par**2 per valley; only the reduced
     scalar form is available in the literature, not a full rank-4 tensor.
     """
 
-    d_L1: float
-    d_L3: float
-    d_delta6: float
+    __slots__ = ("d_L1", "d_L3", "d_delta6")
 
-    def __post_init__(self):
+    def _check(self):
         _require_finite("quadratic coefficients", self.d_L1, self.d_L3, self.d_delta6)
 
     def coefficient(self, valley: Valley) -> float:
@@ -99,28 +151,23 @@ class QuadraticCoefficients:
         return self.d_delta6
 
 
-@dataclass(frozen=True)
-class EffectiveMasses:
+class EffectiveMasses(Record):
     """Out-of-plane effective masses inside/outside the well, m0 units."""
 
-    m_in: float
-    m_out: float
+    __slots__ = ("m_in", "m_out")
 
-    def __post_init__(self):
+    def _check(self):
         _require_finite("effective masses", self.m_in, self.m_out)
         if not (self.m_in > 0.0 and self.m_out > 0.0):
             raise ValueError("effective masses must be strictly positive")
 
 
-@dataclass(frozen=True)
-class LatticeParams:
+class LatticeParams(Record):
     """Si and Ge lattice constants and the alloy bowing term, Angstrom."""
 
-    a_si: float
-    a_ge: float
-    bowing_b: float
+    __slots__ = ("a_si", "a_ge", "bowing_b")
 
-    def __post_init__(self):
+    def _check(self):
         _require_finite("lattice parameters", self.a_si, self.a_ge, self.bowing_b)
         if not self.a_ge > self.a_si:
             raise ValueError("a_ge must exceed a_si")
@@ -128,15 +175,12 @@ class LatticeParams:
             raise ValueError("bowing term must be small against a_ge - a_si")
 
 
-@dataclass(frozen=True)
-class BandEdges:
+class BandEdges(Record):
     """Unstrained 0 K conduction-band edges and the (111) well offset, eV."""
 
-    e0_L: float
-    e0_delta: float
-    v0_offset_111: float
+    __slots__ = ("e0_L", "e0_delta", "v0_offset_111")
 
-    def __post_init__(self):
+    def _check(self):
         _require_finite("band edges", self.e0_L, self.e0_delta, self.v0_offset_111)
         if not self.e0_L > self.e0_delta:
             raise ValueError("unstrained Si must have the L edge above Delta")
@@ -144,12 +188,13 @@ class BandEdges:
             raise ValueError("well offset must be positive")
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    hbar2_over_2m0: float = HBAR2_OVER_2M0  # eV nm^2
-    burgers_si: float = BURGERS_SI_NM       # nm
+class PhysicalConstants(Record):
+    """hbar^2 / (2 m0) in eV nm^2 and the Si Burgers vector in nm."""
 
-    def __post_init__(self):
+    __slots__ = ("hbar2_over_2m0", "burgers_si")
+    _defaults = {"hbar2_over_2m0": HBAR2_OVER_2M0, "burgers_si": BURGERS_SI_NM}
+
+    def _check(self):
         _require_finite("physical constants", self.hbar2_over_2m0, self.burgers_si)
         if abs(self.hbar2_over_2m0 / 0.0381 - 1.0) > 1e-3:
             raise ValueError("hbar2_over_2m0 must stay within 0.1% of 0.0381 eV nm^2")
@@ -157,21 +202,19 @@ class PhysicalConstants:
             raise ValueError("Burgers vector must be positive")
 
 
-@dataclass(frozen=True)
-class MaterialParams:
-    """Complete parameter set consumed by the physics modules."""
+class MaterialParams(Record):
+    """Complete parameter set consumed by the physics modules.
 
-    elastic: ElasticConstants
-    deformation: DeformationPotentials
-    quadratic: QuadraticCoefficients
-    lattice: LatticeParams
-    bands: BandEdges
-    constants: PhysicalConstants
-    masses_l1: EffectiveMasses
-    masses_l3: EffectiveMasses
-    masses_delta6: EffectiveMasses
+    Each field is one of the records above, in their order; ``masses_*``
+    are the EffectiveMasses of each valley.
+    """
 
-    def __post_init__(self):
+    __slots__ = (
+        "elastic", "deformation", "quadratic", "lattice", "bands", "constants",
+        "masses_l1", "masses_l3", "masses_delta6",
+    )
+
+    def _check(self):
         # one barrier material: the outside mass cannot differ per valley
         if not (self.masses_l1.m_out == self.masses_l3.m_out == self.masses_delta6.m_out):
             raise ValueError("m_out must be identical across valleys")

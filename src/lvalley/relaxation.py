@@ -16,12 +16,11 @@ F(h) = h - A ln(h/b) started above the larger root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from .design import x_to_strain
 from .elasticity import perp_strain_ratio
 from .errors import InfeasibleError, SolverError
-from .materials import BURGERS_SI_NM, ElasticConstants, LatticeParams
+from .materials import BURGERS_SI_NM, ElasticConstants, Record, replace
 from .rootfind import STEP_RTOL
 
 # Linearized misfit of Si against the relaxed Si(1-x)Ge(x) barrier per unit
@@ -43,21 +42,18 @@ def poisson_111(elastic: ElasticConstants) -> tuple[float, float]:
     return r_111 / (2.0 + r_111), r_111
 
 
-@dataclass(frozen=True)
-class RelaxationInput:
+class RelaxationInput(Record):
     """Inputs of the critical-thickness model.
 
-    With ``lattice`` set, the misfit is evaluated from the Vegard alloy
-    lattice constant instead of the linearized slope.
+    ``elastic`` is an ElasticConstants and ``burgers_b`` is in nm.  With
+    ``lattice`` (a LatticeParams) set, the misfit is evaluated from the
+    Vegard alloy lattice constant instead of the linearized slope.
     """
 
-    ge_fraction_x: float
-    elastic: ElasticConstants
-    burgers_b: float = BURGERS_SI_NM       # nm
-    misfit_slope: float = DEFAULT_MISFIT_SLOPE
-    lattice: LatticeParams | None = None
+    __slots__ = ("ge_fraction_x", "elastic", "burgers_b", "misfit_slope", "lattice")
+    _defaults = {"burgers_b": BURGERS_SI_NM, "misfit_slope": DEFAULT_MISFIT_SLOPE, "lattice": None}
 
-    def __post_init__(self):
+    def _check(self):
         if not 0.0 <= self.ge_fraction_x <= 1.0:
             raise ValueError("Ge fraction must lie in [0, 1]")
         if not self.burgers_b > 0.0:
@@ -71,12 +67,10 @@ class RelaxationInput:
         return self.misfit_slope * self.ge_fraction_x
 
 
-@dataclass(frozen=True)
-class CriticalThickness:
-    h_c: float       # nm
-    misfit_f: float
-    nu_111: float
-    iterations: int
+class CriticalThickness(Record):
+    """Critical thickness h_c in nm, with its misfit, Poisson ratio and Newton steps."""
+
+    __slots__ = ("h_c", "misfit_f", "nu_111", "iterations")
 
 
 def critical_thickness(inp: RelaxationInput) -> CriticalThickness:

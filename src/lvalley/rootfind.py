@@ -15,22 +15,19 @@ and ``STEP_RTOL`` is the stopping rule both share.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import SolverError
+from .materials import Record
 
 # Newton has converged once its step is at most four ulp of the iterate.
 STEP_RTOL = 4.0 * sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class BisectResult:
-    root: float
-    value: float       # f(root)
-    iterations: int
-    lo: float          # final bracket
-    hi: float
+class BisectResult(Record):
+    """The root, f(root), the iteration count and the final bracket [lo, hi]."""
+
+    __slots__ = ("root", "value", "iterations", "lo", "hi")
 
 
 def bisect_root(

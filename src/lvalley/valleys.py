@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .elasticity import StrainState, strain_state
 from .materials import (
     DeformationPotentials,
     MaterialParams,
     QuadraticCoefficients,
+    Record,
     Valley,
 )
 
@@ -18,15 +18,15 @@ from .materials import (
 MAX_SUPPORTED_STRAIN = 0.10
 
 
-@dataclass(frozen=True)
-class ValleyEnergy:
-    """Per-valley energy breakdown: E = e0 + de1 + de2 + eq, all in eV."""
+class ValleyEnergy(Record):
+    """Per-valley energy breakdown: E = e0 + de1 + de2 + eq, all in eV.
 
-    valley: Valley
-    e0: float   # unstrained band edge
-    de1: float  # first-order strain shift
-    de2: float  # second-order strain shift
-    eq: float = 0.0  # confinement energy, zero for bulk
+    e0 is the unstrained band edge, de1 and de2 the first- and second-order
+    strain shifts and eq the confinement energy, zero for bulk.
+    """
+
+    __slots__ = ("valley", "e0", "de1", "de2", "eq")
+    _defaults = {"eq": 0.0}
 
     @property
     def total(self) -> float:

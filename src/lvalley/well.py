@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from math import cos, sin, sqrt
 
 from .errors import InfeasibleError, SolverError
-from .materials import HBAR2_OVER_2M0, MaterialParams, Valley
+from .materials import HBAR2_OVER_2M0, MaterialParams, Record, Valley
 from .rootfind import STEP_RTOL
 
 # Smallest relative gap the solver resolves at either end of the first
@@ -49,16 +48,12 @@ from .rootfind import STEP_RTOL
 # below u0, so convergence cannot be declared there.
 MIN_RELATIVE_GAP = 1e-12
 
-@dataclass(frozen=True)
-class WellConfig:
-    """Geometry, barrier and masses of one finite well."""
+class WellConfig(Record):
+    """Geometry, barrier and masses of one finite well: nm, eV and m0 units."""
 
-    thickness_t: float  # nm
-    barrier_v0: float   # eV
-    m_in: float         # m0 units
-    m_out: float
+    __slots__ = ("thickness_t", "barrier_v0", "m_in", "m_out")
 
-    def __post_init__(self):
+    def _check(self):
         # chained bounds also reject NaN, for which every comparison is False
         if not 0.0 < self.thickness_t < math.inf:
             raise ValueError("well thickness must be positive and finite")
@@ -68,14 +63,14 @@ class WellConfig:
             raise ValueError("effective masses must be positive and finite")
 
 
-@dataclass(frozen=True)
-class WellSolution:
-    """Ground state of one well: energy, wave numbers, matching residual."""
+class WellSolution(Record):
+    """Ground state of one well: energy, wave numbers, matching residual.
 
-    energy_eq: float  # eV
-    k_in: float       # nm^-1
-    k_out: float      # nm^-1, decay constant in the barrier
-    residual: float   # |g(z)| / (r u0) at the root
+    energy_eq is in eV, k_in and the barrier decay constant k_out in nm^-1,
+    and residual is |g(z)| / (r u0) at the root.
+    """
+
+    __slots__ = ("energy_eq", "k_in", "k_out", "residual")
 
 
 def matching_mismatch(

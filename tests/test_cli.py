@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lvalley import default_params
+from lvalley import cli, default_params
 from lvalley.cli import (
     MAX_GRID_POINTS,
     UsageError,
@@ -359,6 +359,34 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # both cost a command-line start several milliseconds, and the records need neither
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, lvalley.cli; "
+        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_overflowing_sensitivity_corner_is_a_domain_error(capsys):
+    # 1.1 x 1.7e308 overflows in the up corner of the linear box
+    assert run(["sensitivity", "--mode", "both", "--t", "3",
+                "--set", "deformation.xi_u_L=1.7e308", "--out", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: deformation potentials must be finite"]
+
+
 def test_non_finite_inputs_rejected_cleanly(capsys):
     # a NaN strain used to print a bare `nan`, which is not JSON, with exit 0
     assert run(["energy", "--t", "3", "--eps", "nan", "--format", "json-lines",
@@ -463,6 +491,19 @@ def test_figure_via_cli(tmp_path):
     header, rows = read_rows(out)
     assert header == ["x", "f", "nu_111", "h_c_nm"]
     assert len(rows) == 51
+
+
+def test_figure_builds_the_parser_once(tmp_path, monkeypatch):
+    builds = []
+    build = cli._build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", counting_build)
+    assert run(["figure", "--id", "fig7", "--out", str(tmp_path / "fig7.csv")]) == 0
+    assert len(builds) == 1
 
 
 # --- every invocation: clean data or a clean error ---------------------------------

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +10,7 @@ from oracles import bisect_crossover, bisect_vegard, crossover_gap
 
 from lvalley import (
     DeformationPotentials,
+    ElasticConstants,
     InfeasibleError,
     LatticeParams,
     QuadraticCoefficients,
@@ -23,6 +23,8 @@ from lvalley import (
     default_params,
     design,
     ground_state,
+    linear_shift,
+    replace,
     sensitivity_band,
     sensitivity_curve,
     splitting_report,
@@ -426,6 +428,23 @@ def _band_or_error(fn):
 
 _dilatational = st.floats(-12.0, 12.0)
 _uniaxial = st.floats(0.5, 25.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    xi_u_delta=_uniaxial, xi_d_delta=_dilatational, xi_u_L=_uniaxial, xi_d_L=_dilatational,
+    c12=st.floats(20.0, 120.0), c11_over_c12=st.floats(1.05, 4.0), c44=st.floats(20.0, 120.0),
+)
+def test_gap_slope_is_bit_identical_to_the_linear_shift_difference(
+    xi_u_delta, xi_d_delta, xi_u_L, xi_d_L, c12, c11_over_c12, c44
+):
+    # the corners build no DeformationPotentials, so the slope's float form
+    # must stay the very float the per-valley shifts give
+    dp = DeformationPotentials(xi_u_delta, xi_d_delta, xi_u_L, xi_d_L)
+    unit = strain_state(ElasticConstants(c11_over_c12 * c12, c12, c44), 1.0)
+    expected = linear_shift(Valley.DELTA6, dp, unit) - linear_shift(Valley.L1, dp, unit)
+    assert design._gap_slope(dp, unit) == expected
+    assert design._gap_slope_of(unit, xi_u_delta, xi_d_delta, xi_u_L, xi_d_L) == expected
 
 
 @settings(max_examples=300, deadline=None)
