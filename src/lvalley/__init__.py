@@ -66,7 +66,7 @@ from .relaxation import (
     hc_curve,
     poisson_111,
 )
-from .valleys import ValleyEnergy, bulk_energy, linear_shift, quadratic_shift
+from .valleys import ValleyEnergy, bulk_energy, bulk_levels, linear_shift, quadratic_shift
 from .well import (
     WellConfig,
     WellSolution,
@@ -105,6 +105,7 @@ __all__ = [
     "WellConfig",
     "WellSolution",
     "bulk_energy",
+    "bulk_levels",
     "confinement_energies",
     "critical_strain",
     "critical_thickness",

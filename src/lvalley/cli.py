@@ -20,7 +20,7 @@ from pathlib import Path
 from . import design, relaxation, well
 from .errors import InfeasibleError, SolverError
 from .materials import MaterialParams, Valley, default_params, replace, table1_set
-from .valleys import bulk_energy
+from .valleys import bulk_levels
 
 ENV_OUTDIR = "LVALLEY_OUTDIR"
 
@@ -217,11 +217,13 @@ def _energy(params: MaterialParams, ns: argparse.Namespace):
     if ns.eps is not None and ns.x is not None:
         raise UsageError("give either --eps or --x, not both")
     eps_grid = [design.x_to_strain(ns.x, params.lattice)] if ns.x is not None else _grid(ns, "eps")
-    eqs = design.confinement_energies(params, ns.t)
+    q_l1, q_l3, q_d6 = design._confinement(params, ns.t)
     header = ["eps_par", "e_l1_ev", "e_l3_ev", "e_delta6_ev"]
-    rows = [
-        (e, *(bulk_energy(v, params, e).total + eqs[v] for v in Valley)) for e in eps_grid
-    ]
+    rows = []
+    for e in eps_grid:
+        # the same floats as bulk_energy(v, params, e).total + eq
+        b_l1, b_l3, b_d6 = bulk_levels(params, e)
+        rows.append((e, b_l1 + q_l1, b_l3 + q_l3, b_d6 + q_d6))
     return header, rows
 
 
@@ -229,9 +231,9 @@ def _well(params: MaterialParams, ns: argparse.Namespace):
     t_grid = _grid(ns, "t")
     if ns.valley is not None:
         return ["t_nm", "e_q_ev"], well.eq_vs_thickness(Valley(ns.valley), params, t_grid)
-    # one column per valley; confinement_energies keys its result in Valley order
+    # one column per valley, in Valley order as _confinement returns them
     header = ["t_nm"] + [f"e_q_{v.value.lower()}_ev" for v in Valley]
-    return header, [(t, *design.confinement_energies(params, t).values()) for t in t_grid]
+    return header, [(t, *design._confinement(params, t)) for t in t_grid]
 
 
 def _feasible(points: list, failures: list[tuple[float, Exception]]) -> list:

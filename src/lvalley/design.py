@@ -28,13 +28,7 @@ from .materials import (
     Valley,
     _require_finite,
 )
-from .valleys import (
-    ValleyEnergy,
-    bulk_energy,
-    linear_shift,
-    quadratic_shift,
-    require_supported_strain,
-)
+from .valleys import ValleyEnergy, bulk_energy, bulk_levels
 from .well import ground_state, solve_well, well_config
 
 # Crossover search bracket: slightly above the strain of pure-Ge barriers,
@@ -135,19 +129,25 @@ def strain_to_x(eps_par: float, lat: LatticeParams) -> float:
 # ---------------------------------------------------------------------------
 # Combined energies and the L1/Delta6 crossover
 
-def confinement_energies(params: MaterialParams, thickness_t: float) -> dict[Valley, float]:
-    """Confinement energy of each valley at one thickness, eV.
+def _confinement(params: MaterialParams, t: float) -> tuple[float, float, float]:
+    """Confinement energies (L1, L3, Delta6) at thickness t as plain floats, eV.
 
     Calls the float well kernel with the parameter set's barrier and masses,
     which the set has already validated.
     """
     k = params.constants.hbar2_over_2m0
     v0 = params.bands.v0_offset_111
-    eqs = {}
-    for v in Valley:
-        m = params.masses(v)
-        eqs[v] = solve_well(thickness_t, v0, m.m_in, m.m_out, k)[0]
-    return eqs
+    l1, l3, d6 = params.masses_l1, params.masses_l3, params.masses_delta6
+    return (
+        solve_well(t, v0, l1.m_in, l1.m_out, k)[0],
+        solve_well(t, v0, l3.m_in, l3.m_out, k)[0],
+        solve_well(t, v0, d6.m_in, d6.m_out, k)[0],
+    )
+
+
+def confinement_energies(params: MaterialParams, thickness_t: float) -> dict[Valley, float]:
+    """Confinement energy of each valley at one thickness, eV, keyed in Valley order."""
+    return dict(zip(Valley, _confinement(params, thickness_t)))
 
 
 def total_energy(
@@ -161,13 +161,10 @@ def total_energy(
     return ValleyEnergy(valley, bulk.e0, bulk.de1, bulk.de2, sol.energy_eq)
 
 
-def _gap_offset(params: MaterialParams, eqs: dict[Valley, float]) -> float:
-    """Delta6 - L1 gap at zero strain, confinement included, eV.
-
-    The confinement energies are strain-independent and passed in so corner
-    sweeps can reuse them.
-    """
-    return params.bands.e0_delta - params.bands.e0_L + eqs[Valley.DELTA6] - eqs[Valley.L1]
+def _gap_offset(params: MaterialParams, t: float) -> float:
+    """Delta6 - L1 gap at zero strain and thickness t, confinement included, eV."""
+    q_l1, _, q_d6 = _confinement(params, t)
+    return params.bands.e0_delta - params.bands.e0_L + q_d6 - q_l1
 
 
 def _gap_slope(dp: DeformationPotentials, unit: StrainState) -> float:
@@ -228,7 +225,7 @@ def _crossing(params: MaterialParams, t: float, c1: float, c2: float) -> tuple[f
         raise ValueError(
             f"thickness {t} nm outside the supported range [{T_MIN_NM}, {T_MAX_NM}] nm"
         )
-    c0 = _gap_offset(params, confinement_energies(params, t))
+    c0 = _gap_offset(params, t)
     return c0, _gap_root(c0, c1, c2)
 
 
@@ -284,21 +281,12 @@ def crossover_curve(
 
 def splitting_report(params: MaterialParams, thickness_t: float, x: float) -> Splitting:
     """Valley splittings relative to L1 at a (thickness, Ge fraction) point."""
-    eps = x_to_strain(x, params.lattice)
-    require_supported_strain(eps)
-    s = strain_state(params.elastic, eps)
-    eqs = confinement_energies(params, thickness_t)
-    dp, q, bands = params.deformation, params.quadratic, params.bands
-
-    def level(v: Valley, e0: float) -> float:
-        # e0 + de1 + de2 + eq in the order of ValleyEnergy.total, so each
-        # level is the same float as total_energy(...).total
-        return e0 + linear_shift(v, dp, s) + quadratic_shift(v, q, eps) + eqs[v]
-
-    e_l1 = level(Valley.L1, bands.e0_L)
-    e_l3 = level(Valley.L3, bands.e0_L)
-    e_d6 = level(Valley.DELTA6, bands.e0_delta)
-    return Splitting(delta6_minus_l1=e_d6 - e_l1, l3_minus_l1=e_l3 - e_l1)
+    b_l1, b_l3, b_d6 = bulk_levels(params, x_to_strain(x, params.lattice))
+    q_l1, q_l3, q_d6 = _confinement(params, thickness_t)
+    # (e0 + de1 + de2) + eq, the order of ValleyEnergy.total, so each level
+    # is the same float as total_energy(...).total
+    e_l1 = b_l1 + q_l1
+    return Splitting(delta6_minus_l1=(b_d6 + q_d6) - e_l1, l3_minus_l1=(b_l3 + q_l3) - e_l1)
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,11 @@ class ElasticConstants(Record):
             raise ValueError("elastic constants must be strictly positive")
         if not self.c11 > self.c12:
             raise ValueError("cubic stability requires c11 > c12")
+        # the two sums of the (111) ratio eps_perp / eps_par in elasticity.perp_strain_ratio
+        numer = 2.0 * self.c11 + 4.0 * self.c12 - 4.0 * self.c44
+        denom = self.c11 + 2.0 * self.c12 + 4.0 * self.c44
+        if not (math.isfinite(numer) and math.isfinite(denom)):
+            raise ValueError("elastic constants overflow the (111) strain ratio")
 
 
 class DeformationPotentials(Record):

@@ -8,8 +8,9 @@ share costly terms evaluates them once per iterate.
 
 The finite-well solver runs the same iteration as an in-place loop
 (:func:`lvalley.well.solve_well`), where the bracket-end signs are known and
-no callable is needed; :func:`bisect_root` is its reference in the tests,
-and ``STEP_RTOL`` is the stopping rule both share.
+no callable is needed; :func:`bisect_root`, given the same start ``x0``, is
+its reference in the tests, and ``STEP_RTOL`` is the stopping rule both
+share.
 """
 
 from __future__ import annotations
@@ -35,17 +36,20 @@ def bisect_root(
     lo: float,
     hi: float,
     max_iter: int = 256,
+    x0: float | None = None,
 ) -> BisectResult:
     """Find a root of f inside the sign-changing bracket [lo, hi].
 
-    ``fdf(x)`` returns the pair (f(x), f'(x)).  Each iteration takes the
-    Newton step from the current point when it lands strictly inside the
-    bracket and halves the bracket otherwise; the bracket shrinks around the
-    root either way.  It stops once the Newton step is within a few ulp of
-    the iterate (tested before the bracket, so a converged step that rounds
-    onto a bracket end does not fall back to bisection), or when no
-    representable midpoint remains.  Raises :class:`SolverError` if the
-    bracket is empty, does not change sign, or the iteration cap is hit.
+    ``fdf(x)`` returns the pair (f(x), f'(x)).  The iteration starts at
+    ``x0`` if it lies strictly inside the bracket, else at the midpoint.
+    Each iteration takes the Newton step from the current point when it
+    lands strictly inside the bracket and halves the bracket otherwise; the
+    bracket shrinks around the root either way.  It stops once the Newton
+    step is within a few ulp of the iterate (tested before the bracket, so a
+    converged step that rounds onto a bracket end does not fall back to
+    bisection), or when no representable midpoint remains.  Raises
+    :class:`SolverError` if the bracket is empty, does not change sign, or
+    the iteration cap is hit.
     """
     if not hi > lo:
         raise SolverError(f"empty bracket [{lo}, {hi}]")
@@ -60,7 +64,7 @@ def bisect_root(
         raise SolverError(
             f"no sign change over [{lo}, {hi}]: f(lo)={flo:.6g}, f(hi)={fhi:.6g}"
         )
-    x = 0.5 * (lo + hi)
+    x = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
     for i in range(1, max_iter + 1):
         fx, slope = fdf(x)
         if fx == 0.0:

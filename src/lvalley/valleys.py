@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .elasticity import StrainState, strain_state
+from .elasticity import StrainState, perp_strain_ratio, strain_state
 from .materials import (
     DeformationPotentials,
     MaterialParams,
@@ -75,4 +75,30 @@ def bulk_energy(valley: Valley, params: MaterialParams, eps_par: float) -> Valle
         e0=e0,
         de1=linear_shift(valley, params.deformation, s),
         de2=quadratic_shift(valley, params.quadratic, eps_par),
+    )
+
+
+def bulk_levels(params: MaterialParams, eps_par: float) -> tuple[float, float, float]:
+    """Strained bulk levels (L1, L3, Delta6) as plain floats, eV.
+
+    The float form of ``bulk_energy(v, params, eps_par).total`` for the three
+    valleys, with no strain state or energy record: each level is
+    e0 + de1 + de2 with :func:`linear_shift` and :func:`quadratic_shift`
+    written out in their operation order, so it is the same float.  Only a
+    level of exactly -0.0, which ``total`` turns into 0.0 by adding
+    eq = 0.0, keeps its sign here.
+    """
+    require_supported_strain(eps_par)
+    eps = eps_par
+    eps_perp = perp_strain_ratio(params.elastic) * eps
+    trace = 2.0 * eps + eps_perp
+    dp, q, bands = params.deformation, params.quadratic, params.bands
+    return (
+        bands.e0_L + (dp.xi_d_L * trace + dp.xi_u_L * eps_perp) + q.d_L1 * eps * eps,
+        bands.e0_L
+        + (dp.xi_d_L * trace + dp.xi_u_L * (8.0 * eps + eps_perp) / 9.0)
+        + q.d_L3 * eps * eps,
+        bands.e0_delta
+        + (dp.xi_d_delta * trace + dp.xi_u_delta * trace / 3.0)
+        + q.d_delta6 * eps * eps,
     )

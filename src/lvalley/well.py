@@ -15,17 +15,20 @@ K = hbar**2 / 2 m0, as
 
 On the first branch, z in (0, min(u0, pi/2)), g has no tangent pole and
 rises strictly from -r u0 to a positive value, so exactly one root exists
-and a bracket-safeguarded Newton iteration (``rtsafe``) reaches it in a few
-steps.  The iteration is a plain loop over floats inside :func:`solve_well`:
-the signs at both bracket ends are known, so neither end is evaluated, and
-each step computes g and g' together, sharing sin z, cos z and
-sqrt(u0**2 - z**2).  Its iterates are those of :func:`rootfind.bisect_root`
-on the same bracket, which the tests use as the reference.
+and a bracket-safeguarded Newton iteration (``rtsafe``) reaches it.  The
+iteration is a plain loop over floats inside :func:`solve_well`: the signs
+at both bracket ends are known, so neither end is evaluated, and each step
+computes g and g' together, sharing sin z, cos z and sqrt(u0**2 - z**2).
+It starts near the root, from the closed-form estimate of
+:func:`_newton_start`, and its iterates are those of
+:func:`rootfind.bisect_root` on the same bracket from the same start, which
+the tests use as the reference.
 
 :func:`solve_well` is the float kernel: thickness, barrier and masses in,
-(energy, z, residual) out, with no configuration or solution object.  The
-per-point design sweeps call it directly; :func:`ground_state` wraps it for
-a validated :class:`WellConfig` and returns a :class:`WellSolution`.
+(energy, z, residual, iterations) out, with no configuration or solution
+object.  The per-point design sweeps call it directly; :func:`ground_state`
+wraps it for a validated :class:`WellConfig` and returns a
+:class:`WellSolution`.
 """
 
 from __future__ import annotations
@@ -101,15 +104,16 @@ def solve_well(
     m_in: float,
     m_out: float,
     hbar2_over_2m0: float = HBAR2_OVER_2M0,
-) -> tuple[float, float, float]:
-    """Even ground state of one well as plain floats: (energy, z, residual).
+) -> tuple[float, float, float, int]:
+    """Even ground state of one well as plain floats: (energy, z, residual, iterations).
 
     The float kernel behind :func:`ground_state`, for callers that hold
     already-validated barrier and masses (a :class:`MaterialParams` set) and
     need only the energy.  The thickness is checked here as
-    :class:`WellConfig` checks it.  ``z`` = k_in t/2 is the root and
-    ``residual`` is |g(z)| / (r u0); the limits raise as described in
-    :func:`ground_state`.
+    :class:`WellConfig` checks it.  ``z`` = k_in t/2 is the root,
+    ``residual`` is |g(z)| / (r u0) and ``iterations`` counts the evaluations
+    of g, as ``BisectResult.iterations`` does; the limits raise as described
+    in :func:`ground_state`.
     """
     t = thickness_t
     if not 0.0 < t < math.inf:
@@ -149,11 +153,11 @@ def solve_well(
     # known, so neither end is evaluated: g(0) = -r u0 < 0, and g(hi) is
     # u0 sin u0 > 0 at hi = u0, or pi/2 - r w cos(pi/2) > 0 at hi = pi/2,
     # where r w <= 2 / MIN_RELATIVE_GAP and cos(pi/2) rounds to 6e-17.  The
-    # steps, stopping rule and fallbacks are those of rootfind.bisect_root,
-    # iterate for iterate.
+    # steps, stopping rule and fallbacks are those of rootfind.bisect_root
+    # started at the same point, iterate for iterate.
     lo, hi = 0.0, min(u0, 0.5 * math.pi)
-    z = 0.5 * hi
-    for _ in range(256):
+    z = _newton_start(u0, ru0, binding, hi)
+    for i in range(1, 257):
         s, c = sin(z), cos(z)
         w = sqrt((u0 - z) * (u0 + z))
         g = z * s - r * w * c
@@ -181,7 +185,32 @@ def solve_well(
         raise SolverError(
             f"root search did not converge after 256 iterations; bracket [{lo}, {hi}]"
         )
-    return v0 * (z / u0) * (z / u0), z, abs(g) / ru0
+    return v0 * (z / u0) * (z / u0), z, abs(g) / ru0, i
+
+
+def _newton_start(u0: float, ru0: float, binding: float, hi: float) -> float:
+    """Closed-form estimate of the root of g, strictly inside the bracket (0, hi).
+
+    A deep well (r u0 > 1.5) binds near the hard wall, where
+    pi/2 - z ~ z / (r u0) gives z = (pi/2) r u0 / (1 + r u0).  Otherwise z
+    is small: with tan z ~ z the matching equation
+    z tan z = r sqrt(u0**2 - z**2) becomes z**4 + r**2 z**2 - r**2 u0**2 = 0,
+    and two passes with the Pade form tan z ~ z p, p = (15 - z**2) /
+    (15 - 6 z**2), refine it.  Each pass takes the positive root
+    z**2 = 2 u0**2 / (1 + sqrt(1 + 4 p**2 (u0/r)**2)), free of cancellation;
+    ``binding`` is (u0/r)**2.  An estimate outside the bracket (an overflow,
+    or a deep-well start above u0) gives way to the midpoint.
+    """
+    if ru0 > 1.5:
+        z = 0.5 * math.pi * ru0 / (1.0 + ru0)
+    else:
+        b4 = 4.0 * binding
+        zz = 2.0 * u0 * u0 / (1.0 + sqrt(1.0 + b4))
+        p = (15.0 - zz) / (15.0 - 6.0 * zz)
+        zz = 2.0 * u0 * u0 / (1.0 + sqrt(1.0 + b4 * p * p))
+        p = (15.0 - zz) / (15.0 - 6.0 * zz)
+        z = sqrt(2.0 * u0 * u0 / (1.0 + sqrt(1.0 + b4 * p * p)))
+    return z if 0.0 < z < hi else 0.5 * hi
 
 
 def ground_state(cfg: WellConfig, hbar2_over_2m0: float = HBAR2_OVER_2M0) -> WellSolution:
@@ -202,7 +231,7 @@ def ground_state(cfg: WellConfig, hbar2_over_2m0: float = HBAR2_OVER_2M0) -> Wel
     raises it too (reason ``"mass_ratio"``).  A returned solution has
     0 < E < V0, E no higher than the hard-wall level and k_out > 0.
     """
-    energy, z, residual = solve_well(
+    energy, z, residual, _ = solve_well(
         cfg.thickness_t, cfg.barrier_v0, cfg.m_in, cfg.m_out, hbar2_over_2m0
     )
     return WellSolution(

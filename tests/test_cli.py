@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lvalley import cli, default_params
+from lvalley import Valley, bulk_energy, cli, confinement_energies, default_params
 from lvalley.cli import (
     MAX_GRID_POINTS,
     UsageError,
@@ -177,6 +177,22 @@ def test_energy_and_splitting_commands(tmp_path):
     assert run(["splitting", "--t", "3", "--x", "1", "--out", str(out2)]) == 0
     _, rows2 = read_rows(out2)
     assert abs(float(rows2[0][2]) * 1e3 - 72.1) < 2.0
+
+
+@pytest.mark.parametrize("fig", ("fig2", "fig3"))
+@pytest.mark.parametrize(
+    "dp_set, sets", ((None, []), ("fischetti1996", ["quadratic.d_L1=-20"]))
+)
+def test_energy_rows_are_the_bulk_totals_plus_confinement(fig, dp_set, sets):
+    # the float route of the energy rows gives every bit of the record route
+    params = cli.resolve_params(None, dp_set, sets)
+    ns = cli._build_parser().parse_args(cli.FIGURES[fig])
+    _, rows = ns.rows(params, ns)
+    eqs = confinement_energies(params, ns.t)
+    assert len(rows) == 501
+    for eps, *levels in rows:
+        expected = [bulk_energy(v, params, eps).total + eqs[v] for v in Valley]
+        assert repr(levels) == repr(expected)
 
 
 def test_sensitivity_command(tmp_path):
@@ -597,6 +613,9 @@ class _Argv:
 @given(data=st.data())
 @example(data=_Argv("well", "--valley", "L3", "--t", "1e-4", "--set", "masses.L3.m_in=1e-320"))
 @example(data=_Argv("well", "--t", "0.001", "--set", "masses.L1.m_in=1e-320"))
+# an elastic constant that overflows the (111) strain ratio
+@example(data=_Argv("energy", "--t", "3", "--eps", "0.01", "--set", "elastic.c11=1e308"))
+@example(data=_Argv("splitting", "--t", "3", "--x", "0.9", "--set", "elastic.c11=1e308"))
 def test_every_invocation_gives_finite_json_or_a_clean_error(command, data):
     argv = data.draw(_invocation(command), label="argv")
     out, err = io.StringIO(), io.StringIO()

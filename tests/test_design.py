@@ -299,6 +299,12 @@ def test_float_well_path_is_bit_identical_to_object_path(
     )
 
 
+def test_confinement_energies_are_keyed_in_valley_order():
+    eqs = confinement_energies(PARAMS, 3.0)
+    assert list(eqs) == list(Valley)
+    assert repr(tuple(eqs.values())) == repr(design._confinement(PARAMS, 3.0))
+
+
 # --- sensitivity envelopes -------------------------------------------------------
 
 def test_sensitivity_nominal_matches_crossover():
@@ -401,7 +407,7 @@ def _enumerated_band(params, t, mode):
                 (*ranges[Valley.DELTA6], q.d_delta6),
             )
         ]
-    c0 = design._gap_offset(params, confinement_energies(params, t))
+    c0 = design._gap_offset(params, t)
     x_nom = strain_to_x(
         design._gap_root(c0, design._gap_slope(dp, unit), design._gap_curvature(params.quadratic)),
         params.lattice,

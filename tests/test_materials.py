@@ -11,6 +11,7 @@ from lvalley import (
     PhysicalConstants,
     Valley,
     default_params,
+    perp_strain_ratio,
     table1_labels,
     table1_set,
 )
@@ -86,6 +87,15 @@ def test_elastic_constants_validation():
         ElasticConstants(c11=math.inf, c12=63.9, c44=79.6)
     with pytest.raises(ValueError, match="c11 > c12"):
         ElasticConstants(c11=50.0, c12=63.9, c44=79.6)
+
+
+def test_elastic_constants_that_overflow_the_111_ratio_are_rejected():
+    # 2 C11 overflows the numerator of the ratio, 4 C44 both sums
+    for c11, c44 in ((1e308, 79.6), (165.7, 1e308)):
+        with pytest.raises(ValueError, match=r"overflow the \(111\) strain ratio"):
+            ElasticConstants(c11=c11, c12=63.9, c44=c44)
+    # large but representable sums keep the ratio finite
+    assert perp_strain_ratio(ElasticConstants(c11=165.7, c12=63.9, c44=4e307)) == 1.0
 
 
 def test_deformation_potentials_validation():

@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import strain_tensors
 
 from lvalley import (
     DeformationPotentials,
     Valley,
     bulk_energy,
+    bulk_levels,
     default_params,
+    replace,
+    table1_set,
     linear_shift,
     perp_strain_ratio,
     quadratic_shift,
@@ -139,6 +144,33 @@ def test_bulk_energy_rejects_unsupported_strain():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             bulk_energy(Valley.L1, PARAMS, bad)
+
+
+def _error_or_repr(fn):
+    try:
+        return repr(fn())
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    eps=st.floats(-0.1, 0.1) | st.sampled_from((0.0, -0.0, 0.11, math.nan, math.inf)),
+    dp_set=st.sampled_from(("vandewalle1986", "fischetti1996", "friedel1989")),
+    c44=st.floats(20.0, 400.0),
+    d_L1=st.floats(-40.0, 0.0),
+)
+def test_bulk_levels_are_the_bulk_energy_totals(eps, dp_set, c44, d_L1):
+    # repr shows every bit of each float; an unsupported strain raises the same error
+    params = replace(
+        PARAMS,
+        deformation=table1_set(dp_set),
+        elastic=replace(PARAMS.elastic, c44=c44),
+        quadratic=replace(PARAMS.quadratic, d_L1=d_L1),
+    )
+    assert _error_or_repr(lambda: bulk_levels(params, eps)) == _error_or_repr(
+        lambda: tuple(bulk_energy(v, params, eps).total for v in Valley)
+    )
 
 
 def test_valley_energy_total_is_component_sum():

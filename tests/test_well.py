@@ -20,6 +20,7 @@ from lvalley import (
     well_config,
 )
 from lvalley.rootfind import bisect_root
+from lvalley.well import _newton_start
 
 PARAMS = default_params()
 V0 = 0.28
@@ -237,10 +238,11 @@ def test_mass_ratio_underflow_is_a_tagged_domain_error():
 
 
 def _bisect_root_well(t, v0, m_in, m_out):
-    """(energy, z, residual) of a guarded well from rootfind.bisect_root."""
+    """(energy, z, residual, iterations) of a guarded well from rootfind.bisect_root."""
     k = PARAMS.constants.hbar2_over_2m0
     u0 = t * math.sqrt(m_in * v0 / (4.0 * k))
     r = math.sqrt(m_in / m_out)
+    hi = min(u0, 0.5 * math.pi)
 
     def g_and_slope(z):
         s, c = math.sin(z), math.cos(z)
@@ -250,9 +252,11 @@ def _bisect_root_well(t, v0, m_in, m_out):
             return g, 0.0
         return g, s + z * c + r * (z * c / w + w * s)
 
-    root = bisect_root(g_and_slope, 0.0, min(u0, 0.5 * math.pi))
+    root = bisect_root(
+        g_and_slope, 0.0, hi, x0=_newton_start(u0, r * u0, (u0 / r) * (u0 / r), hi)
+    )
     z = root.root
-    return v0 * (z / u0) * (z / u0), z, abs(root.value) / (r * u0)
+    return v0 * (z / u0) * (z / u0), z, abs(root.value) / (r * u0), root.iterations
 
 
 @settings(max_examples=1000, deadline=None)
@@ -264,18 +268,41 @@ def _bisect_root_well(t, v0, m_in, m_out):
 )
 @example(t=1.0, v0=V0, m_in=0.26, m_out=1.59)  # bracket end u0 < pi/2
 @example(t=5.0, v0=V0, m_in=1.70, m_out=1.59)  # bracket end pi/2, Newton only
-@example(t=10.0, v0=V0, m_in=1.70, m_out=1.59)  # first step bisects
-@example(t=1e-5, v0=V0, m_in=0.26, m_out=1.59)  # thirty bisections near u0
+@example(t=10.0, v0=V0, m_in=1.70, m_out=1.59)  # deep-well start, Newton only
+@example(t=0.1, v0=0.1, m_in=5.0, m_out=0.03)  # deep start above u0: midpoint, bisections
+@example(t=1e-5, v0=V0, m_in=0.26, m_out=1.59)  # binding 3e-10: one step from next to u0
 @example(t=1e-6, v0=0.1 * V0, m_in=1.0, m_out=0.03)  # thin_well
 @example(t=1e17, v0=V0, m_in=1.70, m_out=1.59)  # hard_wall_limit
 def test_solve_well_matches_bisect_root_reference(t, v0, m_in, m_out):
-    # the in-place loop takes the iterates of rootfind.bisect_root exactly
+    # from the same start, the in-place loop takes the iterates of
+    # rootfind.bisect_root exactly, and counts them the same way
     try:
         got = solve_well(t, v0, m_in, m_out)
     except InfeasibleError as err:
         assert err.reason in ("thin_well", "hard_wall_limit")
         return
     assert repr(got) == repr(_bisect_root_well(t, v0, m_in, m_out))
+
+
+def _log_grid(lo, hi, n):
+    step = math.log(hi / lo) / (n - 1)
+    return [lo * math.exp(i * step) for i in range(n)]
+
+
+@pytest.mark.parametrize("valley", list(Valley))
+def test_newton_start_bounds_the_iteration_count(valley):
+    # the midpoint start took a mean of 5.1 and up to 7 iterations on the
+    # design range, and up to 24 on the wide range
+    m = PARAMS.masses(valley)
+    k = PARAMS.constants.hbar2_over_2m0
+
+    def iterations(lo, hi):
+        return [solve_well(t, V0, m.m_in, m.m_out, k)[3] for t in _log_grid(lo, hi, 1001)]
+
+    design_range = iterations(0.5, 50.0)
+    assert sum(design_range) / len(design_range) <= 4.0
+    assert max(design_range) <= 5
+    assert max(iterations(1e-3, 1e3)) <= 6
 
 
 @settings(max_examples=500, deadline=None)
