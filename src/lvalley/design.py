@@ -17,10 +17,11 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .elasticity import StrainState, strain_state
+from .elasticity import perp_strain_ratio
 from .errors import InfeasibleError
 from .materials import (
     DeformationPotentials,
+    EffectiveMasses,
     LatticeParams,
     MaterialParams,
     QuadraticCoefficients,
@@ -41,8 +42,8 @@ T_MAX_NM = 50.0
 
 SENSITIVITY_MODES = ("linear10pct", "quadratic_range", "both")
 
-# Scale factors applied independently to each first-order deformation
-# potential in the linear10pct corner set.
+# Scale factors (low, high) applied independently to each first-order
+# deformation potential in the linear10pct corner set.
 LINEAR_VARIATION_FACTORS = (0.9, 1.1)
 
 # Literature spread of the reduced quadratic coefficients, eV.
@@ -129,19 +130,24 @@ def strain_to_x(eps_par: float, lat: LatticeParams) -> float:
 # ---------------------------------------------------------------------------
 # Combined energies and the L1/Delta6 crossover
 
-def _confinement(params: MaterialParams, t: float) -> tuple[float, float, float]:
-    """Confinement energies (L1, L3, Delta6) at thickness t as plain floats, eV.
+def _level(params: MaterialParams, masses: EffectiveMasses, t: float) -> float:
+    """Confinement energy of the well with ``masses`` at thickness t as a plain float, eV.
 
-    Calls the float well kernel with the parameter set's barrier and masses,
-    which the set has already validated.
+    Calls the float well kernel with the parameter set's barrier and
+    constants, which the set has already validated.
     """
-    k = params.constants.hbar2_over_2m0
-    v0 = params.bands.v0_offset_111
-    l1, l3, d6 = params.masses_l1, params.masses_l3, params.masses_delta6
+    return solve_well(
+        t, params.bands.v0_offset_111, masses.m_in, masses.m_out,
+        params.constants.hbar2_over_2m0,
+    )[0]
+
+
+def _confinement(params: MaterialParams, t: float) -> tuple[float, float, float]:
+    """Confinement energies (L1, L3, Delta6) at thickness t as plain floats, eV."""
     return (
-        solve_well(t, v0, l1.m_in, l1.m_out, k)[0],
-        solve_well(t, v0, l3.m_in, l3.m_out, k)[0],
-        solve_well(t, v0, d6.m_in, d6.m_out, k)[0],
+        _level(params, params.masses_l1, t),
+        _level(params, params.masses_l3, t),
+        _level(params, params.masses_delta6, t),
     )
 
 
@@ -162,37 +168,44 @@ def total_energy(
 
 
 def _gap_offset(params: MaterialParams, t: float) -> float:
-    """Delta6 - L1 gap at zero strain and thickness t, confinement included, eV."""
-    q_l1, _, q_d6 = _confinement(params, t)
+    """Delta6 - L1 gap at zero strain and thickness t, confinement included, eV.
+
+    Solves the L1 and the Delta6 well only: the gap never reads L3.
+    """
+    q_l1 = _level(params, params.masses_l1, t)
+    q_d6 = _level(params, params.masses_delta6, t)
     return params.bands.e0_delta - params.bands.e0_L + q_d6 - q_l1
 
 
-def _gap_slope(dp: DeformationPotentials, unit: StrainState) -> float:
+def _gap_slope(dp: DeformationPotentials, ratio: float) -> float:
     """First-order coefficient of the Delta6 - L1 gap, eV per unit strain.
 
-    ``unit`` is the strain state at eps_par = 1; the shifts are linear in
-    the strain, so this is the exact slope.
+    ``ratio`` is :func:`~lvalley.elasticity.perp_strain_ratio`, the
+    film-normal strain at eps_par = 1; the shifts are linear in the strain,
+    so this is the exact slope.
     """
-    return _gap_slope_of(unit, dp.xi_u_delta, dp.xi_d_delta, dp.xi_u_L, dp.xi_d_L)
+    return _gap_slope_of(ratio, dp.xi_u_delta, dp.xi_d_delta, dp.xi_u_L, dp.xi_d_L)
 
 
 def _gap_slope_of(
-    unit: StrainState, xi_u_delta: float, xi_d_delta: float, xi_u_L: float, xi_d_L: float
+    ratio: float, xi_u_delta: float, xi_d_delta: float, xi_u_L: float, xi_d_L: float
 ) -> float:
     """:func:`_gap_slope` of four loose potentials, with no record to build.
 
-    The operations are those of linear_shift(DELTA6) - linear_shift(L1), in
-    the same order, so the result is the same float.
+    The operations are those of linear_shift(DELTA6) - linear_shift(L1) at
+    eps_par = 1 and eps_perp = ratio, in the same order (2.0 * 1.0 is 2.0
+    and ratio * 1.0 is ratio), so the result is the same float.
     """
-    trace = 2.0 * unit.eps_par + unit.eps_perp
-    return (xi_d_delta * trace + xi_u_delta * trace / 3.0) - (
-        xi_d_L * trace + xi_u_L * unit.eps_perp
-    )
+    trace = 2.0 + ratio
+    return (xi_d_delta * trace + xi_u_delta * trace / 3.0) - (xi_d_L * trace + xi_u_L * ratio)
 
 
 def _gap_curvature(q: QuadraticCoefficients) -> float:
-    """Second-order coefficient of the Delta6 - L1 gap, eV."""
-    return q.coefficient(Valley.DELTA6) - q.coefficient(Valley.L1)
+    """Second-order coefficient of the Delta6 - L1 gap, eV.
+
+    The Delta6 and L1 entries of ``q.coefficient``, read from the fields.
+    """
+    return q.d_delta6 - q.d_L1
 
 
 def _gap_root(c0: float, c1: float, c2: float) -> float:
@@ -232,7 +245,7 @@ def _crossing(params: MaterialParams, t: float, c1: float, c2: float) -> tuple[f
 def _nominal_gap(params: MaterialParams) -> tuple[float, float]:
     """(c1, c2) of the nominal gap: strain-independent, so shared by a whole sweep."""
     return (
-        _gap_slope(params.deformation, strain_state(params.elastic, 1.0)),
+        _gap_slope(params.deformation, perp_strain_ratio(params.elastic)),
         _gap_curvature(params.quadratic),
     )
 
@@ -293,10 +306,11 @@ def splitting_report(params: MaterialParams, thickness_t: float, x: float) -> Sp
 # Sensitivity envelopes from the two extreme corners
 
 def _extreme_corners(
-    params: MaterialParams, unit: StrainState, mode: str
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """(c1, c2) gap coefficients at the up and the down corner of the perturbed box.
+    params: MaterialParams, mode: str
+) -> tuple[tuple[float, float], tuple[float, float], tuple[float, float]]:
+    """(c1, c2) gap coefficients of the nominal set and of the box's up and down corners.
 
+    All three come from one strain ratio, so a sweep builds no strain state.
     The up corner has the largest slope and curvature in the box, the down
     corner the smallest.  Each deformation potential takes the factor that
     raises (up) or lowers (down) its signed term of ``_gap_slope``; rounding
@@ -306,30 +320,32 @@ def _extreme_corners(
     """
     if mode not in SENSITIVITY_MODES:
         raise ValueError(f"unknown sensitivity mode {mode!r}; valid: {SENSITIVITY_MODES}")
+    ratio = perp_strain_ratio(params.elastic)
     dp = params.deformation
-    c1_up = c1_down = _gap_slope(dp, unit)
+    c1 = c1_up = c1_down = _gap_slope(dp, ratio)
     if mode != "quadratic_range":
-        trace = 2.0 * unit.eps_par + unit.eps_perp
+        trace = 2.0 + ratio
         # (potential, its signed term of the slope) in _gap_slope_of's argument order
         terms = (
             (dp.xi_u_delta, dp.xi_u_delta * trace),
             (dp.xi_d_delta, dp.xi_d_delta * trace),
-            (dp.xi_u_L, -dp.xi_u_L * unit.eps_perp),
+            (dp.xi_u_L, -dp.xi_u_L * ratio),
             (dp.xi_d_L, -dp.xi_d_L * trace),
         )
-        lo, hi = min(LINEAR_VARIATION_FACTORS), max(LINEAR_VARIATION_FACTORS)
+        lo, hi = LINEAR_VARIATION_FACTORS
         up = [xi * (hi if term > 0.0 else lo) for xi, term in terms]
         down = [xi * (lo if term > 0.0 else hi) for xi, term in terms]
         _require_finite("deformation potentials", *up, *down)
-        c1_up, c1_down = _gap_slope_of(unit, *up), _gap_slope_of(unit, *down)
+        c1_up, c1_down = _gap_slope_of(ratio, *up), _gap_slope_of(ratio, *down)
     q = params.quadratic
-    c2_up = c2_down = _gap_curvature(q)
+    c2 = c2_up = c2_down = _gap_curvature(q)
     if mode != "linear10pct":
         # each literature range is widened to hold the nominal coefficient
-        d6 = (*QUADRATIC_COEFF_RANGES[Valley.DELTA6], q.d_delta6)
-        l1 = (*QUADRATIC_COEFF_RANGES[Valley.L1], q.d_L1)
-        c2_up, c2_down = max(d6) - min(l1), min(d6) - max(l1)
-    return (c1_up, c2_up), (c1_down, c2_down)
+        d6_lo, d6_hi = QUADRATIC_COEFF_RANGES[Valley.DELTA6]
+        l1_lo, l1_hi = QUADRATIC_COEFF_RANGES[Valley.L1]
+        c2_up = max(d6_hi, q.d_delta6) - min(l1_lo, q.d_L1)
+        c2_down = min(d6_lo, q.d_delta6) - max(l1_hi, q.d_L1)
+    return (c1, c2), (c1_up, c2_up), (c1_down, c2_down)
 
 
 def _corner_x(c0: float, c1: float, c2: float, lat: LatticeParams) -> tuple[float, bool]:
@@ -358,10 +374,7 @@ def sensitivity_curve(
     prefixed ``t = <t> nm:`` and its reason tag kept; the other points
     still get their bands.
     """
-    unit = strain_state(params.elastic, 1.0)
-    up, down = _extreme_corners(params, unit, mode)
-    c1_nom = _gap_slope(params.deformation, unit)
-    c2_nom = _gap_curvature(params.quadratic)
+    (c1_nom, c2_nom), up, down = _extreme_corners(params, mode)
     lat = params.lattice
     bands: list[SensitivityBand] = []
     failures: list[tuple[float, Exception]] = []

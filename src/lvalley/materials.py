@@ -25,7 +25,7 @@ BURGERS_SI_NM = 0.384
 
 def _require_finite(what: str, *values: float) -> None:
     """Reject NaN and infinite parameters, which no physics routine handles."""
-    if not all(math.isfinite(v) for v in values):
+    if not all(map(math.isfinite, values)):
         raise ValueError(f"{what} must be finite")
 
 

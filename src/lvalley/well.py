@@ -198,18 +198,22 @@ def _newton_start(u0: float, ru0: float, binding: float, hi: float) -> float:
     and two passes with the Pade form tan z ~ z p, p = (15 - z**2) /
     (15 - 6 z**2), refine it.  Each pass takes the positive root
     z**2 = 2 u0**2 / (1 + sqrt(1 + 4 p**2 (u0/r)**2)), free of cancellation;
-    ``binding`` is (u0/r)**2.  An estimate outside the bracket (an overflow,
-    or a deep-well start above u0) gives way to the midpoint.
+    ``binding`` is (u0/r)**2.  A deep-well start at or above u0 (a heavy
+    well mass under a light barrier mass, in a thin well) gives way to the
+    small-z estimate, which holds there because z**2 <= u0**2 < pi**2/4
+    stays below the Pade pole at z**2 = 2.5; an estimate still outside the
+    bracket (an overflow) gives way to the midpoint.
     """
     if ru0 > 1.5:
         z = 0.5 * math.pi * ru0 / (1.0 + ru0)
-    else:
-        b4 = 4.0 * binding
-        zz = 2.0 * u0 * u0 / (1.0 + sqrt(1.0 + b4))
-        p = (15.0 - zz) / (15.0 - 6.0 * zz)
-        zz = 2.0 * u0 * u0 / (1.0 + sqrt(1.0 + b4 * p * p))
-        p = (15.0 - zz) / (15.0 - 6.0 * zz)
-        z = sqrt(2.0 * u0 * u0 / (1.0 + sqrt(1.0 + b4 * p * p)))
+        if 0.0 < z < hi:
+            return z
+    b4 = 4.0 * binding
+    zz = 2.0 * u0 * u0 / (1.0 + sqrt(1.0 + b4))
+    p = (15.0 - zz) / (15.0 - 6.0 * zz)
+    zz = 2.0 * u0 * u0 / (1.0 + sqrt(1.0 + b4 * p * p))
+    p = (15.0 - zz) / (15.0 - 6.0 * zz)
+    z = sqrt(2.0 * u0 * u0 / (1.0 + sqrt(1.0 + b4 * p * p)))
     return z if 0.0 < z < hi else 0.5 * hi
 
 

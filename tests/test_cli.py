@@ -403,6 +403,21 @@ def test_overflowing_sensitivity_corner_is_a_domain_error(capsys):
     assert captured.err.splitlines() == ["error: deformation potentials must be finite"]
 
 
+def test_l3_only_override_leaves_the_crossover_alone(capsys):
+    # the crossover gap reads the L1 and Delta6 wells only, so an L3 mass that
+    # no well solve accepts fails the splitting but not the crossover
+    l3 = ["--set", "masses.L3.m_in=1e-320", "--out", "-"]
+    assert run(["crossover", "--t", "3", *l3]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["t_nm,eps_critical,x_critical",
+                                         "3.0,0.0387586983,0.935351294"]
+    assert captured.err == ""
+    assert run(["splitting", "--t", "3", "--x", "1", *l3]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "mass ratio m_in/m_out too small" in captured.err
+
+
 def test_non_finite_inputs_rejected_cleanly(capsys):
     # a NaN strain used to print a bare `nan`, which is not JSON, with exit 0
     assert run(["energy", "--t", "3", "--eps", "nan", "--format", "json-lines",

@@ -376,21 +376,53 @@ def test_sensitivity_curve_keeps_feasible_points():
     assert info.value.reason == "requires_x_gt_1"
 
 
+def _counting_solve_well(monkeypatch):
+    """Route design's well solves through a wrapper; returns the list of their arguments."""
+    calls = []
+    solve = design.solve_well
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(design, "solve_well", counting)
+    return calls
+
+
+@pytest.mark.parametrize("mode", design.SENSITIVITY_MODES)
+def test_sensitivity_point_solves_the_l1_and_delta6_wells_only(monkeypatch, mode):
+    calls = _counting_solve_well(monkeypatch)
+    grid = [1.0, 3.0, 7.0, 20.0]
+    for t in grid:
+        sensitivity_band(PARAMS, [t], mode)
+    assert len(calls) == 2 * len(grid)
+    l1, d6 = PARAMS.masses_l1, PARAMS.masses_delta6
+    assert {args[2:4] for args in calls} == {(l1.m_in, l1.m_out), (d6.m_in, d6.m_out)}
+
+
+def test_crossover_point_solves_two_wells(monkeypatch):
+    calls = _counting_solve_well(monkeypatch)
+    grid = [0.5, 1.0, 3.0, 10.0, 50.0]
+    results, failures = crossover_curve(PARAMS, grid)
+    assert len(results) == len(grid) and not failures
+    assert len(calls) == 2 * len(grid)
+
+
 def _enumerated_band(params, t, mode):
     """The band from every corner of the box (16, 18 or 288), by the library's gap helpers.
 
     Corners are clipped as the exhaustive enumeration did: below_at_zero
     enters at x = 0, no crossing or x > 1 at x = 1 with the clipped flag.
     """
-    unit = strain_state(params.elastic, 1.0)
+    ratio = strain_state(params.elastic, 1.0).eps_perp
     dp = params.deformation
-    slopes = [design._gap_slope(dp, unit)]
+    slopes = [design._gap_slope(dp, ratio)]
     if mode != "quadratic_range":
         slopes = [
             design._gap_slope(
                 replace(dp, xi_d_delta=dp.xi_d_delta * a, xi_u_delta=dp.xi_u_delta * b,
                         xi_d_L=dp.xi_d_L * c, xi_u_L=dp.xi_u_L * d),
-                unit,
+                ratio,
             )
             for a, b, c, d in product(design.LINEAR_VARIATION_FACTORS, repeat=4)
         ]
@@ -409,7 +441,9 @@ def _enumerated_band(params, t, mode):
         ]
     c0 = design._gap_offset(params, t)
     x_nom = strain_to_x(
-        design._gap_root(c0, design._gap_slope(dp, unit), design._gap_curvature(params.quadratic)),
+        design._gap_root(
+            c0, design._gap_slope(dp, ratio), design._gap_curvature(params.quadratic)
+        ),
         params.lattice,
     )
     xs, clipped = [], False
@@ -449,8 +483,8 @@ def test_gap_slope_is_bit_identical_to_the_linear_shift_difference(
     dp = DeformationPotentials(xi_u_delta, xi_d_delta, xi_u_L, xi_d_L)
     unit = strain_state(ElasticConstants(c11_over_c12 * c12, c12, c44), 1.0)
     expected = linear_shift(Valley.DELTA6, dp, unit) - linear_shift(Valley.L1, dp, unit)
-    assert design._gap_slope(dp, unit) == expected
-    assert design._gap_slope_of(unit, xi_u_delta, xi_d_delta, xi_u_L, xi_d_L) == expected
+    assert design._gap_slope(dp, unit.eps_perp) == expected
+    assert design._gap_slope_of(unit.eps_perp, xi_u_delta, xi_d_delta, xi_u_L, xi_d_L) == expected
 
 
 @settings(max_examples=300, deadline=None)

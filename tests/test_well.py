@@ -269,7 +269,7 @@ def _bisect_root_well(t, v0, m_in, m_out):
 @example(t=1.0, v0=V0, m_in=0.26, m_out=1.59)  # bracket end u0 < pi/2
 @example(t=5.0, v0=V0, m_in=1.70, m_out=1.59)  # bracket end pi/2, Newton only
 @example(t=10.0, v0=V0, m_in=1.70, m_out=1.59)  # deep-well start, Newton only
-@example(t=0.1, v0=0.1, m_in=5.0, m_out=0.03)  # deep start above u0: midpoint, bisections
+@example(t=0.1, v0=0.1, m_in=5.0, m_out=0.03)  # deep start above u0: small-z start
 @example(t=1e-5, v0=V0, m_in=0.26, m_out=1.59)  # binding 3e-10: one step from next to u0
 @example(t=1e-6, v0=0.1 * V0, m_in=1.0, m_out=0.03)  # thin_well
 @example(t=1e17, v0=V0, m_in=1.70, m_out=1.59)  # hard_wall_limit
@@ -281,6 +281,18 @@ def test_solve_well_matches_bisect_root_reference(t, v0, m_in, m_out):
     except InfeasibleError as err:
         assert err.reason in ("thin_well", "hard_wall_limit")
         return
+    assert repr(got) == repr(_bisect_root_well(t, v0, m_in, m_out))
+
+
+def test_deep_start_above_u0_falls_back_to_the_small_z_start():
+    # r u0 > 1.5, but the deep-well estimate lies above u0 = hi; the midpoint
+    # start this used to fall back to took 17 iterations, 11 of them bisections
+    t, v0, m_in, m_out = 0.1, 0.1, 5.0, 0.03
+    u0 = t * math.sqrt(m_in * v0 / (4.0 * PARAMS.constants.hbar2_over_2m0))
+    ru0 = math.sqrt(m_in / m_out) * u0
+    assert ru0 > 1.5 and 0.5 * math.pi * ru0 / (1.0 + ru0) >= u0
+    got = solve_well(t, v0, m_in, m_out)
+    assert got[3] <= 3
     assert repr(got) == repr(_bisect_root_well(t, v0, m_in, m_out))
 
 
