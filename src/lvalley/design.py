@@ -52,6 +52,11 @@ QUADRATIC_COEFF_RANGES = {
     Valley.L3: (-20.0, -10.0),
     Valley.DELTA6: (-15.0, -5.0),
 }
+# The same numbers as loose floats for the corner arithmetic, which then
+# pays for no tuple unpacking and no Enum-keyed lookup per call.
+_LINEAR_LO, _LINEAR_HI = LINEAR_VARIATION_FACTORS
+_D6_LO, _D6_HI = QUADRATIC_COEFF_RANGES[Valley.DELTA6]
+_L1_LO, _L1_HI = QUADRATIC_COEFF_RANGES[Valley.L1]
 
 
 class CrossoverResult(Record):
@@ -105,11 +110,15 @@ def strain_to_x(eps_par: float, lat: LatticeParams) -> float:
     root in [0, 1] is x = 2 a_si eps / (B + sqrt(B**2 - 4 b a_si eps)): one
     formula for either sign of b, free of cancellation even for tiny strains.
     """
-    if math.isnan(eps_par):
-        raise ValueError("strain must be a number, got nan")
-    if eps_par < 0.0:
+    if not eps_par >= 0.0:
+        if math.isnan(eps_par):
+            raise ValueError("strain must be a number, got nan")
         raise ValueError("compressive strain has no Ge-barrier realization")
-    ceiling = x_to_strain(1.0, lat)
+    a_si, b = lat.a_si, lat.bowing_b
+    a_diff = lat.a_ge - a_si
+    # x_to_strain(1.0, lat): its bowing term b * (1 - 1) is a signed zero,
+    # and adding it to a_ge - a_si > 0 changes nothing
+    ceiling = a_diff / a_si
     if eps_par == 0.0:
         return 0.0
     if eps_par == ceiling:
@@ -120,10 +129,10 @@ def strain_to_x(eps_par: float, lat: LatticeParams) -> float:
             "requires x > 1",
             reason="requires_x_gt_1",
         )
-    a_eps = lat.a_si * eps_par
-    lin = lat.a_ge - lat.a_si + lat.bowing_b
+    a_eps = a_si * eps_par
+    lin = a_diff + b
     # the discriminant is at least (a_ge - a_si - b)**2 > 0 below the ceiling
-    disc = max(lin * lin - 4.0 * lat.bowing_b * a_eps, 0.0)
+    disc = max(lin * lin - 4.0 * b * a_eps, 0.0)
     return min(2.0 * a_eps / (lin + math.sqrt(disc)), 1.0)
 
 
@@ -215,21 +224,48 @@ def _gap_root(c0: float, c1: float, c2: float) -> float:
     q = -(c1 + sgn(c1) sqrt(c1**2 - 4 c2 c0)) / 2 the roots are c0 / q and
     q / c2, and neither subtracts nearly equal numbers.  For c1 >= 0 the
     crossing is c0 / q, which also covers c2 == 0; for c1 < 0 the guards
-    force c2 > 0 and the crossing is q / c2.
+    force c2 > 0 and the crossing is q / c2.  A non-finite slope or
+    curvature is a domain error; a discriminant that overflows (a slope
+    above about 1e154, or a curvature near the float limit) takes
+    :func:`_scaled_root` instead.
     """
     if c0 >= 0.0:
         raise InfeasibleError(
             "L1 already lies below Delta6 at zero strain", reason="below_at_zero"
         )
+    disc = c1 * c1 - 4.0 * c2 * c0
+    # with c0 < 0, an infinite or nan c1 or c2 always makes disc non-finite
+    overflow = not math.isfinite(disc)
+    if overflow and not (math.isfinite(c1) and math.isfinite(c2)):
+        raise ValueError("gap slope and curvature must be finite")
     if c0 + (c1 + c2 * EPS_BRACKET_MAX) * EPS_BRACKET_MAX < 0.0:
         raise InfeasibleError(
             f"L1 never drops below Delta6 for strain up to {EPS_BRACKET_MAX}",
             reason="no_crossing",
         )
-    sq = math.sqrt(max(c1 * c1 - 4.0 * c2 * c0, 0.0))
-    root = -2.0 * c0 / (c1 + sq) if c1 >= 0.0 else (sq - c1) / (2.0 * c2)
+    if overflow:
+        root = _scaled_root(c0, c1, c2)
+    else:
+        sq = math.sqrt(max(disc, 0.0))
+        root = -2.0 * c0 / (c1 + sq) if c1 >= 0.0 else (sq - c1) / (2.0 * c2)
     # both forms are positive; rounding can only push a root at the bracket end past it
     return min(root, EPS_BRACKET_MAX)
+
+
+def _scaled_root(c0: float, c1: float, c2: float) -> float:
+    """:func:`_gap_root`'s two forms for a discriminant that overflows.
+
+    With h = c1 / 2 and m = sqrt|c2| sqrt|c0|, the discriminant is
+    4 (h**2 + sgn(c2) m**2) because c0 < 0.  Dividing h, m and sqrt(disc) / 2
+    by s = max(|h|, m) bounds each square by 1, and the guards of
+    :func:`_gap_root` keep s / c2 below 0.06 on the c1 < 0 side.
+    """
+    half = 0.5 * c1
+    m = math.sqrt(abs(c2)) * math.sqrt(-c0)
+    s = max(abs(half), m)
+    h, r = half / s, m / s
+    w = math.sqrt(max(h * h + r * r if c2 > 0.0 else h * h - r * r, 0.0))
+    return (-c0 / s) / (h + w) if c1 >= 0.0 else (w - h) * (s / c2)
 
 
 def _crossing(params: MaterialParams, t: float, c1: float, c2: float) -> tuple[float, float]:
@@ -322,29 +358,37 @@ def _extreme_corners(
         raise ValueError(f"unknown sensitivity mode {mode!r}; valid: {SENSITIVITY_MODES}")
     ratio = perp_strain_ratio(params.elastic)
     dp = params.deformation
-    c1 = c1_up = c1_down = _gap_slope(dp, ratio)
+    xi_u_delta, xi_d_delta, xi_u_L, xi_d_L = dp.xi_u_delta, dp.xi_d_delta, dp.xi_u_L, dp.xi_d_L
+    c1 = c1_up = c1_down = _gap_slope_of(ratio, xi_u_delta, xi_d_delta, xi_u_L, xi_d_L)
     if mode != "quadratic_range":
         trace = 2.0 + ratio
-        # (potential, its signed term of the slope) in _gap_slope_of's argument order
-        terms = (
-            (dp.xi_u_delta, dp.xi_u_delta * trace),
-            (dp.xi_d_delta, dp.xi_d_delta * trace),
-            (dp.xi_u_L, -dp.xi_u_L * ratio),
-            (dp.xi_d_L, -dp.xi_d_L * trace),
+        lo, hi = _LINEAR_LO, _LINEAR_HI
+        # whether each signed term of the slope is positive, in _gap_slope_of's order
+        pos_u_delta = xi_u_delta * trace > 0.0
+        pos_d_delta = xi_d_delta * trace > 0.0
+        pos_u_L = -xi_u_L * ratio > 0.0
+        pos_d_L = -xi_d_L * trace > 0.0
+        up_u_delta = xi_u_delta * (hi if pos_u_delta else lo)
+        up_d_delta = xi_d_delta * (hi if pos_d_delta else lo)
+        up_u_L = xi_u_L * (hi if pos_u_L else lo)
+        up_d_L = xi_d_L * (hi if pos_d_L else lo)
+        down_u_delta = xi_u_delta * (lo if pos_u_delta else hi)
+        down_d_delta = xi_d_delta * (lo if pos_d_delta else hi)
+        down_u_L = xi_u_L * (lo if pos_u_L else hi)
+        down_d_L = xi_d_L * (lo if pos_d_L else hi)
+        _require_finite(
+            "deformation potentials", up_u_delta, up_d_delta, up_u_L, up_d_L,
+            down_u_delta, down_d_delta, down_u_L, down_d_L,
         )
-        lo, hi = LINEAR_VARIATION_FACTORS
-        up = [xi * (hi if term > 0.0 else lo) for xi, term in terms]
-        down = [xi * (lo if term > 0.0 else hi) for xi, term in terms]
-        _require_finite("deformation potentials", *up, *down)
-        c1_up, c1_down = _gap_slope_of(ratio, *up), _gap_slope_of(ratio, *down)
+        c1_up = _gap_slope_of(ratio, up_u_delta, up_d_delta, up_u_L, up_d_L)
+        c1_down = _gap_slope_of(ratio, down_u_delta, down_d_delta, down_u_L, down_d_L)
     q = params.quadratic
-    c2 = c2_up = c2_down = _gap_curvature(q)
+    d_delta6, d_L1 = q.d_delta6, q.d_L1
+    c2 = c2_up = c2_down = d_delta6 - d_L1
     if mode != "linear10pct":
         # each literature range is widened to hold the nominal coefficient
-        d6_lo, d6_hi = QUADRATIC_COEFF_RANGES[Valley.DELTA6]
-        l1_lo, l1_hi = QUADRATIC_COEFF_RANGES[Valley.L1]
-        c2_up = max(d6_hi, q.d_delta6) - min(l1_lo, q.d_L1)
-        c2_down = min(d6_lo, q.d_delta6) - max(l1_hi, q.d_L1)
+        c2_up = max(_D6_HI, d_delta6) - min(_L1_LO, d_L1)
+        c2_down = min(_D6_LO, d_delta6) - max(_L1_HI, d_L1)
     return (c1, c2), (c1_up, c2_up), (c1_down, c2_down)
 
 
@@ -369,10 +413,11 @@ def sensitivity_curve(
     corner whose crossover would need x > 1, or none at all, enters at
     x = 1 and sets the ``clipped`` flag.
 
-    A thickness whose nominal crossover fails, or which lies outside the
-    supported range, is collected as (t, error) with the error's message
-    prefixed ``t = <t> nm:`` and its reason tag kept; the other points
-    still get their bands.
+    A thickness whose nominal crossover fails, which lies outside the
+    supported range, or where a corner's slope or curvature overflows, is
+    collected as (t, error) with the error's message prefixed
+    ``t = <t> nm:`` and its reason tag kept; the other points still get
+    their bands.
     """
     (c1_nom, c2_nom), up, down = _extreme_corners(params, mode)
     lat = params.lattice
@@ -384,11 +429,11 @@ def sensitivity_curve(
         try:
             c0, eps = _crossing(params, t, c1_nom, c2_nom)
             x_nom = strain_to_x(eps, lat)
+            x_low, _ = _corner_x(c0, *up, lat)
+            x_high, clipped = _corner_x(c0, *down, lat)
         except (InfeasibleError, ValueError) as err:
             failures.append((t, _at_thickness(t, err)))
             continue
-        x_low, _ = _corner_x(c0, *up, lat)
-        x_high, clipped = _corner_x(c0, *down, lat)
         bands.append(SensitivityBand(t, x_low, x_nom, x_high, clipped))
     return bands, failures
 

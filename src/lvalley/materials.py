@@ -35,6 +35,10 @@ class Record:
     Each subclass gets an ``__init__`` that takes the fields by position or
     keyword, fills the ones left out from the class's ``_defaults`` and ends
     in the class's ``_check``, which raises ``ValueError`` on a bad value.
+    It stores each field through the ``__set__`` of that slot's member
+    descriptor, bound once per class: this skips the record's refusing
+    ``__setattr__`` and the by-name attribute lookup of
+    ``object.__setattr__``.
     ``repr`` is ``Name(field=value, ...)``; records are equal only to
     records of the same class with equal fields, and hash as their field
     tuple.  Defining records this way imports nothing, which keeps a
@@ -47,10 +51,11 @@ class Record:
     def __init_subclass__(cls):
         names = cls.__slots__
         params = ", ".join(n if n not in cls._defaults else f"{n}=_defaults[{n!r}]" for n in names)
-        body = "".join(f"\n    _set(self, {n!r}, {n})" for n in names)
+        body = "".join(f"\n    _set_{n}(self, {n})" for n in names)
         if cls._check is not Record._check:
             body += "\n    self._check()"
-        namespace = {"_set": object.__setattr__, "_defaults": cls._defaults}
+        namespace = {f"_set_{n}": cls.__dict__[n].__set__ for n in names}
+        namespace["_defaults"] = cls._defaults
         exec(f"def __init__(self, {params}):{body}", namespace)
         cls.__init__ = namespace["__init__"]
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"

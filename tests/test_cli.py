@@ -403,6 +403,23 @@ def test_overflowing_sensitivity_corner_is_a_domain_error(capsys):
     assert captured.err.splitlines() == ["error: deformation potentials must be finite"]
 
 
+def test_overflowing_discriminant_gives_the_true_crossing(capsys):
+    # c1**2 overflows; the crossing used to print as 0.0
+    assert run(["crossover", "--t", "3", "--set", "deformation.xi_u_L=1e300", "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1] == "3.0,2.06782181e-300,5.62893227e-299"
+    assert captured.err == ""
+
+
+def test_infinite_gap_slope_is_a_domain_error(capsys):
+    # 1.7e308 x (2 + eps_perp / eps_par) overflows the nominal slope
+    assert run(["crossover", "--t", "3", "--set", "deformation.xi_d_delta=1.7e308",
+                "--out", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: t = 3 nm: gap slope and curvature must be finite"]
+
+
 def test_l3_only_override_leaves_the_crossover_alone(capsys):
     # the crossover gap reads the L1 and Delta6 wells only, so an L3 mass that
     # no well solve accepts fails the splitting but not the crossover

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -106,7 +107,7 @@ def test_x_to_strain_full_precision_at_every_scale():
 
 def test_strain_to_x_endpoints_and_inverse():
     assert strain_to_x(0.0, LAT) == 0.0
-    assert strain_to_x(x_to_strain(1.0, LAT), LAT) == pytest.approx(1.0, abs=1e-6)
+    assert strain_to_x(x_to_strain(1.0, LAT), LAT) == 1.0
     # full relative precision for tiny strains, where x ~ a_si eps / (a_ge - a_si + b)
     tiny = LAT.a_si * 1e-300 / (LAT.a_ge - LAT.a_si + LAT.bowing_b)
     assert strain_to_x(1e-300, LAT) == pytest.approx(tiny, rel=1e-12)
@@ -133,9 +134,15 @@ def test_vegard_round_trip_1000():
 
 @settings(max_examples=300, deadline=None)
 @given(x=st.floats(0.0, 1.0), bowing=st.floats(-0.2, 0.2))
+@example(x=1.0, bowing=0.2)
+@example(x=1.0, bowing=-0.2)
 def test_vegard_round_trip_either_bowing_sign(x, bowing):
     lat = LatticeParams(a_si=5.4307, a_ge=5.6575, bowing_b=bowing)
-    assert abs(strain_to_x(x_to_strain(x, lat), lat) - x) <= 1e-12
+    back = strain_to_x(x_to_strain(x, lat), lat)
+    if x == 1.0:
+        # the pure-Ge strain is the ceiling itself
+        assert back == 1.0
+    assert abs(back - x) <= 1e-12
 
 
 # --- crossover ----------------------------------------------------------------
@@ -169,6 +176,70 @@ def test_crossing_is_a_true_root():
             - total_energy(Valley.L1, PARAMS, t, r.eps_critical).total
         )
         assert abs(gap) <= 1e-6
+
+
+def _gap_changes_sign_at(c0, c1, c2, eps):
+    """Whether the float gap c0 + (c1 + c2 eps) eps is negative just below eps, positive above."""
+    def gap(e):
+        return c0 + (c1 + c2 * e) * e
+
+    return gap(eps * (1.0 - 1e-9)) < 0.0 < gap(eps * (1.0 + 1e-9))
+
+
+# a slope whose square overflows (true root 2.07e-300) and a curvature whose
+# product with c0 does (true root 7.3e-155): the discriminant is infinite
+@pytest.mark.parametrize("section, field, value", [
+    ("deformation", "xi_u_L", 1e300),
+    ("quadratic", "d_delta6", 1.7e308),
+])
+def test_crossing_with_an_overflowing_discriminant_is_a_true_root(section, field, value):
+    params = replace(PARAMS, **{section: replace(getattr(PARAMS, section), **{field: value})})
+    c1, c2 = design._nominal_gap(params)
+    c0 = design._gap_offset(params, 3.0)
+    assert not math.isfinite(c1 * c1 - 4.0 * c2 * c0)
+    eps = critical_strain(params, 3.0).eps_critical
+    assert eps > 0.0
+    assert _gap_changes_sign_at(c0, c1, c2, eps)
+
+
+def test_gap_root_with_an_overflowing_discriminant_is_a_true_root():
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(3000):
+        c0 = -(10.0 ** rng.uniform(-2.0, 2.0))
+        c1 = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(100.0, 300.0)
+        c2 = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(0.0, 308.0)
+        if math.isfinite(c1 * c1 - 4.0 * c2 * c0):
+            continue
+        try:
+            eps = design._gap_root(c0, c1, c2)
+        except InfeasibleError:
+            continue
+        checked += 1
+        assert eps > 0.0, (c0, c1, c2)
+        assert _gap_changes_sign_at(c0, c1, c2, eps), (c0, c1, c2, eps)
+    assert checked > 500
+
+
+@pytest.mark.parametrize("c1, c2", [
+    (math.inf, 12.5), (-math.inf, 12.5), (math.nan, 12.5),
+    (15.0, math.inf), (15.0, -math.inf), (15.0, math.nan),
+])
+def test_non_finite_gap_coefficient_is_a_domain_error(c1, c2):
+    with pytest.raises(ValueError, match="gap slope and curvature must be finite"):
+        design._gap_root(-0.9, c1, c2)
+
+
+def test_overflowing_corner_slope_fails_its_point():
+    # 1.1 x 1.1e308 stays finite, but its slope term overflows in the up
+    # corner only: the nominal crossover exists, the band does not
+    dp = replace(PARAMS.deformation, xi_d_delta=1.1e308)
+    params = replace(PARAMS, deformation=dp)
+    assert critical_strain(params, 3.0).eps_critical > 0.0
+    bands, failures = sensitivity_curve(params, [3.0], "linear10pct")
+    assert bands == []
+    [(t, err)] = failures
+    assert t == 3.0 and str(err) == "t = 3 nm: gap slope and curvature must be finite"
 
 
 def test_sides_of_the_boundary():
