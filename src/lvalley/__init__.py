@@ -30,7 +30,6 @@ from .design import (
     sensitivity_curve,
     splitting_report,
     strain_to_x,
-    total_energy,
     vegard_a,
     x_to_strain,
 )
@@ -66,7 +65,7 @@ from .relaxation import (
     hc_curve,
     poisson_111,
 )
-from .valleys import ValleyEnergy, bulk_energy, bulk_levels, linear_shift, quadratic_shift
+from .valleys import ValleyEnergy, bulk_energy, bulk_levels, linear_shift, valley_coefficients
 from .well import (
     WellConfig,
     WellSolution,
@@ -120,7 +119,6 @@ __all__ = [
     "perp_strain",
     "perp_strain_ratio",
     "poisson_111",
-    "quadratic_shift",
     "replace",
     "sensitivity_band",
     "sensitivity_curve",
@@ -130,7 +128,7 @@ __all__ = [
     "strain_to_x",
     "table1_labels",
     "table1_set",
-    "total_energy",
+    "valley_coefficients",
     "vegard_a",
     "well_config",
     "x_to_strain",

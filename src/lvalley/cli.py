@@ -146,6 +146,13 @@ def format_number(value) -> str:
 
 
 def render(header: list[str], rows: list[tuple], fmt: str) -> str:
+    """The output text; a cell that is inf or nan is a domain error naming its column."""
+    for row in rows:
+        for name, v in zip(header, row):
+            if not math.isfinite(v):
+                raise InfeasibleError(
+                    f"{name} is {v}: the parameters overflow the float range", reason="non_finite"
+                )
     if fmt == "csv":
         lines = [",".join(header)]
         lines += [",".join(format_number(v) for v in row) for row in rows]

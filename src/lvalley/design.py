@@ -20,17 +20,15 @@ from typing import NamedTuple
 from .elasticity import perp_strain_ratio
 from .errors import InfeasibleError
 from .materials import (
-    DeformationPotentials,
     EffectiveMasses,
     LatticeParams,
     MaterialParams,
-    QuadraticCoefficients,
     Record,
     Valley,
     _require_finite,
 )
-from .valleys import ValleyEnergy, bulk_energy, bulk_levels
-from .well import ground_state, solve_well, well_config
+from .valleys import bulk_levels, valley_coefficients
+from .well import solve_well
 
 # Crossover search bracket: slightly above the strain of pure-Ge barriers,
 # so "no crossing at all" is distinguishable from "requires x > 1".
@@ -165,17 +163,6 @@ def confinement_energies(params: MaterialParams, thickness_t: float) -> dict[Val
     return dict(zip(Valley, _confinement(params, thickness_t)))
 
 
-def total_energy(
-    valley: Valley, params: MaterialParams, thickness_t: float, eps_par: float
-) -> ValleyEnergy:
-    """Strained bulk energy plus the confinement energy of one valley."""
-    bulk = bulk_energy(valley, params, eps_par)
-    sol = ground_state(
-        well_config(valley, params, thickness_t), params.constants.hbar2_over_2m0
-    )
-    return ValleyEnergy(valley, bulk.e0, bulk.de1, bulk.de2, sol.energy_eq)
-
-
 def _gap_offset(params: MaterialParams, t: float) -> float:
     """Delta6 - L1 gap at zero strain and thickness t, confinement included, eV.
 
@@ -186,35 +173,18 @@ def _gap_offset(params: MaterialParams, t: float) -> float:
     return params.bands.e0_delta - params.bands.e0_L + q_d6 - q_l1
 
 
-def _gap_slope(dp: DeformationPotentials, ratio: float) -> float:
-    """First-order coefficient of the Delta6 - L1 gap, eV per unit strain.
-
-    ``ratio`` is :func:`~lvalley.elasticity.perp_strain_ratio`, the
-    film-normal strain at eps_par = 1; the shifts are linear in the strain,
-    so this is the exact slope.
-    """
-    return _gap_slope_of(ratio, dp.xi_u_delta, dp.xi_d_delta, dp.xi_u_L, dp.xi_d_L)
-
-
 def _gap_slope_of(
     ratio: float, xi_u_delta: float, xi_d_delta: float, xi_u_L: float, xi_d_L: float
 ) -> float:
-    """:func:`_gap_slope` of four loose potentials, with no record to build.
+    """Slope of the Delta6 - L1 gap of four loose potentials, eV per unit strain.
 
-    The operations are those of linear_shift(DELTA6) - linear_shift(L1) at
-    eps_par = 1 and eps_perp = ratio, in the same order (2.0 * 1.0 is 2.0
-    and ratio * 1.0 is ratio), so the result is the same float.
+    ``ratio`` is :func:`~lvalley.elasticity.perp_strain_ratio`.  The
+    operations are those of the Delta6 and L1 c1 of
+    :func:`~lvalley.valleys.valley_coefficients`, in the same order, so the
+    sensitivity corners perturb the potentials and build no record.
     """
     trace = 2.0 + ratio
     return (xi_d_delta * trace + xi_u_delta * trace / 3.0) - (xi_d_L * trace + xi_u_L * ratio)
-
-
-def _gap_curvature(q: QuadraticCoefficients) -> float:
-    """Second-order coefficient of the Delta6 - L1 gap, eV.
-
-    The Delta6 and L1 entries of ``q.coefficient``, read from the fields.
-    """
-    return q.d_delta6 - q.d_L1
 
 
 def _gap_root(c0: float, c1: float, c2: float) -> float:
@@ -279,11 +249,9 @@ def _crossing(params: MaterialParams, t: float, c1: float, c2: float) -> tuple[f
 
 
 def _nominal_gap(params: MaterialParams) -> tuple[float, float]:
-    """(c1, c2) of the nominal gap: strain-independent, so shared by a whole sweep."""
-    return (
-        _gap_slope(params.deformation, perp_strain_ratio(params.elastic)),
-        _gap_curvature(params.quadratic),
-    )
+    """(c1, c2) of the nominal gap, Delta6 - L1: strain-independent, so shared by a whole sweep."""
+    (_, c1_l1, c2_l1), _, (_, c1_d6, c2_d6) = valley_coefficients(params)
+    return c1_d6 - c1_l1, c2_d6 - c2_l1
 
 
 def _crossover_at(params: MaterialParams, t: float, c1: float, c2: float) -> CrossoverResult:
@@ -332,8 +300,7 @@ def splitting_report(params: MaterialParams, thickness_t: float, x: float) -> Sp
     """Valley splittings relative to L1 at a (thickness, Ge fraction) point."""
     b_l1, b_l3, b_d6 = bulk_levels(params, x_to_strain(x, params.lattice))
     q_l1, q_l3, q_d6 = _confinement(params, thickness_t)
-    # (e0 + de1 + de2) + eq, the order of ValleyEnergy.total, so each level
-    # is the same float as total_energy(...).total
+    # (e0 + de1 + de2) + eq, the order of ValleyEnergy.total
     e_l1 = b_l1 + q_l1
     return Splitting(delta6_minus_l1=(b_d6 + q_d6) - e_l1, l3_minus_l1=(b_l3 + q_l3) - e_l1)
 
@@ -349,7 +316,7 @@ def _extreme_corners(
     All three come from one strain ratio, so a sweep builds no strain state.
     The up corner has the largest slope and curvature in the box, the down
     corner the smallest.  Each deformation potential takes the factor that
-    raises (up) or lowers (down) its signed term of ``_gap_slope``; rounding
+    raises (up) or lowers (down) its signed term of ``_gap_slope_of``; rounding
     is monotone, so these are the same floats as the extremes over all 16
     factor combinations.  A scaled potential that overflows is rejected as
     the parameter set rejects a non-finite one.

@@ -153,13 +153,6 @@ class QuadraticCoefficients(Record):
     def _check(self):
         _require_finite("quadratic coefficients", self.d_L1, self.d_L3, self.d_delta6)
 
-    def coefficient(self, valley: Valley) -> float:
-        if valley is Valley.L1:
-            return self.d_L1
-        if valley is Valley.L3:
-            return self.d_L3
-        return self.d_delta6
-
 
 class EffectiveMasses(Record):
     """Out-of-plane effective masses inside/outside the well, m0 units."""

@@ -4,14 +4,8 @@ from __future__ import annotations
 
 import math
 
-from .elasticity import StrainState, perp_strain_ratio, strain_state
-from .materials import (
-    DeformationPotentials,
-    MaterialParams,
-    QuadraticCoefficients,
-    Record,
-    Valley,
-)
+from .elasticity import StrainState, perp_strain_ratio
+from .materials import DeformationPotentials, MaterialParams, Record, Valley
 
 # The reduced quadratic coefficients are fits with no support beyond this
 # in-plane strain magnitude.
@@ -49,11 +43,6 @@ def linear_shift(valley: Valley, dp: DeformationPotentials, s: StrainState) -> f
     return dp.xi_d_delta * trace + dp.xi_u_delta * trace / 3.0
 
 
-def quadratic_shift(valley: Valley, q: QuadraticCoefficients, eps_par: float) -> float:
-    """Second-order valley shift d * eps_par**2, eV."""
-    return q.coefficient(valley) * eps_par * eps_par
-
-
 def require_supported_strain(eps_par: float) -> None:
     """Reject a non-finite strain or one beyond ``MAX_SUPPORTED_STRAIN``."""
     if not math.isfinite(eps_par):
@@ -65,40 +54,44 @@ def require_supported_strain(eps_par: float) -> None:
         )
 
 
+def valley_coefficients(params: MaterialParams) -> tuple[tuple[float, float, float], ...]:
+    """(e0, c1, c2) of L1, L3 and Delta6: each strained level is e0 + c1 eps + c2 eps**2, eV.
+
+    e0 is the unstrained band edge, c1 the :func:`linear_shift` at eps_par = 1
+    and eps_perp = perp_strain_ratio, written out in its operation order, and
+    c2 the reduced quadratic coefficient.  A coefficient that overflows is
+    inf, not an error: the L1/Delta6 gap never reads L3.
+    """
+    r = perp_strain_ratio(params.elastic)
+    trace = 2.0 + r
+    dp, q, bands = params.deformation, params.quadratic, params.bands
+    return (
+        (bands.e0_L, dp.xi_d_L * trace + dp.xi_u_L * r, q.d_L1),
+        (bands.e0_L, dp.xi_d_L * trace + dp.xi_u_L * (8.0 + r) / 9.0, q.d_L3),
+        (bands.e0_delta, dp.xi_d_delta * trace + dp.xi_u_delta * trace / 3.0, q.d_delta6),
+    )
+
+
 def bulk_energy(valley: Valley, params: MaterialParams, eps_par: float) -> ValleyEnergy:
     """Absolute valley energy of the strained bulk film (no confinement)."""
     require_supported_strain(eps_par)
-    e0 = params.bands.e0_delta if valley is Valley.DELTA6 else params.bands.e0_L
-    s = strain_state(params.elastic, eps_par)
-    return ValleyEnergy(
-        valley=valley,
-        e0=e0,
-        de1=linear_shift(valley, params.deformation, s),
-        de2=quadratic_shift(valley, params.quadratic, eps_par),
-    )
+    e0, c1, c2 = valley_coefficients(params)[list(Valley).index(valley)]
+    return ValleyEnergy(valley, e0, c1 * eps_par, c2 * eps_par * eps_par)
 
 
 def bulk_levels(params: MaterialParams, eps_par: float) -> tuple[float, float, float]:
     """Strained bulk levels (L1, L3, Delta6) as plain floats, eV.
 
-    The float form of ``bulk_energy(v, params, eps_par).total`` for the three
-    valleys, with no strain state or energy record: each level is
-    e0 + de1 + de2 with :func:`linear_shift` and :func:`quadratic_shift`
-    written out in their operation order, so it is the same float.  Only a
-    level of exactly -0.0, which ``total`` turns into 0.0 by adding
-    eq = 0.0, keeps its sign here.
+    e0 + c1 eps + c2 eps**2 of :func:`valley_coefficients`, with no strain
+    state or energy record: the float of ``bulk_energy(v, params,
+    eps_par).total``.  Only a level of exactly -0.0, which ``total`` turns
+    into 0.0 by adding eq = 0.0, keeps its sign here.
     """
     require_supported_strain(eps_par)
-    eps = eps_par
-    eps_perp = perp_strain_ratio(params.elastic) * eps
-    trace = 2.0 * eps + eps_perp
-    dp, q, bands = params.deformation, params.quadratic, params.bands
+    e = eps_par
+    (e_l1, c1_l1, c2_l1), (e_l3, c1_l3, c2_l3), (e_d6, c1_d6, c2_d6) = valley_coefficients(params)
     return (
-        bands.e0_L + (dp.xi_d_L * trace + dp.xi_u_L * eps_perp) + q.d_L1 * eps * eps,
-        bands.e0_L
-        + (dp.xi_d_L * trace + dp.xi_u_L * (8.0 * eps + eps_perp) / 9.0)
-        + q.d_L3 * eps * eps,
-        bands.e0_delta
-        + (dp.xi_d_delta * trace + dp.xi_u_delta * trace / 3.0)
-        + q.d_delta6 * eps * eps,
+        e_l1 + c1_l1 * e + c2_l1 * e * e,
+        e_l3 + c1_l3 * e + c2_l3 * e * e,
+        e_d6 + c1_d6 * e + c2_d6 * e * e,
     )

@@ -122,6 +122,31 @@ def crossover_gap(eps, offset, elastic, dp, d_l1, d_delta6):
     return offset + e_delta6 - e_l1
 
 
+def valley_level(valley, eps, elastic, dp, e0, d):
+    """Strained bulk level of ``valley`` ("L1", "L3" or "Delta6") and its terms, eV.
+
+    Returns (level, terms): level = e0 + shift + d eps**2, the shift taken
+    from the strain state at ``eps`` itself (not from a unit-strain slope),
+    and terms the summands e0, the dilatational and uniaxial parts of the
+    shift and d eps**2, whose largest magnitude sets the rounding scale.
+    ``elastic`` and ``dp`` are ordered as in :func:`crossover_gap`.  The
+    L3 axes make cos**2 = 1/9 with the film normal, so their uniaxial strain
+    is (8 eps + perp) / 9.
+    """
+    c11, c12, c44 = elastic
+    xi_u_delta, xi_d_delta, xi_u_l, xi_d_l = dp
+    perp = -(2.0 * c11 + 4.0 * c12 - 4.0 * c44) / (c11 + 2.0 * c12 + 4.0 * c44) * eps
+    trace = 2.0 * eps + perp
+    if valley == "L1":
+        dil, uni = xi_d_l * trace, xi_u_l * perp
+    elif valley == "L3":
+        dil, uni = xi_d_l * trace, xi_u_l * (8.0 * eps + perp) / 9.0
+    else:
+        dil, uni = xi_d_delta * trace, xi_u_delta * trace / 3.0
+    quad = d * eps * eps
+    return e0 + (dil + uni) + quad, (e0, dil, uni, quad)
+
+
 def bisect_crossover(gap, hi=0.06, xtol=1e-13):
     """Strain in [0, hi] where gap(eps) turns positive, by plain bisection.
 

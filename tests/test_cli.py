@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lvalley import Valley, bulk_energy, cli, confinement_energies, default_params
+from lvalley import InfeasibleError, Valley, bulk_energy, cli, confinement_energies, default_params
 from lvalley.cli import (
     MAX_GRID_POINTS,
     UsageError,
@@ -420,6 +420,31 @@ def test_infinite_gap_slope_is_a_domain_error(capsys):
     assert captured.err.splitlines() == ["error: t = 3 nm: gap slope and curvature must be finite"]
 
 
+def test_non_finite_cell_is_a_domain_error_and_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "energy.csv"
+    assert run(["energy", "--t", "3", "--eps", "0.1", "--set", "bands.e0_L=1.79e308",
+                "--set", "deformation.xi_u_L=1e308", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: e_l3_ev is inf: the parameters overflow the float range"
+    ]
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(InfeasibleError, match="^delta6_minus_l1_ev is -inf") as info:
+        cli.render(["t_nm", "delta6_minus_l1_ev"], [(3.0, -math.inf)], "csv")
+    assert info.value.reason == "non_finite"
+
+
+def test_overflowing_l3_coefficient_fails_the_energy_row_only(capsys):
+    # the L3 unit-strain coefficient 1e308 x (8 + eps_perp / eps_par) / 9 is
+    # inf, so every L3 level is; the gap reads L1 and Delta6 only
+    xi = ["--set", "deformation.xi_u_L=1e308", "--out", "-"]
+    assert run(["energy", "--t", "3", "--eps", "0.05", *xi]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: e_l3_ev is inf: the parameters overflow the float range"
+    ]
+    assert run(["crossover", "--t", "3", *xi]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "3.0,2.06782181e-308,5.62893227e-307"
+
+
 def test_l3_only_override_leaves_the_crossover_alone(capsys):
     # the crossover gap reads the L1 and Delta6 wells only, so an L3 mass that
     # no well solve accepts fails the splitting but not the crossover
@@ -648,6 +673,11 @@ class _Argv:
 # an elastic constant that overflows the (111) strain ratio
 @example(data=_Argv("energy", "--t", "3", "--eps", "0.01", "--set", "elastic.c11=1e308"))
 @example(data=_Argv("splitting", "--t", "3", "--x", "0.9", "--set", "elastic.c11=1e308"))
+# finite parameters whose levels overflow: inf used to reach the output with exit 0
+@example(data=_Argv("energy", "--t", "3", "--eps", "0.1", "--set", "bands.e0_L=1.79e308",
+                    "--set", "deformation.xi_u_L=1e308"))
+@example(data=_Argv("splitting", "--t", "3", "--x", "1", "--set", "bands.e0_L=1.79e308",
+                    "--set", "bands.e0_delta=-1.79e308"))
 def test_every_invocation_gives_finite_json_or_a_clean_error(command, data):
     argv = data.draw(_invocation(command), label="argv")
     out, err = io.StringIO(), io.StringIO()

@@ -17,7 +17,10 @@ from lvalley import (
     QuadraticCoefficients,
     SensitivityBand,
     Splitting,
+    StrainState,
     Valley,
+    bulk_energy,
+    bulk_levels,
     confinement_energies,
     critical_strain,
     crossover_curve,
@@ -25,17 +28,18 @@ from lvalley import (
     design,
     ground_state,
     linear_shift,
+    perp_strain_ratio,
     replace,
     sensitivity_band,
     sensitivity_curve,
     splitting_report,
-    strain_state,
     strain_to_x,
-    total_energy,
+    valley_coefficients,
     vegard_a,
     well_config,
     x_to_strain,
 )
+from lvalley.valleys import ValleyEnergy
 
 PARAMS = default_params()
 LAT = PARAMS.lattice
@@ -43,28 +47,36 @@ LAT = PARAMS.lattice
 
 # --- combined energies ------------------------------------------------------
 
+def _levels(params, t, eps):
+    """Total levels (L1, L3, Delta6) at thickness t and strain eps: bulk plus confinement, eV."""
+    return tuple(b + q for b, q in zip(bulk_levels(params, eps), design._confinement(params, t)))
+
+
+def _total_energy(valley, params, t, eps):
+    """One valley's breakdown with its confinement energy at thickness t."""
+    b = bulk_energy(valley, params, eps)
+    return ValleyEnergy(valley, b.e0, b.de1, b.de2, confinement_energies(params, t)[valley])
+
+
 def test_total_energy_reference_point():
     # 1.17 plus the t = 3 nm confinement energy of Delta6
-    e = total_energy(Valley.DELTA6, PARAMS, 3.0, 0.0)
+    e = _total_energy(Valley.DELTA6, PARAMS, 3.0, 0.0)
     assert e.total == pytest.approx(1.210, abs=3e-3)
     assert e.eq == pytest.approx(0.0398, abs=1e-3)
 
 
 def test_total_energy_confinement_vanishes_for_wide_well():
-    from lvalley import bulk_energy
-
-    wide = total_energy(Valley.L1, PARAMS, 1e4, 0.02).total
+    wide = _total_energy(Valley.L1, PARAMS, 1e4, 0.02).total
     assert wide == pytest.approx(bulk_energy(Valley.L1, PARAMS, 0.02).total, abs=1e-5)
 
 
 def test_near_crossing_at_t10():
-    e_l1 = total_energy(Valley.L1, PARAMS, 10.0, 0.0395).total
-    e_d6 = total_energy(Valley.DELTA6, PARAMS, 10.0, 0.0395).total
+    e_l1, _, e_d6 = _levels(PARAMS, 10.0, 0.0395)
     assert abs(e_l1 - e_d6) < 3e-3
 
 
 def test_total_energy_breakdown_sums():
-    e = total_energy(Valley.L3, PARAMS, 4.0, 0.03)
+    e = _total_energy(Valley.L3, PARAMS, 4.0, 0.03)
     assert abs(e.total - (e.e0 + e.de1 + e.de2 + e.eq)) < 1e-12
 
 
@@ -171,11 +183,8 @@ def test_crossover_thickness_domain():
 def test_crossing_is_a_true_root():
     for t in (1.0, 3.0, 10.0):
         r = critical_strain(PARAMS, t)
-        gap = (
-            total_energy(Valley.DELTA6, PARAMS, t, r.eps_critical).total
-            - total_energy(Valley.L1, PARAMS, t, r.eps_critical).total
-        )
-        assert abs(gap) <= 1e-6
+        e_l1, _, e_d6 = _levels(PARAMS, t, r.eps_critical)
+        assert abs(e_d6 - e_l1) <= 1e-6
 
 
 def _gap_changes_sign_at(c0, c1, c2, eps):
@@ -247,12 +256,10 @@ def test_sides_of_the_boundary():
     for t in range(1, 11):
         r = critical_strain(PARAMS, float(t))
         lo, hi = r.eps_critical - 0.001, r.eps_critical + 0.001
-        assert total_energy(Valley.L1, PARAMS, t, lo).total > total_energy(
-            Valley.DELTA6, PARAMS, t, lo
-        ).total
-        assert total_energy(Valley.L1, PARAMS, t, hi).total < total_energy(
-            Valley.DELTA6, PARAMS, t, hi
-        ).total
+        e_l1, _, e_d6 = _levels(PARAMS, t, lo)
+        assert e_l1 > e_d6
+        e_l1, _, e_d6 = _levels(PARAMS, t, hi)
+        assert e_l1 < e_d6
 
 
 def test_crossover_curve_matches_pointwise():
@@ -342,7 +349,7 @@ def test_float_well_path_is_bit_identical_to_object_path(
     t, x, v0_scale, l1_scale, l3_scale, d6_scale
 ):
     # confinement_energies and splitting_report call the float well kernel;
-    # ground_state(well_config(...)) and total_energy build the objects
+    # ground_state(well_config(...)), bulk_energy and ValleyEnergy build the objects
     params = replace(
         PARAMS,
         bands=replace(PARAMS.bands, v0_offset_111=PARAMS.bands.v0_offset_111 * v0_scale),
@@ -357,7 +364,11 @@ def test_float_well_path_is_bit_identical_to_object_path(
 
     def object_splitting():
         eps = x_to_strain(x, params.lattice)
-        e = {v: total_energy(v, params, t, eps).total for v in Valley}
+        e = {}
+        for v in Valley:
+            b = bulk_energy(v, params, eps)
+            eq = ground_state(well_config(v, params, t), k).energy_eq
+            e[v] = ValleyEnergy(v, b.e0, b.de1, b.de2, eq).total
         return Splitting(
             delta6_minus_l1=e[Valley.DELTA6] - e[Valley.L1],
             l3_minus_l1=e[Valley.L3] - e[Valley.L1],
@@ -480,30 +491,33 @@ def test_crossover_point_solves_two_wells(monkeypatch):
 
 
 def _enumerated_band(params, t, mode):
-    """The band from every corner of the box (16, 18 or 288), by the library's gap helpers.
+    """The band from every corner of the box (16, 18 or 288), each from its own valley_coefficients.
 
     Corners are clipped as the exhaustive enumeration did: below_at_zero
     enters at x = 0, no crossing or x > 1 at x = 1 with the clipped flag.
     """
-    ratio = strain_state(params.elastic, 1.0).eps_perp
+    def gap(corner):
+        (_, c1_l1, c2_l1), _, (_, c1_d6, c2_d6) = valley_coefficients(corner)
+        return c1_d6 - c1_l1, c2_d6 - c2_l1
+
     dp = params.deformation
-    slopes = [design._gap_slope(dp, ratio)]
+    c1_nom, c2_nom = gap(params)
+    slopes = [c1_nom]
     if mode != "quadratic_range":
         slopes = [
-            design._gap_slope(
-                replace(dp, xi_d_delta=dp.xi_d_delta * a, xi_u_delta=dp.xi_u_delta * b,
-                        xi_d_L=dp.xi_d_L * c, xi_u_L=dp.xi_u_L * d),
-                ratio,
-            )
+            gap(replace(params, deformation=replace(
+                dp, xi_d_delta=dp.xi_d_delta * a, xi_u_delta=dp.xi_u_delta * b,
+                xi_d_L=dp.xi_d_L * c, xi_u_L=dp.xi_u_L * d,
+            )))[0]
             for a, b, c, d in product(design.LINEAR_VARIATION_FACTORS, repeat=4)
         ]
     q = params.quadratic
-    curvatures = [design._gap_curvature(q)]
+    curvatures = [c2_nom]
     if mode != "linear10pct":
         # the literature ranges, each widened to hold the nominal coefficient
         ranges = design.QUADRATIC_COEFF_RANGES
         curvatures = [
-            design._gap_curvature(QuadraticCoefficients(d_L1=d1, d_L3=d3, d_delta6=d6))
+            gap(replace(params, quadratic=QuadraticCoefficients(d_L1=d1, d_L3=d3, d_delta6=d6)))[1]
             for d1, d3, d6 in product(
                 (*ranges[Valley.L1], q.d_L1),
                 ranges[Valley.L3],
@@ -511,12 +525,7 @@ def _enumerated_band(params, t, mode):
             )
         ]
     c0 = design._gap_offset(params, t)
-    x_nom = strain_to_x(
-        design._gap_root(
-            c0, design._gap_slope(dp, ratio), design._gap_curvature(params.quadratic)
-        ),
-        params.lattice,
-    )
+    x_nom = strain_to_x(design._gap_root(c0, c1_nom, c2_nom), params.lattice)
     xs, clipped = [], False
     for c1, c2 in product(slopes, curvatures):
         try:
@@ -549,12 +558,18 @@ _uniaxial = st.floats(0.5, 25.0)
 def test_gap_slope_is_bit_identical_to_the_linear_shift_difference(
     xi_u_delta, xi_d_delta, xi_u_L, xi_d_L, c12, c11_over_c12, c44
 ):
-    # the corners build no DeformationPotentials, so the slope's float form
-    # must stay the very float the per-valley shifts give
+    # each c1 of valley_coefficients, the nominal gap slope and the corners'
+    # loose-float slope must stay the very floats the per-valley shifts give
+    # at unit in-plane strain
     dp = DeformationPotentials(xi_u_delta, xi_d_delta, xi_u_L, xi_d_L)
-    unit = strain_state(ElasticConstants(c11_over_c12 * c12, c12, c44), 1.0)
+    elastic = ElasticConstants(c11_over_c12 * c12, c12, c44)
+    params = replace(PARAMS, deformation=dp, elastic=elastic)
+    unit = StrainState(1.0, perp_strain_ratio(elastic))
+    for v, (_, c1, _) in zip(Valley, valley_coefficients(params)):
+        assert c1 == linear_shift(v, dp, unit), v
     expected = linear_shift(Valley.DELTA6, dp, unit) - linear_shift(Valley.L1, dp, unit)
-    assert design._gap_slope(dp, unit.eps_perp) == expected
+    q = params.quadratic
+    assert design._nominal_gap(params) == (expected, q.d_delta6 - q.d_L1)
     assert design._gap_slope_of(unit.eps_perp, xi_u_delta, xi_d_delta, xi_u_L, xi_d_L) == expected
 
 

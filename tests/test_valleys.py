@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import strain_tensors
+from oracles import strain_tensors, valley_level
 
 from lvalley import (
     DeformationPotentials,
@@ -13,11 +13,12 @@ from lvalley import (
     bulk_levels,
     default_params,
     replace,
+    table1_labels,
     table1_set,
     linear_shift,
     perp_strain_ratio,
-    quadratic_shift,
     strain_state,
+    valley_coefficients,
 )
 from lvalley.valleys import ValleyEnergy
 
@@ -94,9 +95,11 @@ def test_linear_shift_matches_crystal_frame_projection():
 
 
 def test_quadratic_shift_values():
-    assert quadratic_shift(Valley.L3, PARAMS.quadratic, 0.0) == 0.0
-    assert quadratic_shift(Valley.L1, PARAMS.quadratic, 0.04) == pytest.approx(-0.036)
-    assert quadratic_shift(Valley.DELTA6, PARAMS.quadratic, 0.05) == pytest.approx(-0.025)
+    # the c2 eps**2 term of each valley's polynomial
+    (_, _, c2_l1), (_, _, c2_l3), (_, _, c2_d6) = valley_coefficients(PARAMS)
+    assert c2_l3 * 0.0 * 0.0 == 0.0
+    assert c2_l1 * 0.04 * 0.04 == pytest.approx(-0.036)
+    assert c2_d6 * 0.05 * 0.05 == pytest.approx(-0.025)
 
 
 def test_bulk_energy_unstrained_edges():
@@ -183,3 +186,30 @@ def test_breakdown_fields_populated():
     assert ve.eq == 0.0
     assert ve.e0 == 1.17
     assert abs(ve.total - (ve.e0 + ve.de1 + ve.de2 + ve.eq)) < 1e-12
+
+
+# the strain grid of the fig2/fig3 sweeps, eps = 0, 1e-4, ..., 0.05
+_FIGURE_STRAINS = [i * 1e-4 for i in range(501)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    eps=st.floats(-0.1, 0.1) | st.sampled_from(_FIGURE_STRAINS),
+    dp_set=st.sampled_from(table1_labels()),
+    c44=st.floats(20.0, 400.0),
+)
+@example(eps=0.05, dp_set="vandewalle1986", c44=PARAMS.elastic.c44)
+def test_bulk_levels_are_within_a_few_ulp_of_the_per_strain_oracle(eps, dp_set, c44):
+    # the levels are e0 + c1 eps + c2 eps**2 with c1 the unit-strain shift,
+    # while the oracle shifts the strain state at eps itself: the two may
+    # round differently, but only in the last bits of the largest term
+    params = replace(PARAMS, deformation=table1_set(dp_set), elastic=replace(PARAMS.elastic, c44=c44))
+    c, dp, q, bands = params.elastic, params.deformation, params.quadratic, params.bands
+    potentials = (dp.xi_u_delta, dp.xi_d_delta, dp.xi_u_L, dp.xi_d_L)
+    edges = {"L1": bands.e0_L, "L3": bands.e0_L, "Delta6": bands.e0_delta}
+    curvatures = {"L1": q.d_L1, "L3": q.d_L3, "Delta6": q.d_delta6}
+    for v, level in zip(Valley, bulk_levels(params, eps)):
+        expected, terms = valley_level(
+            v.value, eps, (c.c11, c.c12, c.c44), potentials, edges[v.value], curvatures[v.value]
+        )
+        assert abs(level - expected) <= 4.0 * math.ulp(max(map(abs, terms))), (v, eps)
