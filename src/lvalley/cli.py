@@ -42,28 +42,36 @@ _MASS_SEGMENTS = {"L1": "masses_l1", "L3": "masses_l3", "Delta6": "masses_delta6
 _GROUP_FIELDS = ("elastic", "deformation", "quadratic", "lattice", "bands", "constants")
 
 
-def override_keys(params: MaterialParams) -> list[str]:
-    """All dotted keys accepted by overrides, for error messages and docs."""
-    keys = ["deformation.set"]
+def _key_table(params: MaterialParams) -> dict[str, tuple[tuple[str, ...], str]]:
+    """Each numeric override key -> (the MaterialParams fields it replaces, the field it sets)."""
+    table = {}
     for group in _GROUP_FIELDS:
         obj = getattr(params, group)
-        keys += [
-            f"{group}.{name}" for name in obj.__slots__ if isinstance(getattr(obj, name), float)
-        ]
-    keys += [f"masses.{seg}.m_in" for seg in _MASS_SEGMENTS]
+        for name in obj.__slots__:
+            if isinstance(getattr(obj, name), float):
+                table[f"{group}.{name}"] = ((group,), name)
+    table.update({f"masses.{seg}.m_in": ((attr,), "m_in") for seg, attr in _MASS_SEGMENTS.items()})
     # the barrier mass is one value shared by every valley
-    keys.append("masses.m_out")
-    return keys
+    table["masses.m_out"] = (tuple(_MASS_SEGMENTS.values()), "m_out")
+    return table
+
+
+def override_keys(params: MaterialParams) -> list[str]:
+    """All dotted keys accepted by overrides, for error messages and docs."""
+    return ["deformation.set", *_key_table(params)]
 
 
 def apply_override(params: MaterialParams, key: str, raw_value: str) -> MaterialParams:
     """Apply one dotted-key override, e.g. ``deformation.xi_u_L = 16.14``.
 
     ``deformation.set`` selects a whole literature deformation-potential set
-    by label; every other key takes a number.  A value the parameter set
-    rejects is a usage error that names the key.
+    by label; every other key takes a number.  An unknown key or a value
+    the parameter set rejects is a usage error that names the key.
     """
-    parts = key.split(".")
+    table = _key_table(params)
+    if key not in table and key != "deformation.set":
+        valid = ", ".join(override_keys(params))
+        raise UsageError(f"unknown override key {key!r}; valid keys: {valid}")
     try:
         if key == "deformation.set":
             return replace(params, deformation=table1_set(raw_value))
@@ -71,33 +79,21 @@ def apply_override(params: MaterialParams, key: str, raw_value: str) -> Material
             value = float(raw_value)
         except ValueError:
             raise UsageError(f"override {key!r}: {raw_value!r} is not a number") from None
-        if key == "masses.m_out":
-            return replace(params, **{
-                attr: replace(getattr(params, attr), m_out=value) for attr in _MASS_SEGMENTS.values()
-            })
-        if len(parts) == 3 and parts[0] == "masses" and parts[1] in _MASS_SEGMENTS and parts[2] == "m_in":
-            attr = _MASS_SEGMENTS[parts[1]]
-            return replace(params, **{attr: replace(getattr(params, attr), m_in=value)})
-        if len(parts) == 2 and parts[0] in _GROUP_FIELDS:
-            group = getattr(params, parts[0])
-            if parts[1] in group.__slots__ and isinstance(getattr(group, parts[1]), float):
-                return replace(params, **{parts[0]: replace(group, **{parts[1]: value})})
+        attrs, field = table[key]
+        return replace(params, **{a: replace(getattr(params, a), **{field: value}) for a in attrs})
     except ValueError as err:
         raise UsageError(f"override {key!r} = {raw_value}: {err}") from None
-    raise UsageError(_unknown_key_message(params, key))
-
-
-def _unknown_key_message(params: MaterialParams, key: str) -> str:
-    return f"unknown override key {key!r}; valid keys: " + ", ".join(override_keys(params))
 
 
 def read_config(path: str | Path) -> list[tuple[str, str]]:
     """Parse a flat ``key = value`` config file with ``#`` comments."""
     pairs: list[tuple[str, str]] = []
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise UsageError(f"cannot read config file {path}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise UsageError(f"cannot read config file {path}: invalid UTF-8 at byte {err.start}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -224,7 +220,7 @@ def _energy(params: MaterialParams, ns: argparse.Namespace):
     if ns.eps is not None and ns.x is not None:
         raise UsageError("give either --eps or --x, not both")
     eps_grid = [design.x_to_strain(ns.x, params.lattice)] if ns.x is not None else _grid(ns, "eps")
-    q_l1, q_l3, q_d6 = design._confinement(params, ns.t)
+    q_l1, q_l3, q_d6 = design.confinement_energies(params, ns.t).values()
     header = ["eps_par", "e_l1_ev", "e_l3_ev", "e_delta6_ev"]
     rows = []
     for e in eps_grid:
@@ -238,9 +234,9 @@ def _well(params: MaterialParams, ns: argparse.Namespace):
     t_grid = _grid(ns, "t")
     if ns.valley is not None:
         return ["t_nm", "e_q_ev"], well.eq_vs_thickness(Valley(ns.valley), params, t_grid)
-    # one column per valley, in Valley order as _confinement returns them
+    # one column per valley, in Valley order as confinement_energies keys them
     header = ["t_nm"] + [f"e_q_{v.value.lower()}_ev" for v in Valley]
-    return header, [(t, *design._confinement(params, t)) for t in t_grid]
+    return header, [(t, *design.confinement_energies(params, t).values()) for t in t_grid]
 
 
 def _feasible(points: list, failures: list[tuple[float, Exception]]) -> list:

@@ -20,7 +20,6 @@ from typing import NamedTuple
 from .elasticity import perp_strain_ratio
 from .errors import InfeasibleError
 from .materials import (
-    EffectiveMasses,
     LatticeParams,
     MaterialParams,
     Record,
@@ -28,7 +27,7 @@ from .materials import (
     _require_finite,
 )
 from .valleys import bulk_levels, valley_coefficients
-from .well import solve_well
+from .well import _level
 
 # Crossover search bracket: slightly above the strain of pure-Ge barriers,
 # so "no crossing at all" is distinguishable from "requires x > 1".
@@ -136,18 +135,6 @@ def strain_to_x(eps_par: float, lat: LatticeParams) -> float:
 
 # ---------------------------------------------------------------------------
 # Combined energies and the L1/Delta6 crossover
-
-def _level(params: MaterialParams, masses: EffectiveMasses, t: float) -> float:
-    """Confinement energy of the well with ``masses`` at thickness t as a plain float, eV.
-
-    Calls the float well kernel with the parameter set's barrier and
-    constants, which the set has already validated.
-    """
-    return solve_well(
-        t, params.bands.v0_offset_111, masses.m_in, masses.m_out,
-        params.constants.hbar2_over_2m0,
-    )[0]
-
 
 def _confinement(params: MaterialParams, t: float) -> tuple[float, float, float]:
     """Confinement energies (L1, L3, Delta6) at thickness t as plain floats, eV."""

@@ -172,10 +172,14 @@ class LatticeParams(Record):
 
     def _check(self):
         _require_finite("lattice parameters", self.a_si, self.a_ge, self.bowing_b)
-        if not self.a_ge > self.a_si:
-            raise ValueError("a_ge must exceed a_si")
+        if not 0.0 < self.a_si < self.a_ge:
+            raise ValueError("a_si must be positive and a_ge must exceed it")
         if not abs(self.bowing_b) < (self.a_ge - self.a_si):
             raise ValueError("bowing term must be small against a_ge - a_si")
+        # design.strain_to_x's discriminant runs from (a_ge - a_si + b)**2 to (a_ge - a_si - b)**2
+        lin = (self.a_ge - self.a_si) + abs(self.bowing_b)
+        if not math.isfinite(lin * lin):
+            raise ValueError("lattice parameters overflow the Vegard discriminant")
 
 
 class BandEdges(Record):

@@ -21,14 +21,14 @@ from .design import x_to_strain
 from .elasticity import perp_strain_ratio
 from .errors import InfeasibleError, SolverError
 from .materials import BURGERS_SI_NM, ElasticConstants, Record, replace
-from .rootfind import STEP_RTOL
+from .well import STEP_RTOL
 
 # Linearized misfit of Si against the relaxed Si(1-x)Ge(x) barrier per unit
 # Ge fraction.
 DEFAULT_MISFIT_SLOPE = 0.0418
 
 # Newton on the People-Bean relation stops once a step is within
-# rootfind.STEP_RTOL of h; the iteration cap only guards against a broken
+# well.STEP_RTOL of h; the iteration cap only guards against a broken
 # input.
 _MAX_NEWTON = 64
 
@@ -78,9 +78,10 @@ def critical_thickness(inp: RelaxationInput) -> CriticalThickness:
     b = inp.burgers_b
     f = inp.misfit()
     nu, _ = poisson_111(inp.elastic)
-    # A vanishing misfit (f^2 may underflow to zero) sends A to infinity
+    # A vanishing misfit (f^2 may underflow to zero) or nu rounding to -1 sends A to infinity
     f2 = f * f
-    amp = b / (32.0 * math.pi * f2) * (1.0 - nu) / (1.0 + nu) if f2 > 0.0 else math.inf
+    unbounded = not (f2 > 0.0 and nu > -1.0)
+    amp = math.inf if unbounded else b / (32.0 * math.pi * f2) * (1.0 - nu) / (1.0 + nu)
     # h = A ln(h/b) has roots only for A > e b, the edge of the W_-1 domain;
     # u = ln(A/b) - 1 must also stay positive after rounding
     u = math.log(amp / b) - 1.0 if amp > math.e * b else 0.0
@@ -100,7 +101,8 @@ def critical_thickness(inp: RelaxationInput) -> CriticalThickness:
     h = amp * (1.0 + math.sqrt(2.0 * u) + u)
     if not math.isfinite(h):
         raise InfeasibleError(
-            f"vanishing misfit {f:.4g}: the critical thickness is unbounded",
+            f"misfit {f:.4g} with [111] Poisson ratio {nu:.4g} makes the prefactor A "
+            "of the energy balance overflow: the critical thickness is unbounded",
             reason="unbounded",
         )
     for i in range(1, _MAX_NEWTON + 1):

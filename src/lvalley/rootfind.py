@@ -9,20 +9,17 @@ share costly terms evaluates them once per iterate.
 The finite-well solver runs the same iteration as an in-place loop
 (:func:`lvalley.well.solve_well`), where the bracket-end signs are known and
 no callable is needed; :func:`bisect_root`, given the same start ``x0``, is
-its reference in the tests, and ``STEP_RTOL`` is the stopping rule both
-share.
+its reference in the tests, and ``STEP_RTOL``, kept beside that loop, is the
+stopping rule both share.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Callable
 
 from .errors import SolverError
 from .materials import Record
-
-# Newton has converged once its step is at most four ulp of the iterate.
-STEP_RTOL = 4.0 * sys.float_info.epsilon
+from .well import STEP_RTOL
 
 
 class BisectResult(Record):

@@ -26,9 +26,9 @@ the tests use as the reference.
 
 :func:`solve_well` is the float kernel: thickness, barrier and masses in,
 (energy, z, residual, iterations) out, with no configuration or solution
-object.  The per-point design sweeps call it directly; :func:`ground_state`
-wraps it for a validated :class:`WellConfig` and returns a
-:class:`WellSolution`.
+object.  The per-point sweeps reach it through :func:`_level`, which passes
+a parameter set's barrier, masses and constants; :func:`ground_state` wraps
+it for a validated :class:`WellConfig` and returns a :class:`WellSolution`.
 """
 
 from __future__ import annotations
@@ -38,8 +38,11 @@ import sys
 from math import cos, sin, sqrt
 
 from .errors import InfeasibleError, SolverError
-from .materials import HBAR2_OVER_2M0, MaterialParams, Record, Valley
-from .rootfind import STEP_RTOL
+from .materials import HBAR2_OVER_2M0, EffectiveMasses, MaterialParams, Record, Valley
+
+# Newton has converged once its step is at most four ulp of the iterate; the
+# well loop, rootfind.bisect_root and the People-Bean iteration share it.
+STEP_RTOL = 4.0 * sys.float_info.epsilon
 
 # Smallest relative gap the solver resolves at either end of the first
 # branch: the binding (V0 - E)/V0 of a thin well, where z nears u0, and the
@@ -121,7 +124,7 @@ def solve_well(
     v0 = barrier_v0
     u0 = t * math.sqrt(m_in * v0 / (4.0 * hbar2_over_2m0))
     r = math.sqrt(m_in / m_out)
-    binding = (u0 / r) * (u0 / r)
+    binding = (u0 / r) * (u0 / r) if r > 0.0 else math.inf
     if not binding >= MIN_RELATIVE_GAP:
         raise InfeasibleError(
             f"a {t:.3g} nm well under a {v0:.3g} eV barrier binds its ground state "
@@ -141,7 +144,8 @@ def solve_well(
             "use the hard-wall level",
             reason="hard_wall_limit",
         )
-    if not (ru0 >= sys.float_info.min and sys.float_info.min <= u0 * u0 < math.inf):
+    tiny = sys.float_info.min
+    if not (ru0 >= tiny and tiny <= u0 * u0 < math.inf and 4.0 * binding < math.inf):
         raise InfeasibleError(
             f"a {t:.3g} nm well with masses m_in = {m_in:.3g} and m_out = {m_out:.3g} m0 "
             f"under a {v0:.3g} eV barrier has a mass ratio m_in/m_out too small for "
@@ -230,10 +234,10 @@ def ground_state(cfg: WellConfig, hbar2_over_2m0: float = HBAR2_OVER_2M0) -> Wel
     whose relative binding (V0 - E)/V0 ~ (u0/r)**2 = m_out V0 t**2 / (4 K)
     is unresolved (reason ``"thin_well"``), and a wide or deep well whose
     level sits within (E_inf - E)/E_inf ~ 2/(r u0) of the hard-wall level
-    (reason ``"hard_wall_limit"``).  A mass ratio m_in/m_out below about
-    2e-284, where r u0 or u0**2 leaves the normal double-precision range,
-    raises it too (reason ``"mass_ratio"``).  A returned solution has
-    0 < E < V0, E no higher than the hard-wall level and k_out > 0.
+    (reason ``"hard_wall_limit"``).  So does a mass ratio m_in/m_out so
+    small that r u0 or u0**2 leaves the normal double range (below about
+    2e-284) or 4 (u0/r)**2 overflows (reason ``"mass_ratio"``).  A returned
+    solution has 0 < E < V0, E no higher than the hard-wall level and k_out > 0.
     """
     energy, z, residual, _ = solve_well(
         cfg.thickness_t, cfg.barrier_v0, cfg.m_in, cfg.m_out, hbar2_over_2m0
@@ -257,11 +261,20 @@ def well_config(valley: Valley, params: MaterialParams, thickness_t: float) -> W
     )
 
 
+def _level(params: MaterialParams, masses: EffectiveMasses, t: float) -> float:
+    """Confinement energy of the well with ``masses`` at thickness t as a plain float, eV.
+
+    The one mapping from a parameter set to :func:`solve_well`: the set's
+    barrier and constants, which the set has already validated.
+    """
+    return solve_well(
+        t, params.bands.v0_offset_111, masses.m_in, masses.m_out,
+        params.constants.hbar2_over_2m0,
+    )[0]
+
+
 def eq_vs_thickness(
     valley: Valley, params: MaterialParams, t_grid: list[float]
 ) -> list[tuple[float, float]]:
     """Confinement energy of one valley at each thickness, (t, E_q) pairs."""
-    k = params.constants.hbar2_over_2m0
-    v0 = params.bands.v0_offset_111
-    m = params.masses(valley)
-    return [(t, solve_well(t, v0, m.m_in, m.m_out, k)[0]) for t in t_grid]
+    return [(t, _level(params, params.masses(valley), t)) for t in t_grid]

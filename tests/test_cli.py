@@ -84,11 +84,39 @@ def test_apply_override_paths():
 
 
 def test_override_keys_inventory():
-    keys = override_keys(PARAMS)
-    assert "deformation.xi_u_L" in keys
-    assert "masses.m_out" in keys
-    assert "lattice.a_si" in keys
-    assert "deformation.set" in keys
+    assert override_keys(PARAMS) == [
+        "deformation.set",
+        "elastic.c11", "elastic.c12", "elastic.c44",
+        "deformation.xi_u_delta", "deformation.xi_d_delta",
+        "deformation.xi_u_L", "deformation.xi_d_L",
+        "quadratic.d_L1", "quadratic.d_L3", "quadratic.d_delta6",
+        "lattice.a_si", "lattice.a_ge", "lattice.bowing_b",
+        "bands.e0_L", "bands.e0_delta", "bands.v0_offset_111",
+        "constants.hbar2_over_2m0", "constants.burgers_si",
+        "masses.L1.m_in", "masses.L3.m_in", "masses.Delta6.m_in", "masses.m_out",
+    ]
+
+
+def _read_key(params, key):
+    """The value a numeric override key sets, read back through the records."""
+    *path, field = key.split(".")
+    if path[0] != "masses":
+        return getattr(getattr(params, path[0]), field)
+    (value,) = {getattr(params.masses(v), field) for v in Valley if path[1:] in ([], [v.value])}
+    return value
+
+
+def test_every_override_key_round_trips():
+    keys = override_keys(PARAMS)[1:]
+    for key in keys:
+        value = _read_key(PARAMS, key)
+        assert apply_override(PARAMS, key, repr(value)) == PARAMS, key
+        nudged = apply_override(PARAMS, key, repr(value * 1.0005))
+        assert _read_key(nudged, key) == value * 1.0005, key
+        assert [k for k in keys if _read_key(nudged, k) != _read_key(PARAMS, k)] == [key]
+    # the key is looked up before its value is parsed
+    with pytest.raises(UsageError, match="unknown override key 'nosuch.key'; valid keys: "):
+        apply_override(PARAMS, "nosuch.key", "abc")
 
 
 def test_barrier_mass_override_sets_every_valley(capsys):
@@ -111,6 +139,12 @@ def test_read_config(tmp_path):
     bad = tmp_path / "bad.conf"
     bad.write_text("no equals sign here\n")
     with pytest.raises(UsageError, match="key = value"):
+        read_config(bad)
+    # the file is read as UTF-8 whatever the locale; other bytes are a usage error
+    cfg.write_bytes("deformation.xi_u_L = 16.5 # \u00b1 0.5\n".encode())
+    assert read_config(cfg) == [("deformation.xi_u_L", "16.5")]
+    bad.write_bytes(b"deformation.xi_u_L = 16.5\n\xff\xfe\n")
+    with pytest.raises(UsageError, match=r"cannot read config file .*bad\.conf: invalid UTF-8 at byte 26"):
         read_config(bad)
 
 
@@ -361,28 +395,11 @@ def test_sensitivity_keeps_feasible_points_and_warns_per_failure(capsys):
         assert line.endswith("requires x > 1")
 
 
-def test_cli_import_leaves_numpy_unloaded():
+def _loaded_after_cli_import(*modules):
+    """Which of ``modules`` a fresh interpreter holds after ``import lvalley.cli``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, lvalley.cli; print('numpy' in sys.modules)"],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
-
-def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
-    # both cost a command-line start several milliseconds, and the records need neither
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = (
-        "import sys, lvalley.cli; "
-        "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])"
-    )
+    code = f"import sys, lvalley.cli; print([m for m in {modules!r} if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
@@ -391,7 +408,40 @@ def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    assert _loaded_after_cli_import("numpy") == "[]"
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # both cost a command-line start several milliseconds, and the records need neither
+    assert _loaded_after_cli_import("dataclasses", "inspect") == "[]"
+
+
+def test_cli_import_leaves_the_reference_solver_unloaded():
+    # the production solvers take their stopping rule from well.py
+    assert _loaded_after_cli_import("lvalley.rootfind") == "[]"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["splitting", "--t", "3", "--x", "0.95", "--set", "lattice.a_si=0"], 2,
+     "override 'lattice.a_si' = 0: a_si must be positive"),
+    (["crossover", "--t", "3", "--set", "lattice.a_ge=1e200"], 2,
+     "override 'lattice.a_ge' = 1e200: lattice parameters overflow the Vegard discriminant"),
+    (["sensitivity", "--t", "3", "--set", "lattice.a_ge=1e200"], 2,
+     "override 'lattice.a_ge' = 1e200: lattice parameters overflow the Vegard discriminant"),
+    (["hc", "--x", "0.94", "--set", "elastic.c44=1e154"], 1,
+     "misfit 0.03929 with [111] Poisson ratio -1 makes the prefactor A"),
+    (["well", "--t", "3", "--set", "masses.m_out=1e308"], 1,
+     "a 3 nm well with masses m_in = 1.7 and m_out = 1e+308 m0"),
+])
+def test_degenerate_parameters_give_one_named_error(capsys, argv, code, message):
+    assert run([*argv, "--out", "-"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
 
 
 def test_overflowing_sensitivity_corner_is_a_domain_error(capsys):
@@ -640,11 +690,8 @@ def _invocation(draw, command):
     else:
         argv += ["--id", draw(st.sampled_from(("fig6", "fig11", "")))]
     if draw(st.integers(min_value=0, max_value=2)) == 0:
-        key = draw(st.sampled_from((
-            "masses.m_out", "masses.L3.m_in", "bands.v0_offset_111",
-            "deformation.xi_u_L", "quadratic.d_L1", "elastic.c44",
-        )))
-        argv += ["--set", f"{key}={draw(_value(0.05, 5.0, 0.0, -1.0))!r}"]
+        key = draw(st.sampled_from(override_keys(PARAMS)))
+        argv += ["--set", f"{key}={draw(_value(0.05, 5.0, 0.0, -0.0, -1.0, 1e154, 1e308))!r}"]
     return argv + ["--format", "json-lines", "--out", "-"]
 
 
@@ -678,6 +725,18 @@ class _Argv:
                     "--set", "deformation.xi_u_L=1e308"))
 @example(data=_Argv("splitting", "--t", "3", "--x", "1", "--set", "bands.e0_L=1.79e308",
                     "--set", "bands.e0_delta=-1.79e308"))
+# a zero a_si divided the Vegard strain, and an a_ge whose discriminant overflows read x = 0
+@example(data=_Argv("splitting", "--t", "3", "--x", "0.95", "--set", "lattice.a_si=0"))
+@example(data=_Argv("crossover", "--t", "3", "--set", "lattice.a_si=-0.0"))
+@example(data=_Argv("crossover", "--t", "3", "--set", "lattice.a_ge=1e200"))
+@example(data=_Argv("sensitivity", "--t", "3", "--set", "lattice.a_ge=1e200"))
+# nu_111 rounds to -1, so 1 + nu is 0
+@example(data=_Argv("hc", "--x", "0.94", "--set", "elastic.c44=1e154"))
+# 4 (u0/r)**2 overflows, so Newton halved past its iteration cap, or r = 0 divided
+@example(data=_Argv("well", "--t", "3", "--set", "masses.m_out=1e308"))
+@example(data=_Argv("well", "--t", "0.5", "--valley", "L3", "--set", "masses.m_out=1e308"))
+@example(data=_Argv("well", "--t", "3", "--set", "masses.L3.m_in=1e-154",
+                    "--set", "masses.m_out=1e300"))
 def test_every_invocation_gives_finite_json_or_a_clean_error(command, data):
     argv = data.draw(_invocation(command), label="argv")
     out, err = io.StringIO(), io.StringIO()

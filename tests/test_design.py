@@ -36,6 +36,7 @@ from lvalley import (
     strain_to_x,
     valley_coefficients,
     vegard_a,
+    well,
     well_config,
     x_to_strain,
 )
@@ -459,15 +460,15 @@ def test_sensitivity_curve_keeps_feasible_points():
 
 
 def _counting_solve_well(monkeypatch):
-    """Route design's well solves through a wrapper; returns the list of their arguments."""
+    """Route the parameter-set well solves through a wrapper; returns their argument tuples."""
     calls = []
-    solve = design.solve_well
+    solve = well.solve_well
 
     def counting(*args):
         calls.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(design, "solve_well", counting)
+    monkeypatch.setattr(well, "solve_well", counting)
     return calls
 
 

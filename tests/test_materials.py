@@ -117,6 +117,14 @@ def test_lattice_validation():
         LatticeParams(a_si=5.4307, a_ge=5.6575, bowing_b=-0.5)
     with pytest.raises(ValueError, match="finite"):
         LatticeParams(a_si=5.4307, a_ge=math.inf, bowing_b=-0.0273)
+    for a_si in (0.0, -0.0, -1.0, -1e308):
+        with pytest.raises(ValueError, match="a_si must be positive"):
+            LatticeParams(a_si=a_si, a_ge=5.6575, bowing_b=-0.0273)
+    # (a_ge - a_si + b)**2 or (a_ge - a_si - b)**2 overflows the Vegard discriminant
+    for a_ge, b in ((1e200, -0.0273), (1.4e154, 0.0), (1.2e154, 3e153), (1.2e154, -3e153)):
+        with pytest.raises(ValueError, match="overflow the Vegard discriminant"):
+            LatticeParams(a_si=5.4307, a_ge=a_ge, bowing_b=b)
+    assert LatticeParams(a_si=1e-300, a_ge=1.1e154, bowing_b=-1e153).a_ge == 1.1e154
 
 
 def test_band_edges_validation():

@@ -108,6 +108,15 @@ def test_hc_unbounded_at_zero_misfit():
     assert exc.value.reason == "unbounded"
 
 
+def test_hc_unbounded_when_nu_rounds_to_minus_one():
+    # c44 = 1e154 rounds the [111] Poisson ratio to -1, so (1 - nu)/(1 + nu) is infinite
+    elastic = ElasticConstants(c11=165.7, c12=63.9, c44=1e154)
+    assert poisson_111(elastic)[0] == -1.0
+    with pytest.raises(InfeasibleError, match="Poisson ratio -1") as exc:
+        critical_thickness(RelaxationInput(ge_fraction_x=0.94, elastic=elastic))
+    assert exc.value.reason == "unbounded"
+
+
 def test_hc_finite_for_tiny_vegard_misfit():
     # the Vegard misfit at x = 1e-16 is ~4e-18, not rounded to zero, so the
     # critical thickness is large but finite

@@ -228,9 +228,12 @@ def test_hard_wall_limit_is_a_tagged_domain_error():
 
 def test_mass_ratio_underflow_is_a_tagged_domain_error():
     # r u0 underflows to 0 in the first well and u0**2 in the second, where a
-    # bare solve would return E = 0; in the third u0**2 overflows
+    # bare solve would return E = 0; in the third u0**2 overflows.  In the
+    # next two 4 (u0/r)**2 overflows, which leaves Newton no start near its
+    # tiny root, and in the last r itself underflows to 0
     for args in ((1e-4, 0.28, 1e-320, 1.59), (1e-3, 0.28, 1e-320, 1.59),
-                 (1e302, 0.28, 1e-290, 1.0)):
+                 (1e302, 0.28, 1e-290, 1.0), (3.0, 0.28, 1.70, 1e308),
+                 (0.5, 0.28, 0.13, 1e308), (3.0, 0.28, 1e-154, 1e300)):
         with pytest.raises(InfeasibleError) as exc:
             solve_well(*args)
         assert exc.value.reason == "mass_ratio"
