@@ -36,9 +36,11 @@ def main():
     print("above the ~3 nm wells the crossover needs, so the structure is feasible.")
 
     # the misfit convention barely matters: compare the linearized slope
-    # against a Vegard-based misfit
+    # against the Vegard misfit, given as its slope x_to_strain(x) / x at x = 1
     vg = lv.critical_thickness(
-        lv.RelaxationInput(ge_fraction_x=1.0, elastic=p.elastic, lattice=p.lattice)
+        lv.RelaxationInput(
+            ge_fraction_x=1.0, elastic=p.elastic, misfit_slope=lv.x_to_strain(1.0, p.lattice)
+        )
     )
     print(
         f"\nVegard-misfit variant at x = 1: h_c = {vg.h_c:.3f} nm "

@@ -30,7 +30,6 @@ from .design import (
     sensitivity_curve,
     splitting_report,
     strain_to_x,
-    vegard_a,
     x_to_strain,
 )
 from .elasticity import (
@@ -78,58 +77,3 @@ from .well import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BURGERS_SI_NM",
-    "HBAR2_OVER_2M0",
-    "BandEdges",
-    "CriticalThickness",
-    "CrossoverResult",
-    "DeformationPotentials",
-    "EffectiveMasses",
-    "ElasticConstants",
-    "InfeasibleError",
-    "LatticeParams",
-    "MaterialParams",
-    "PhysicalConstants",
-    "QuadraticCoefficients",
-    "Record",
-    "RelaxationInput",
-    "SensitivityBand",
-    "SolverError",
-    "Splitting",
-    "StrainState",
-    "Valley",
-    "ValleyEnergy",
-    "WellConfig",
-    "WellSolution",
-    "bulk_energy",
-    "bulk_levels",
-    "confinement_energies",
-    "critical_strain",
-    "critical_thickness",
-    "crossover_curve",
-    "default_params",
-    "eq_vs_thickness",
-    "ground_state",
-    "hc_curve",
-    "infinite_well_reference",
-    "linear_shift",
-    "matching_mismatch",
-    "perp_strain",
-    "perp_strain_ratio",
-    "poisson_111",
-    "replace",
-    "sensitivity_band",
-    "sensitivity_curve",
-    "solve_well",
-    "splitting_report",
-    "strain_state",
-    "strain_to_x",
-    "table1_labels",
-    "table1_set",
-    "valley_coefficients",
-    "vegard_a",
-    "well_config",
-    "x_to_strain",
-]

@@ -81,18 +81,12 @@ class Splitting(NamedTuple):
 # ---------------------------------------------------------------------------
 # Vegard mapping between Ge fraction and in-plane strain
 
-def vegard_a(x: float, lat: LatticeParams) -> float:
-    """Lattice constant of the Si(1-x)Ge(x) alloy, Angstrom."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"Ge fraction must lie in [0, 1], got {x}")
-    return (1.0 - x) * lat.a_si + x * lat.a_ge + lat.bowing_b * x * (1.0 - x)
-
-
 def x_to_strain(x: float, lat: LatticeParams) -> float:
     """In-plane strain of the Si well on a relaxed Si(1-x)Ge(x) barrier.
 
-    vegard_a(x) / a_si - 1 with the a_si terms cancelled by hand, so the
-    strain keeps full relative precision down to the smallest x.
+    a(x) / a_si - 1 for the Vegard alloy lattice a(x) = (1 - x) a_si +
+    x a_ge + bowing_b x (1 - x), with the a_si terms cancelled by hand, so
+    the strain keeps full relative precision down to the smallest x.
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"Ge fraction must lie in [0, 1], got {x}")

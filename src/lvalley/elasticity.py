@@ -17,10 +17,8 @@ from .materials import ElasticConstants, Record
 
 def perp_strain_ratio(c: ElasticConstants) -> float:
     """Signed ratio eps_perp / eps_par for a biaxially strained (111) film."""
-    denom = c.c11 + 2.0 * c.c12 + 4.0 * c.c44
-    if not denom > 0.0:
-        raise ValueError("C11 + 2 C12 + 4 C44 must be positive")
-    return -(2.0 * c.c11 + 4.0 * c.c12 - 4.0 * c.c44) / denom
+    # ElasticConstants keeps both sums finite and the denominator positive
+    return -(2.0 * c.c11 + 4.0 * c.c12 - 4.0 * c.c44) / (c.c11 + 2.0 * c.c12 + 4.0 * c.c44)
 
 
 def perp_strain(c: ElasticConstants, eps_par: float) -> float:

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 
-from .design import x_to_strain
 from .elasticity import perp_strain_ratio
 from .errors import InfeasibleError, SolverError
-from .materials import BURGERS_SI_NM, ElasticConstants, Record, replace
+from .materials import BURGERS_SI_NM, ElasticConstants, Record, _require_finite, replace
 from .well import STEP_RTOL
 
 # Linearized misfit of Si against the relaxed Si(1-x)Ge(x) barrier per unit
@@ -45,25 +44,24 @@ def poisson_111(elastic: ElasticConstants) -> tuple[float, float]:
 class RelaxationInput(Record):
     """Inputs of the critical-thickness model.
 
-    ``elastic`` is an ElasticConstants and ``burgers_b`` is in nm.  With
-    ``lattice`` (a LatticeParams) set, the misfit is evaluated from the
-    Vegard alloy lattice constant instead of the linearized slope.
+    ``elastic`` is an ElasticConstants and ``burgers_b`` is in nm.  The
+    misfit is misfit_slope * x; for the Vegard misfit at x, pass
+    ``misfit_slope=design.x_to_strain(x, lattice) / x``.
     """
 
-    __slots__ = ("ge_fraction_x", "elastic", "burgers_b", "misfit_slope", "lattice")
-    _defaults = {"burgers_b": BURGERS_SI_NM, "misfit_slope": DEFAULT_MISFIT_SLOPE, "lattice": None}
+    __slots__ = ("ge_fraction_x", "elastic", "burgers_b", "misfit_slope")
+    _defaults = {"burgers_b": BURGERS_SI_NM, "misfit_slope": DEFAULT_MISFIT_SLOPE}
 
     def _check(self):
         if not 0.0 <= self.ge_fraction_x <= 1.0:
             raise ValueError("Ge fraction must lie in [0, 1]")
+        _require_finite("Burgers vector and misfit slope", self.burgers_b, self.misfit_slope)
         if not self.burgers_b > 0.0:
             raise ValueError("Burgers vector must be positive")
         if not self.misfit_slope > 0.0:
             raise ValueError("misfit slope must be positive")
 
     def misfit(self) -> float:
-        if self.lattice is not None:
-            return x_to_strain(self.ge_fraction_x, self.lattice)
         return self.misfit_slope * self.ge_fraction_x
 
 
@@ -82,9 +80,10 @@ def critical_thickness(inp: RelaxationInput) -> CriticalThickness:
     f2 = f * f
     unbounded = not (f2 > 0.0 and nu > -1.0)
     amp = math.inf if unbounded else b / (32.0 * math.pi * f2) * (1.0 - nu) / (1.0 + nu)
-    # h = A ln(h/b) has roots only for A > e b, the edge of the W_-1 domain;
-    # u = ln(A/b) - 1 must also stay positive after rounding
-    u = math.log(amp / b) - 1.0 if amp > math.e * b else 0.0
+    # h = A ln(h/b) has roots only for A/b > e, the edge of the W_-1 domain;
+    # u = ln(A/b) - 1 must also stay positive after rounding.  An A that
+    # overflowed passes with u = inf and is reported as unbounded below.
+    u = math.log(amp / b) - 1.0 if amp / b > math.e else 0.0
     if not u > 0.0:
         # h and A ln(h/b) never intersect: the model has no root
         raise InfeasibleError(

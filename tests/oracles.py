@@ -168,6 +168,13 @@ def bisect_crossover(gap, hi=0.06, xtol=1e-13):
     return 0.5 * (lo + hi), ""
 
 
+def vegard_a(x, lat):
+    """Lattice constant of the Si(1-x)Ge(x) alloy, Angstrom, from a LatticeParams."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"Ge fraction must lie in [0, 1], got {x}")
+    return (1.0 - x) * lat.a_si + x * lat.a_ge + lat.bowing_b * x * (1.0 - x)
+
+
 def bisect_vegard(eps, a_si, a_ge, bowing_b, xtol=1e-15):
     """Ge fraction in [0, 1] whose relaxed alloy strains Si by eps."""
     def strain(x):

@@ -306,6 +306,17 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert "valid keys" in err
 
 
+def test_malformed_set_flag_and_unreadable_config_exit_2(tmp_path, capsys):
+    assert run(["crossover", "--t", "3", "--set", "foo", "--out", "-"]) == 2
+    assert capsys.readouterr().err == "error: --set expects key=value, got 'foo'\n"
+    for path, reason in ((tmp_path / "missing.cfg", "No such file or directory"),
+                         (tmp_path, "Is a directory")):
+        assert run(["crossover", "--t", "3", "--config", str(path), "--out", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read config file {path}: {reason}\n"
+
+
 def test_domain_errors_exit_1(tmp_path, capsys):
     assert run(["crossover", "--t", "99", "--out", str(tmp_path / "x.csv")]) == 1
     assert run(["hc", "--x", "0.94", "--set", "elastic.c44=-1",
@@ -436,6 +447,12 @@ def test_cli_import_leaves_the_reference_solver_unloaded():
      "misfit 0.03929 with [111] Poisson ratio -1 makes the prefactor A"),
     (["well", "--t", "3", "--set", "masses.m_out=1e308"], 1,
      "a 3 nm well with masses m_in = 1.7 and m_out = 1e+308 m0"),
+    # A and e b both overflow: unbounded, not rootless
+    (["hc", "--x", "0.94", "--set", "constants.burgers_si=1e308"], 1,
+     "misfit 0.03929 with [111] Poisson ratio 0.18 makes the prefactor A of the energy "
+     "balance overflow: the critical thickness is unbounded"),
+    (["hc", "--x", "1", "--set", "elastic.c44=1"], 1,
+     "no critical-thickness root: misfit 0.0418 too large for the energy-balance relation"),
 ])
 def test_degenerate_parameters_give_one_named_error(capsys, argv, code, message):
     assert run([*argv, "--out", "-"]) == code
@@ -567,6 +584,17 @@ def test_no_temp_files_left_behind(tmp_path):
     out = tmp_path / "w.csv"
     assert run(["well", "--valley", "L1", "--t", "3", "--out", str(out)]) == 0
     assert os.listdir(tmp_path) == ["w.csv"]
+
+
+def test_failed_rename_removes_the_temp_file(tmp_path, monkeypatch, capsys):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out = tmp_path / "w.csv"
+    assert run(["well", "--valley", "L1", "--t", "3", "--out", str(out)]) == 1
+    assert os.listdir(tmp_path) == []
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")
 
 
 # --- figure data ------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import bisect_crossover, bisect_vegard, crossover_gap
+from oracles import bisect_crossover, bisect_vegard, crossover_gap, vegard_a
 
 from lvalley import (
     DeformationPotentials,
@@ -35,7 +35,6 @@ from lvalley import (
     splitting_report,
     strain_to_x,
     valley_coefficients,
-    vegard_a,
     well,
     well_config,
     x_to_strain,

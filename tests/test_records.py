@@ -54,7 +54,7 @@ EXAMPLES = [
     ground_state(well_config(Valley.L1, P, 3.0)),
     critical_strain(P, 3.0),
     sensitivity_band(P, [3.0], "both")[0],
-    RelaxationInput(0.94, P.elastic, lattice=P.lattice),
+    RelaxationInput(0.94, P.elastic, misfit_slope=0.0417),
     critical_thickness(RelaxationInput(0.94, P.elastic)),
     BisectResult(1.0, 0.0, 3, 0.5, 1.5),
 ]
@@ -63,9 +63,7 @@ EXAMPLES = [
 DEFAULTS = {
     DeformationPotentials: {"source_label": ""},
     PhysicalConstants: {"hbar2_over_2m0": HBAR2_OVER_2M0, "burgers_si": BURGERS_SI_NM},
-    RelaxationInput: {
-        "burgers_b": BURGERS_SI_NM, "misfit_slope": DEFAULT_MISFIT_SLOPE, "lattice": None
-    },
+    RelaxationInput: {"burgers_b": BURGERS_SI_NM, "misfit_slope": DEFAULT_MISFIT_SLOPE},
     SensitivityBand: {"clipped": False},
     ValleyEnergy: {"eq": 0.0},
 }

@@ -14,13 +14,20 @@ from lvalley import (
     default_params,
     hc_curve,
     poisson_111,
+    x_to_strain,
 )
 
 ELASTIC = default_params().elastic
+LATTICE = default_params().lattice
 
 
 def make_input(x, **kw):
     return RelaxationInput(ge_fraction_x=x, elastic=ELASTIC, **kw)
+
+
+def vegard_input(x):
+    """The Vegard misfit at x, given as the slope x_to_strain(x) / x."""
+    return make_input(x, misfit_slope=x_to_strain(x, LATTICE) / x)
 
 
 def test_poisson_111_default_values():
@@ -117,25 +124,41 @@ def test_hc_unbounded_when_nu_rounds_to_minus_one():
     assert exc.value.reason == "unbounded"
 
 
+def test_hc_unbounded_when_prefactor_overflows():
+    # A overflows from b ~ 4e307, and e b too at b = 1e308; an infinite A is
+    # unbounded either way, never rootless
+    for b in (5e307, 1e308):
+        with pytest.raises(InfeasibleError, match="overflow") as exc:
+            critical_thickness(make_input(0.94, burgers_b=b))
+        assert exc.value.reason == "unbounded"
+
+
+def test_hc_no_root_when_misfit_too_large():
+    # c44 = 1 GPa lifts the [111] Poisson ratio so that A < e b at x = 1
+    elastic = ElasticConstants(c11=165.7, c12=63.9, c44=1.0)
+    with pytest.raises(InfeasibleError, match="no critical-thickness root") as exc:
+        critical_thickness(RelaxationInput(ge_fraction_x=1.0, elastic=elastic))
+    assert exc.value.reason == "no_root"
+
+
 def test_hc_finite_for_tiny_vegard_misfit():
     # the Vegard misfit at x = 1e-16 is ~4e-18, not rounded to zero, so the
     # critical thickness is large but finite
-    r = critical_thickness(make_input(1e-16, lattice=default_params().lattice))
+    r = critical_thickness(vegard_input(1e-16))
     assert r.misfit_f > 0.0
     assert math.isfinite(r.h_c) and r.h_c > 0.0
 
 
 @settings(max_examples=500, deadline=None)
-@given(log_x=st.floats(min_value=math.log10(5e-324), max_value=0.0), vegard=st.booleans())
-def test_hc_finite_or_tagged_over_all_x(log_x, vegard):
+@given(log_x=st.floats(min_value=math.log10(5e-324), max_value=0.0))
+def test_hc_finite_or_tagged_over_all_x(log_x):
     # x log-uniform over [5e-324, 1]: f^2 underflows and A overflows at the
     # small end, which must read as an unbounded critical thickness
     x = min(max(10.0**log_x, 5e-324), 1.0)
-    lattice = default_params().lattice if vegard else None
     try:
-        h_c = critical_thickness(make_input(x, lattice=lattice)).h_c
+        h_c = critical_thickness(make_input(x)).h_c
     except InfeasibleError as err:
-        assert err.reason in ("unbounded", "no_root")
+        assert err.reason == "unbounded"
         return
     assert math.isfinite(h_c) and h_c > 0.0
 
@@ -165,9 +188,8 @@ def test_hc_curve_grid_validation():
 
 
 def test_vegard_misfit_option():
-    p = default_params()
     linear = critical_thickness(make_input(1.0)).misfit_f
-    vegard = critical_thickness(make_input(1.0, lattice=p.lattice)).misfit_f
+    vegard = critical_thickness(vegard_input(1.0)).misfit_f
     assert linear == pytest.approx(0.0418)
     assert vegard == pytest.approx(0.04176, abs=2e-5)
     # the two conventions stay within a fraction of a percent of each other
@@ -181,3 +203,8 @@ def test_relaxation_input_validation():
         make_input(0.5, burgers_b=-0.1)
     with pytest.raises(ValueError):
         make_input(0.5, misfit_slope=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="must be finite"):
+            make_input(0.5, burgers_b=bad)
+        with pytest.raises(ValueError, match="must be finite"):
+            make_input(0.5, misfit_slope=bad)

@@ -17,6 +17,7 @@ from lvalley import (
     infinite_well_reference,
     matching_mismatch,
     solve_well,
+    well,
     well_config,
 )
 from lvalley.rootfind import bisect_root
@@ -240,8 +241,11 @@ def test_mass_ratio_underflow_is_a_tagged_domain_error():
         assert f"m_in = {args[2]:.3g}" in str(exc.value)
 
 
-def _bisect_root_well(t, v0, m_in, m_out):
-    """(energy, z, residual, iterations) of a guarded well from rootfind.bisect_root."""
+def _bisect_root_well(t, v0, m_in, m_out, x0=None):
+    """(energy, z, residual, iterations) of a guarded well from rootfind.bisect_root.
+
+    The start is x0, or else the well's own ``_newton_start``.
+    """
     k = PARAMS.constants.hbar2_over_2m0
     u0 = t * math.sqrt(m_in * v0 / (4.0 * k))
     r = math.sqrt(m_in / m_out)
@@ -255,9 +259,9 @@ def _bisect_root_well(t, v0, m_in, m_out):
             return g, 0.0
         return g, s + z * c + r * (z * c / w + w * s)
 
-    root = bisect_root(
-        g_and_slope, 0.0, hi, x0=_newton_start(u0, r * u0, (u0 / r) * (u0 / r), hi)
-    )
+    if x0 is None:
+        x0 = _newton_start(u0, r * u0, (u0 / r) * (u0 / r), hi)
+    root = bisect_root(g_and_slope, 0.0, hi, x0=x0)
     z = root.root
     return v0 * (z / u0) * (z / u0), z, abs(root.value) / (r * u0), root.iterations
 
@@ -297,6 +301,18 @@ def test_deep_start_above_u0_falls_back_to_the_small_z_start():
     got = solve_well(t, v0, m_in, m_out)
     assert got[3] <= 3
     assert repr(got) == repr(_bisect_root_well(t, v0, m_in, m_out))
+
+
+def test_bracket_fallback_bisects_as_bisect_root_does(monkeypatch):
+    # a start at 1e-9 of the bracket (0, pi/2) throws the first Newton steps
+    # out of it, so the loop bisects twice, which the closed-form start never needs
+    t, v0, m_in, m_out = 10.0, V0, 1.70, 1.59
+    default = solve_well(t, v0, m_in, m_out)
+    monkeypatch.setattr(well, "_newton_start", lambda u0, ru0, binding, hi: 1e-9 * hi)
+    got = solve_well(t, v0, m_in, m_out)
+    assert got[3] > default[3]
+    assert repr(got) == repr(_bisect_root_well(t, v0, m_in, m_out, x0=1e-9 * 0.5 * math.pi))
+    assert got[0] == default[0]
 
 
 def _log_grid(lo, hi, n):
