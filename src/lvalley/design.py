@@ -66,7 +66,8 @@ class SensitivityBand(Record):
     """Envelope of the critical Ge fraction over a perturbed-parameter box.
 
     ``clipped`` marks bands where at least one corner has no crossover below
-    x = 1; such corners are recorded at x = 1.
+    x = 1; such corners are recorded at x = 1.  A clip is a value of the
+    band, not an error of its thickness.
     """
 
     __slots__ = ("thickness_t", "x_low", "x_nominal", "x_high", "clipped")
@@ -93,6 +94,11 @@ def x_to_strain(x: float, lat: LatticeParams) -> float:
     return x * ((lat.a_ge - lat.a_si) + lat.bowing_b * (1.0 - x)) / lat.a_si
 
 
+def _pure_ge_strain(lat: LatticeParams) -> float:
+    """x_to_strain(1.0, lat) bit for bit: its bowing term b * (1 - 1) is a signed zero."""
+    return (lat.a_ge - lat.a_si) / lat.a_si
+
+
 def strain_to_x(eps_par: float, lat: LatticeParams) -> float:
     """Ge fraction producing a given in-plane strain (monotone inversion).
 
@@ -105,11 +111,7 @@ def strain_to_x(eps_par: float, lat: LatticeParams) -> float:
         if math.isnan(eps_par):
             raise ValueError("strain must be a number, got nan")
         raise ValueError("compressive strain has no Ge-barrier realization")
-    a_si, b = lat.a_si, lat.bowing_b
-    a_diff = lat.a_ge - a_si
-    # x_to_strain(1.0, lat): its bowing term b * (1 - 1) is a signed zero,
-    # and adding it to a_ge - a_si > 0 changes nothing
-    ceiling = a_diff / a_si
+    ceiling = _pure_ge_strain(lat)
     if eps_par == 0.0:
         return 0.0
     if eps_par == ceiling:
@@ -120,8 +122,9 @@ def strain_to_x(eps_par: float, lat: LatticeParams) -> float:
             "requires x > 1",
             reason="requires_x_gt_1",
         )
+    a_si, b = lat.a_si, lat.bowing_b
     a_eps = a_si * eps_par
-    lin = a_diff + b
+    lin = (lat.a_ge - a_si) + b
     # the discriminant is at least (a_ge - a_si - b)**2 > 0 below the ceiling
     disc = max(lin * lin - 4.0 * b * a_eps, 0.0)
     return min(2.0 * a_eps / (lin + math.sqrt(disc)), 1.0)
@@ -168,10 +171,11 @@ def _gap_slope_of(
     return (xi_d_delta * trace + xi_u_delta * trace / 3.0) - (xi_d_L * trace + xi_u_L * ratio)
 
 
-def _gap_root(c0: float, c1: float, c2: float) -> float:
+def _gap_root(c0: float, c1: float, c2: float) -> float | None:
     """Strain in [0, EPS_BRACKET_MAX] where c0 + c1 eps + c2 eps**2 turns positive.
 
-    The two guards leave exactly one sign change inside the bracket.  With
+    None if the gap is still negative at EPS_BRACKET_MAX: no crossing.  The
+    two guards leave exactly one sign change inside the bracket.  With
     q = -(c1 + sgn(c1) sqrt(c1**2 - 4 c2 c0)) / 2 the roots are c0 / q and
     q / c2, and neither subtracts nearly equal numbers.  For c1 >= 0 the
     crossing is c0 / q, which also covers c2 == 0; for c1 < 0 the guards
@@ -190,10 +194,7 @@ def _gap_root(c0: float, c1: float, c2: float) -> float:
     if overflow and not (math.isfinite(c1) and math.isfinite(c2)):
         raise ValueError("gap slope and curvature must be finite")
     if c0 + (c1 + c2 * EPS_BRACKET_MAX) * EPS_BRACKET_MAX < 0.0:
-        raise InfeasibleError(
-            f"L1 never drops below Delta6 for strain up to {EPS_BRACKET_MAX}",
-            reason="no_crossing",
-        )
+        return None
     if overflow:
         root = _scaled_root(c0, c1, c2)
     else:
@@ -226,7 +227,13 @@ def _crossing(params: MaterialParams, t: float, c1: float, c2: float) -> tuple[f
             f"thickness {t} nm outside the supported range [{T_MIN_NM}, {T_MAX_NM}] nm"
         )
     c0 = _gap_offset(params, t)
-    return c0, _gap_root(c0, c1, c2)
+    eps = _gap_root(c0, c1, c2)
+    if eps is None:
+        raise InfeasibleError(
+            f"L1 never drops below Delta6 for strain up to {EPS_BRACKET_MAX}",
+            reason="no_crossing",
+        )
+    return c0, eps
 
 
 def _nominal_gap(params: MaterialParams) -> tuple[float, float]:
@@ -340,12 +347,19 @@ def _extreme_corners(
     return (c1, c2), (c1_up, c2_up), (c1_down, c2_down)
 
 
-def _corner_x(c0: float, c1: float, c2: float, lat: LatticeParams) -> tuple[float, bool]:
-    """Critical Ge fraction of one corner and whether it was clipped to x = 1."""
-    try:
-        return strain_to_x(_gap_root(c0, c1, c2), lat), False
-    except InfeasibleError:
+def _corner_x(
+    c0: float, c1: float, c2: float, lat: LatticeParams, ceiling: float
+) -> tuple[float, bool]:
+    """Critical Ge fraction of one corner and whether it was clipped to x = 1.
+
+    A clip is a value, not an error: no crossing in the bracket, or one above
+    the pure-Ge strain ``ceiling``, the comparisons on which :func:`_crossing`
+    and :func:`strain_to_x` raise.  below_at_zero and non-finite c1 or c2 raise.
+    """
+    eps = _gap_root(c0, c1, c2)
+    if eps is None or eps > ceiling:
         return 1.0, True
+    return strain_to_x(eps, lat), False
 
 
 def sensitivity_curve(
@@ -369,6 +383,7 @@ def sensitivity_curve(
     """
     (c1_nom, c2_nom), up, down = _extreme_corners(params, mode)
     lat = params.lattice
+    ceiling = _pure_ge_strain(lat)
     bands: list[SensitivityBand] = []
     failures: list[tuple[float, Exception]] = []
     for t in t_grid:
@@ -377,8 +392,8 @@ def sensitivity_curve(
         try:
             c0, eps = _crossing(params, t, c1_nom, c2_nom)
             x_nom = strain_to_x(eps, lat)
-            x_low, _ = _corner_x(c0, *up, lat)
-            x_high, clipped = _corner_x(c0, *down, lat)
+            x_low, _ = _corner_x(c0, *up, lat, ceiling)
+            x_high, clipped = _corner_x(c0, *down, lat, ceiling)
         except (InfeasibleError, ValueError) as err:
             failures.append((t, _at_thickness(t, err)))
             continue

@@ -16,6 +16,7 @@ F(h) = h - A ln(h/b) started above the larger root.
 from __future__ import annotations
 
 import math
+import sys
 
 from .elasticity import perp_strain_ratio
 from .errors import InfeasibleError, SolverError
@@ -30,6 +31,9 @@ DEFAULT_MISFIT_SLOPE = 0.0418
 # well.STEP_RTOL of h; the iteration cap only guards against a broken
 # input.
 _MAX_NEWTON = 64
+
+# The smallest normal Burgers vector, nm: h_c >= e b, so from it up h_c is normal too.
+_B_MIN_NORMAL = sys.float_info.min
 
 
 def poisson_111(elastic: ElasticConstants) -> tuple[float, float]:
@@ -74,6 +78,11 @@ class CriticalThickness(Record):
 def critical_thickness(inp: RelaxationInput) -> CriticalThickness:
     """Solve the energy-balance relation for the larger positive root."""
     b = inp.burgers_b
+    if b < _B_MIN_NORMAL:
+        raise InfeasibleError(
+            f"Burgers vector {b:.4g} nm is too small: below {_B_MIN_NORMAL!r} nm "
+            "the critical thickness keeps too few significant digits", reason="subnormal",
+        )
     f = inp.misfit()
     nu, _ = poisson_111(inp.elastic)
     # A vanishing misfit (f^2 may underflow to zero) or nu rounding to -1 sends A to infinity

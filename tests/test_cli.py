@@ -453,12 +453,22 @@ def test_cli_import_leaves_the_reference_solver_unloaded():
      "balance overflow: the critical thickness is unbounded"),
     (["hc", "--x", "1", "--set", "elastic.c44=1"], 1,
      "no critical-thickness root: misfit 0.0418 too large for the energy-balance relation"),
+    # a subnormal b would print h_c with digits it does not carry
+    (["hc", "--x", "1", "--set", "constants.burgers_si=5e-324"], 1,
+     "Burgers vector 4.941e-324 nm is too small: below 2.2250738585072014e-308 nm"),
 ])
 def test_degenerate_parameters_give_one_named_error(capsys, argv, code, message):
     assert run([*argv, "--out", "-"]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
+def test_tiny_normal_burgers_vector_keeps_its_digits(capsys):
+    assert run(["hc", "--x", "1", "--set", "constants.burgers_si=1e-300", "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1] == "1.0,0.0418,0.179978558,8.43793246e-300"
+    assert captured.err == ""
 
 
 def test_overflowing_sensitivity_corner_is_a_domain_error(capsys):

@@ -220,9 +220,8 @@ def test_gap_root_with_an_overflowing_discriminant_is_a_true_root():
         c2 = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(0.0, 308.0)
         if math.isfinite(c1 * c1 - 4.0 * c2 * c0):
             continue
-        try:
-            eps = design._gap_root(c0, c1, c2)
-        except InfeasibleError:
+        eps = design._gap_root(c0, c1, c2)
+        if eps is None:
             continue
         checked += 1
         assert eps > 0.0, (c0, c1, c2)
@@ -425,6 +424,78 @@ def test_clipped_corners_are_flagged():
     assert band_q.x_high < 1.0
 
 
+def _raise_and_catch_corner(c0, c1, c2, lat):
+    """A corner decided by raising and catching: strain_to_x of the root, any InfeasibleError at x = 1.
+
+    The reference for ``design._corner_x``, which compares instead.  A root
+    of None (no crossing) is raised here as ``_gap_root`` once raised it.
+    """
+    try:
+        eps = design._gap_root(c0, c1, c2)
+        if eps is None:
+            raise InfeasibleError("no crossing", reason="no_crossing")
+        return strain_to_x(eps, lat), False
+    except InfeasibleError:
+        return 1.0, True
+
+
+_gap_coefficient = st.one_of(
+    st.floats(-100.0, 100.0),
+    st.floats(-1e300, 1e300),
+    st.sampled_from((math.inf, -math.inf, math.nan)),
+)
+
+
+@st.composite
+def _lattices(draw):
+    """Lattices with either bowing sign, pure-Ge strain from about 0.002 to 0.12."""
+    a_si = draw(st.floats(5.0, 6.0))
+    diff = draw(st.floats(0.01, 0.6))
+    return LatticeParams(a_si=a_si, a_ge=a_si + diff, bowing_b=draw(st.floats(-0.99, 0.99)) * diff)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    c0=st.floats(-2.0, 0.0, exclude_max=True) | st.floats(-1e300, 0.0, exclude_max=True),
+    c1=_gap_coefficient, c2=_gap_coefficient, lat=_lattices(),
+)
+# no crossing below 0.06, a crossing above the pure-Ge strain (0.05 > 0.0418),
+# one below it, and a non-finite slope
+@example(c0=-1.0, c1=10.0, c2=0.0, lat=LAT)
+@example(c0=-0.5, c1=10.0, c2=0.0, lat=LAT)
+@example(c0=-0.1, c1=10.0, c2=0.0, lat=LAT)
+@example(c0=-0.1, c1=math.inf, c2=0.0, lat=LAT)
+def test_compared_clip_matches_raise_and_catch(c0, c1, c2, lat):
+    ceiling = design._pure_ge_strain(lat)
+    assert ceiling == x_to_strain(1.0, lat)
+    try:
+        want = _raise_and_catch_corner(c0, c1, c2, lat)
+    except ValueError as err:
+        with pytest.raises(ValueError) as info:
+            design._corner_x(c0, c1, c2, lat, ceiling)
+        assert str(info.value) == str(err)
+    else:
+        # repr tells 0.0 from -0.0 and shows every bit of x
+        assert repr(design._corner_x(c0, c1, c2, lat, ceiling)) == repr(want)
+
+
+@pytest.mark.parametrize("mode", ["linear10pct", "both"])
+def test_clipped_corners_build_no_error(monkeypatch, mode):
+    # with the defaults every down corner of these boxes needs x > 1
+    built = []
+    init = InfeasibleError.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(InfeasibleError, "__init__", counting)
+    grid = [1.0 + 0.5 * i for i in range(19)]
+    bands, failures = sensitivity_curve(default_params(), grid, mode)
+    assert failures == [] and built == []
+    assert len(bands) == 19 and all(band.clipped for band in bands)
+
+
 def test_sensitivity_rejects_unknown_mode():
     with pytest.raises(ValueError, match="mode"):
         sensitivity_band(PARAMS, [3.0], "bogus")
@@ -524,18 +595,22 @@ def _enumerated_band(params, t, mode):
                 (*ranges[Valley.DELTA6], q.d_delta6),
             )
         ]
-    c0 = design._gap_offset(params, t)
-    x_nom = strain_to_x(design._gap_root(c0, c1_nom, c2_nom), params.lattice)
+    c0, eps_nom = design._crossing(params, t, c1_nom, c2_nom)
+    x_nom = strain_to_x(eps_nom, params.lattice)
     xs, clipped = [], False
     for c1, c2 in product(slopes, curvatures):
         try:
-            xs.append(strain_to_x(design._gap_root(c0, c1, c2), params.lattice))
+            eps = design._gap_root(c0, c1, c2)
+            if eps is not None:
+                xs.append(strain_to_x(eps, params.lattice))
+                continue
         except InfeasibleError as err:
             if err.reason == "below_at_zero":
                 xs.append(0.0)
-            else:
-                xs.append(1.0)
-                clipped = True
+                continue
+        # no crossing, or one that requires x > 1
+        xs.append(1.0)
+        clipped = True
     return SensitivityBand(t, min(xs), x_nom, max(xs), clipped)
 
 

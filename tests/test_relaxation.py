@@ -133,6 +133,19 @@ def test_hc_unbounded_when_prefactor_overflows():
         assert exc.value.reason == "unbounded"
 
 
+def test_hc_subnormal_burgers_vector_is_tagged():
+    # h_c / b is 8.4379 at x = 1; a subnormal b would print digits it does not have
+    for b in (5e-324, 1e-310, math.nextafter(2.2250738585072014e-308, 0.0)):
+        with pytest.raises(InfeasibleError, match="Burgers vector .* is too small") as exc:
+            critical_thickness(make_input(1.0, burgers_b=b))
+        assert exc.value.reason == "subnormal"
+    # the smallest normal b keeps its digits
+    b = 2.2250738585072014e-308
+    assert critical_thickness(make_input(1.0, burgers_b=b)).h_c / b == pytest.approx(
+        critical_thickness(make_input(1.0, burgers_b=1.0)).h_c, rel=1e-12
+    )
+
+
 def test_hc_no_root_when_misfit_too_large():
     # c44 = 1 GPa lifts the [111] Poisson ratio so that A < e b at x = 1
     elastic = ElasticConstants(c11=165.7, c12=63.9, c44=1.0)
