@@ -237,20 +237,15 @@ def _crossing(params: MaterialParams, t: float, c1: float, c2: float) -> tuple[f
 
 
 def _nominal_gap(params: MaterialParams) -> tuple[float, float]:
-    """(c1, c2) of the nominal gap, Delta6 - L1: strain-independent, so shared by a whole sweep."""
-    (_, c1_l1, c2_l1), _, (_, c1_d6, c2_d6) = valley_coefficients(params)
+    """(c1, c2) of the nominal gap, Delta6 - L1, from the set's kept valley table."""
+    (_, c1_l1, c2_l1), _, (_, c1_d6, c2_d6) = params._derive(valley_coefficients)
     return c1_d6 - c1_l1, c2_d6 - c2_l1
-
-
-def _crossover_at(params: MaterialParams, t: float, c1: float, c2: float) -> CrossoverResult:
-    """The crossover at t of the gap with slope c1 and curvature c2."""
-    _, eps = _crossing(params, t, c1, c2)
-    return CrossoverResult(t, eps, strain_to_x(eps, params.lattice))
 
 
 def critical_strain(params: MaterialParams, thickness_t: float) -> CrossoverResult:
     """Critical strain and Ge fraction at which L1 and Delta6 intersect."""
-    return _crossover_at(params, thickness_t, *_nominal_gap(params))
+    _, eps = _crossing(params, thickness_t, *_nominal_gap(params))
+    return CrossoverResult(thickness_t, eps, strain_to_x(eps, params.lattice))
 
 
 def _at_thickness(t: float, err: InfeasibleError | ValueError) -> InfeasibleError | ValueError:
@@ -273,12 +268,11 @@ def crossover_curve(
     A failing thickness is collected as (t, error), named as in
     :func:`sensitivity_curve`; the other points still get their crossover.
     """
-    c1, c2 = _nominal_gap(params)
     results: list[CrossoverResult] = []
     failures: list[tuple[float, Exception]] = []
     for t in t_grid:
         try:
-            results.append(_crossover_at(params, t, c1, c2))
+            results.append(critical_strain(params, t))
         except (InfeasibleError, ValueError) as err:
             failures.append((t, _at_thickness(t, err)))
     return results, failures
@@ -307,10 +301,9 @@ def _extreme_corners(
     raises (up) or lowers (down) its signed term of ``_gap_slope_of``; rounding
     is monotone, so these are the same floats as the extremes over all 16
     factor combinations.  A scaled potential that overflows is rejected as
-    the parameter set rejects a non-finite one.
+    the parameter set rejects a non-finite one.  ``mode`` is one of
+    SENSITIVITY_MODES, which :func:`sensitivity_curve` checks.
     """
-    if mode not in SENSITIVITY_MODES:
-        raise ValueError(f"unknown sensitivity mode {mode!r}; valid: {SENSITIVITY_MODES}")
     ratio = perp_strain_ratio(params.elastic)
     dp = params.deformation
     xi_u_delta, xi_d_delta, xi_u_L, xi_d_L = dp.xi_u_delta, dp.xi_d_delta, dp.xi_u_L, dp.xi_d_L
@@ -373,7 +366,8 @@ def sensitivity_curve(
     crossover of the (max c1, max c2) corner and x_high that of the
     (min c1, min c2) corner: three gap roots per band in every mode.  A
     corner whose crossover would need x > 1, or none at all, enters at
-    x = 1 and sets the ``clipped`` flag.
+    x = 1 and sets the ``clipped`` flag.  The set keeps each mode's corners
+    from its first call on.
 
     A thickness whose nominal crossover fails, which lies outside the
     supported range, or where a corner's slope or curvature overflows, is
@@ -381,7 +375,9 @@ def sensitivity_curve(
     ``t = <t> nm:`` and its reason tag kept; the other points still get
     their bands.
     """
-    (c1_nom, c2_nom), up, down = _extreme_corners(params, mode)
+    if mode not in SENSITIVITY_MODES:
+        raise ValueError(f"unknown sensitivity mode {mode!r}; valid: {SENSITIVITY_MODES}")
+    (c1_nom, c2_nom), up, down = params._derive(_extreme_corners, mode)
     lat = params.lattice
     ceiling = _pure_ge_strain(lat)
     bands: list[SensitivityBand] = []

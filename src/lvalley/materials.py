@@ -209,11 +209,22 @@ class PhysicalConstants(Record):
             raise ValueError("Burgers vector must be positive")
 
 
-class MaterialParams(Record):
+class _Memo:
+    """A slot for derived constants, declared here so a record's ``__slots__`` stay its fields."""
+
+    __slots__ = ("_memo",)
+
+
+_set_memo = _Memo._memo.__set__
+
+
+class MaterialParams(Record, _Memo):
     """Complete parameter set consumed by the physics modules.
 
     Each field is one of the records above, in their order; ``masses_*``
-    are the EffectiveMasses of each valley.
+    are the EffectiveMasses of each valley.  The set also keeps the few
+    constants that :meth:`_derive` computes from it; they are no field, so
+    ``repr``, equality, hashing, pickling and :func:`replace` ignore them.
     """
 
     __slots__ = (
@@ -225,6 +236,23 @@ class MaterialParams(Record):
         # one barrier material: the outside mass cannot differ per valley
         if not (self.masses_l1.m_out == self.masses_l3.m_out == self.masses_delta6.m_out):
             raise ValueError("m_out must be identical across valleys")
+        # the generated __init__ ends here: every new or replaced set starts empty
+        _set_memo(self, {})
+
+    def _derive(self, fn, *args):
+        """``fn(self, *args)``, computed on first use and kept by this set.
+
+        Only for per-set constants: no key holds a thickness or a Ge
+        fraction, so the memo stays a few entries.  A call that raises keeps
+        nothing.  Threads that race compute equal values, and setdefault
+        hands each of them the first one stored.
+        """
+        key = (fn, *args)
+        memo = self._memo
+        try:
+            return memo[key]
+        except KeyError:
+            return memo.setdefault(key, fn(self, *args))
 
     def masses(self, valley: Valley) -> EffectiveMasses:
         if valley is Valley.L1:

@@ -60,7 +60,8 @@ def valley_coefficients(params: MaterialParams) -> tuple[tuple[float, float, flo
     e0 is the unstrained band edge, c1 the :func:`linear_shift` at eps_par = 1
     and eps_perp = perp_strain_ratio, written out in its operation order, and
     c2 the reduced quadratic coefficient.  A coefficient that overflows is
-    inf, not an error: the L1/Delta6 gap never reads L3.
+    inf, not an error: the L1/Delta6 gap never reads L3.  The library reads
+    the table through ``params._derive``, so a set computes it once.
     """
     r = perp_strain_ratio(params.elastic)
     trace = 2.0 + r
@@ -75,7 +76,7 @@ def valley_coefficients(params: MaterialParams) -> tuple[tuple[float, float, flo
 def bulk_energy(valley: Valley, params: MaterialParams, eps_par: float) -> ValleyEnergy:
     """Absolute valley energy of the strained bulk film (no confinement)."""
     require_supported_strain(eps_par)
-    e0, c1, c2 = valley_coefficients(params)[list(Valley).index(valley)]
+    e0, c1, c2 = params._derive(valley_coefficients)[list(Valley).index(valley)]
     return ValleyEnergy(valley, e0, c1 * eps_par, c2 * eps_par * eps_par)
 
 
@@ -89,7 +90,8 @@ def bulk_levels(params: MaterialParams, eps_par: float) -> tuple[float, float, f
     """
     require_supported_strain(eps_par)
     e = eps_par
-    (e_l1, c1_l1, c2_l1), (e_l3, c1_l3, c2_l3), (e_d6, c1_d6, c2_d6) = valley_coefficients(params)
+    table = params._derive(valley_coefficients)
+    (e_l1, c1_l1, c2_l1), (e_l3, c1_l3, c2_l3), (e_d6, c1_d6, c2_d6) = table
     return (
         e_l1 + c1_l1 * e + c2_l1 * e * e,
         e_l3 + c1_l3 * e + c2_l3 * e * e,

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import product
 
@@ -35,6 +37,7 @@ from lvalley import (
     splitting_report,
     strain_to_x,
     valley_coefficients,
+    valleys,
     well,
     well_config,
     x_to_strain,
@@ -529,17 +532,22 @@ def test_sensitivity_curve_keeps_feasible_points():
     assert info.value.reason == "requires_x_gt_1"
 
 
-def _counting_solve_well(monkeypatch):
-    """Route the parameter-set well solves through a wrapper; returns their argument tuples."""
+def _counting(monkeypatch, module, name):
+    """Route ``module.name`` through a wrapper; returns the list of its argument tuples."""
     calls = []
-    solve = well.solve_well
+    fn = getattr(module, name)
 
     def counting(*args):
         calls.append(args)
-        return solve(*args)
+        return fn(*args)
 
-    monkeypatch.setattr(well, "solve_well", counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def _counting_solve_well(monkeypatch):
+    """Route the parameter-set well solves through a wrapper; returns their argument tuples."""
+    return _counting(monkeypatch, well, "solve_well")
 
 
 @pytest.mark.parametrize("mode", design.SENSITIVITY_MODES)
@@ -559,6 +567,24 @@ def test_crossover_point_solves_two_wells(monkeypatch):
     results, failures = crossover_curve(PARAMS, grid)
     assert len(results) == len(grid) and not failures
     assert len(calls) == 2 * len(grid)
+
+
+def test_a_set_computes_its_corner_boxes_and_valley_table_once(monkeypatch):
+    corners = _counting(monkeypatch, design, "_extreme_corners")
+    tables = _counting(monkeypatch, valleys, "valley_coefficients")
+    grid = [1.0 + 0.5 * i for i in range(19)]
+    params = replace(PARAMS)
+    for mode in design.SENSITIVITY_MODES:
+        for t in grid:
+            sensitivity_band(params, [t], mode)
+    # one box per mode, not one per call; the memo holds those three only
+    assert sorted(args[1] for args in corners) == sorted(design.SENSITIVITY_MODES)
+    assert len(params._memo) == 3
+    params = replace(PARAMS)
+    for t in grid:
+        for x in (0.0, 0.25, 0.5, 0.75, 1.0):
+            splitting_report(params, t, x)
+    assert len(tables) == 1
 
 
 def _enumerated_band(params, t, mode):
@@ -696,6 +722,96 @@ def test_sensitivity_band_holds_the_nominal(d_L1, d_delta6, t):
         bands, _ = sensitivity_curve(params, [t], mode)
         for band in bands:
             assert band.x_low <= band.x_nominal <= band.x_high, (mode, band)
+
+
+def _outcome(fn):
+    """repr of fn()'s result, or the type, message and reason of its domain error."""
+    try:
+        return repr(fn())
+    except (InfeasibleError, ValueError) as err:
+        return type(err).__name__, str(err), getattr(err, "reason", None)
+
+
+def _answers(params, t, x):
+    """Every band, the crossover and the splittings of one (t, x) point, as outcomes.
+
+    ``params()`` gives the set for each call.
+    """
+    outcomes = [
+        _outcome(lambda: sensitivity_band(params(), [t], mode))
+        for mode in design.SENSITIVITY_MODES
+    ]
+    outcomes.append(_outcome(lambda: critical_strain(params(), t)))
+    outcomes.append(_outcome(lambda: splitting_report(params(), t, x)))
+    return outcomes
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    xi_u_delta=_uniaxial, xi_d_delta=_dilatational, xi_u_L=_uniaxial, xi_d_L=_dilatational,
+    d_L1=st.floats(-60.0, 10.0), d_delta6=st.floats(-40.0, 10.0),
+    t=st.floats(0.5, 20.0), t_first=st.floats(0.5, 20.0), x=st.floats(0.0, 1.0),
+)
+def test_a_used_set_answers_as_a_fresh_one(
+    xi_u_delta, xi_d_delta, xi_u_L, xi_d_L, d_L1, d_delta6, t, t_first, x
+):
+    params = replace(
+        PARAMS,
+        deformation=DeformationPotentials(xi_u_delta, xi_d_delta, xi_u_L, xi_d_L),
+        quadratic=replace(PARAMS.quadratic, d_L1=d_L1, d_delta6=d_delta6),
+    )
+    # the first use, at another point, fills the memo
+    _answers(lambda: params, t_first, 1.0 - x)
+    assert _answers(lambda: params, t, x) == _answers(lambda: replace(params), t, x)
+
+
+def test_a_raising_call_keeps_nothing():
+    params = replace(PARAMS, deformation=replace(PARAMS.deformation, xi_u_L=1.7e308))
+    for mode, match in (
+        ("bogus", "unknown sensitivity mode"),
+        (["both"], "unknown sensitivity mode"),  # checked before the memo hashes it
+        ("linear10pct", "must be finite"),
+    ):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError, match=match) as info:
+                sensitivity_band(params, [3.0], mode)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+    assert params._memo == {}
+    band = sensitivity_band(params, [3.0], "quadratic_range")
+    assert repr(band) == repr(sensitivity_band(replace(params), [3.0], "quadratic_range"))
+
+
+def test_threads_sharing_one_fresh_set_get_the_single_threaded_bands():
+    grid = [1.0 + 0.5 * i for i in range(19)]
+
+    def fig8_to_10(params):
+        return [
+            repr(sensitivity_band(params, [t], mode))
+            for mode in design.SENSITIVITY_MODES
+            for t in grid
+        ]
+
+    reference = fig8_to_10(replace(PARAMS))
+    shared = replace(PARAMS)
+    results = [None] * 8
+
+    def work(i):
+        results[i] = fig8_to_10(shared)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [reference] * len(results)
 
 
 # --- closed forms against plain-math bisection oracles ---------------------------
