@@ -163,9 +163,21 @@ def render(header: list[str], rows: list[tuple], fmt: str) -> str:
 
 
 def write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file and one rename.
+
+    The file gets the mode ``open(path, "w")`` would leave: an existing file
+    keeps its own, a new one gets 0o666 less the umask.
+    """
     path = Path(path)
+    try:
+        mode = os.stat(path).st_mode & 0o777
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
     try:
+        os.chmod(tmp, mode)
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)

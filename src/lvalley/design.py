@@ -15,17 +15,11 @@ quadratic formula (Press et al., Numerical Recipes, section 5.6).
 from __future__ import annotations
 
 import math
+from itertools import product
 from typing import NamedTuple
 
-from .elasticity import perp_strain_ratio
 from .errors import InfeasibleError
-from .materials import (
-    LatticeParams,
-    MaterialParams,
-    Record,
-    Valley,
-    _require_finite,
-)
+from .materials import LatticeParams, MaterialParams, Record, Valley, replace
 from .valleys import bulk_levels, valley_coefficients
 from .well import _level
 
@@ -49,11 +43,6 @@ QUADRATIC_COEFF_RANGES = {
     Valley.L3: (-20.0, -10.0),
     Valley.DELTA6: (-15.0, -5.0),
 }
-# The same numbers as loose floats for the corner arithmetic, which then
-# pays for no tuple unpacking and no Enum-keyed lookup per call.
-_LINEAR_LO, _LINEAR_HI = LINEAR_VARIATION_FACTORS
-_D6_LO, _D6_HI = QUADRATIC_COEFF_RANGES[Valley.DELTA6]
-_L1_LO, _L1_HI = QUADRATIC_COEFF_RANGES[Valley.L1]
 
 
 class CrossoverResult(Record):
@@ -155,20 +144,6 @@ def _gap_offset(params: MaterialParams, t: float) -> float:
     q_l1 = _level(params, params.masses_l1, t)
     q_d6 = _level(params, params.masses_delta6, t)
     return params.bands.e0_delta - params.bands.e0_L + q_d6 - q_l1
-
-
-def _gap_slope_of(
-    ratio: float, xi_u_delta: float, xi_d_delta: float, xi_u_L: float, xi_d_L: float
-) -> float:
-    """Slope of the Delta6 - L1 gap of four loose potentials, eV per unit strain.
-
-    ``ratio`` is :func:`~lvalley.elasticity.perp_strain_ratio`.  The
-    operations are those of the Delta6 and L1 c1 of
-    :func:`~lvalley.valleys.valley_coefficients`, in the same order, so the
-    sensitivity corners perturb the potentials and build no record.
-    """
-    trace = 2.0 + ratio
-    return (xi_d_delta * trace + xi_u_delta * trace / 3.0) - (xi_d_L * trace + xi_u_L * ratio)
 
 
 def _gap_root(c0: float, c1: float, c2: float) -> float | None:
@@ -295,49 +270,41 @@ def _extreme_corners(
 ) -> tuple[tuple[float, float], tuple[float, float], tuple[float, float]]:
     """(c1, c2) gap coefficients of the nominal set and of the box's up and down corners.
 
-    All three come from one strain ratio, so a sweep builds no strain state.
-    The up corner has the largest slope and curvature in the box, the down
-    corner the smallest.  Each deformation potential takes the factor that
-    raises (up) or lowers (down) its signed term of ``_gap_slope_of``; rounding
-    is monotone, so these are the same floats as the extremes over all 16
-    factor combinations.  A scaled potential that overflows is rejected as
-    the parameter set rejects a non-finite one.  ``mode`` is one of
-    SENSITIVITY_MODES, which :func:`sensitivity_curve` checks.
+    Every corner is a parameter set whose gap :func:`_nominal_gap` reads, so
+    :func:`~lvalley.valleys.linear_shift` stays the one first-order formula.
+    The linear box scales each first-order potential by either factor of
+    LINEAR_VARIATION_FACTORS (16 sets); the quadratic box takes the two ends
+    of the literature ranges of d_L1 and d_delta6, each widened to hold the
+    nominal coefficient.  The up corner has the largest slope and curvature
+    of its box, the down corner the smallest.  A scaled potential that
+    overflows is rejected as the parameter set rejects a non-finite one.  If
+    any slope is not finite, both corner slopes are nan, which fails every
+    thickness: ``max`` over a list holding nan depends on its order.
+    ``mode`` is one of SENSITIVITY_MODES, which :func:`sensitivity_curve`
+    checks.
     """
-    ratio = perp_strain_ratio(params.elastic)
-    dp = params.deformation
-    xi_u_delta, xi_d_delta, xi_u_L, xi_d_L = dp.xi_u_delta, dp.xi_d_delta, dp.xi_u_L, dp.xi_d_L
-    c1 = c1_up = c1_down = _gap_slope_of(ratio, xi_u_delta, xi_d_delta, xi_u_L, xi_d_L)
-    if mode != "quadratic_range":
-        trace = 2.0 + ratio
-        lo, hi = _LINEAR_LO, _LINEAR_HI
-        # whether each signed term of the slope is positive, in _gap_slope_of's order
-        pos_u_delta = xi_u_delta * trace > 0.0
-        pos_d_delta = xi_d_delta * trace > 0.0
-        pos_u_L = -xi_u_L * ratio > 0.0
-        pos_d_L = -xi_d_L * trace > 0.0
-        up_u_delta = xi_u_delta * (hi if pos_u_delta else lo)
-        up_d_delta = xi_d_delta * (hi if pos_d_delta else lo)
-        up_u_L = xi_u_L * (hi if pos_u_L else lo)
-        up_d_L = xi_d_L * (hi if pos_d_L else lo)
-        down_u_delta = xi_u_delta * (lo if pos_u_delta else hi)
-        down_d_delta = xi_d_delta * (lo if pos_d_delta else hi)
-        down_u_L = xi_u_L * (lo if pos_u_L else hi)
-        down_d_L = xi_d_L * (lo if pos_d_L else hi)
-        _require_finite(
-            "deformation potentials", up_u_delta, up_d_delta, up_u_L, up_d_L,
-            down_u_delta, down_d_delta, down_u_L, down_d_L,
-        )
-        c1_up = _gap_slope_of(ratio, up_u_delta, up_d_delta, up_u_L, up_d_L)
-        c1_down = _gap_slope_of(ratio, down_u_delta, down_d_delta, down_u_L, down_d_L)
-    q = params.quadratic
-    d_delta6, d_L1 = q.d_delta6, q.d_L1
-    c2 = c2_up = c2_down = d_delta6 - d_L1
+    dp, q = params.deformation, params.quadratic
+    factors = (1.0,) if mode == "quadratic_range" else LINEAR_VARIATION_FACTORS
+    slopes = [
+        _nominal_gap(replace(params, deformation=replace(
+            dp, xi_u_delta=dp.xi_u_delta * a, xi_d_delta=dp.xi_d_delta * b,
+            xi_u_L=dp.xi_u_L * c, xi_d_L=dp.xi_d_L * d,
+        )))[0]
+        for a, b, c, d in product(factors, repeat=4)
+    ]
+    if not all(map(math.isfinite, slopes)):
+        slopes = [math.nan]
+    quads = [q]
     if mode != "linear10pct":
-        # each literature range is widened to hold the nominal coefficient
-        c2_up = max(_D6_HI, d_delta6) - min(_L1_LO, d_L1)
-        c2_down = min(_D6_LO, d_delta6) - max(_L1_HI, d_L1)
-    return (c1, c2), (c1_up, c2_up), (c1_down, c2_down)
+        ranges = QUADRATIC_COEFF_RANGES
+        (l1_lo, l1_hi), (d6_lo, d6_hi) = ranges[Valley.L1], ranges[Valley.DELTA6]
+        quads = [
+            replace(q, d_L1=min(l1_lo, q.d_L1), d_delta6=max(d6_hi, q.d_delta6)),
+            replace(q, d_L1=max(l1_hi, q.d_L1), d_delta6=min(d6_lo, q.d_delta6)),
+        ]
+    curvatures = [_nominal_gap(replace(params, quadratic=quad))[1] for quad in quads]
+    # the nominal is read last, so a call that raises above keeps nothing
+    return _nominal_gap(params), (max(slopes), max(curvatures)), (min(slopes), min(curvatures))
 
 
 def _corner_x(
@@ -366,8 +333,9 @@ def sensitivity_curve(
     crossover of the (max c1, max c2) corner and x_high that of the
     (min c1, min c2) corner: three gap roots per band in every mode.  A
     corner whose crossover would need x > 1, or none at all, enters at
-    x = 1 and sets the ``clipped`` flag.  The set keeps each mode's corners
-    from its first call on.
+    x = 1 and sets the ``clipped`` flag.  The two corners come from the
+    parameter sets of :func:`_extreme_corners`, which the set enumerates
+    once per mode and keeps from its first call on.
 
     A thickness whose nominal crossover fails, which lies outside the
     supported range, or where a corner's slope or curvature overflows, is

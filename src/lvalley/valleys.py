@@ -57,19 +57,18 @@ def require_supported_strain(eps_par: float) -> None:
 def valley_coefficients(params: MaterialParams) -> tuple[tuple[float, float, float], ...]:
     """(e0, c1, c2) of L1, L3 and Delta6: each strained level is e0 + c1 eps + c2 eps**2, eV.
 
-    e0 is the unstrained band edge, c1 the :func:`linear_shift` at eps_par = 1
-    and eps_perp = perp_strain_ratio, written out in its operation order, and
-    c2 the reduced quadratic coefficient.  A coefficient that overflows is
-    inf, not an error: the L1/Delta6 gap never reads L3.  The library reads
-    the table through ``params._derive``, so a set computes it once.
+    e0 is the unstrained band edge, c1 the :func:`linear_shift` at unit
+    strain (eps_par = 1, eps_perp = perp_strain_ratio) and c2 the reduced
+    quadratic coefficient.  A coefficient that overflows is inf, not an
+    error: the L1/Delta6 gap never reads L3.  The library reads the table
+    through ``params._derive``, so a set computes it once.
     """
-    r = perp_strain_ratio(params.elastic)
-    trace = 2.0 + r
+    unit = StrainState(1.0, perp_strain_ratio(params.elastic))
     dp, q, bands = params.deformation, params.quadratic, params.bands
     return (
-        (bands.e0_L, dp.xi_d_L * trace + dp.xi_u_L * r, q.d_L1),
-        (bands.e0_L, dp.xi_d_L * trace + dp.xi_u_L * (8.0 + r) / 9.0, q.d_L3),
-        (bands.e0_delta, dp.xi_d_delta * trace + dp.xi_u_delta * trace / 3.0, q.d_delta6),
+        (bands.e0_L, linear_shift(Valley.L1, dp, unit), q.d_L1),
+        (bands.e0_L, linear_shift(Valley.L3, dp, unit), q.d_L3),
+        (bands.e0_delta, linear_shift(Valley.DELTA6, dp, unit), q.d_delta6),
     )
 
 

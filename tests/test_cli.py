@@ -251,6 +251,24 @@ def test_byte_identical_reruns(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_written_file_gets_the_mode_open_would_give(tmp_path, umask):
+    new, existing = tmp_path / "new.csv", tmp_path / "existing.csv"
+    existing.write_text("old\n")
+    os.chmod(existing, 0o640)
+    args = ["splitting", "--t", "3", "--x", "1", "--out"]
+    saved = os.umask(umask)
+    try:
+        assert run(args + [str(new)]) == 0
+        assert run(args + [str(existing)]) == 0
+    finally:
+        os.umask(saved)
+    # a new file gets 0o666 less the umask, an overwritten one keeps its mode
+    assert new.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert existing.stat().st_mode & 0o777 == 0o640
+    assert existing.read_bytes() == new.read_bytes()
+
+
 def test_json_lines_format(tmp_path):
     out = tmp_path / "w.jsonl"
     assert run(["well", "--valley", "L1", "--t", "3", "--format", "json-lines", "--out", str(out)]) == 0

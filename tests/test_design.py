@@ -577,9 +577,10 @@ def test_a_set_computes_its_corner_boxes_and_valley_table_once(monkeypatch):
     for mode in design.SENSITIVITY_MODES:
         for t in grid:
             sensitivity_band(params, [t], mode)
-    # one box per mode, not one per call; the memo holds those three only
+    # one box per mode, not one per call; the memo holds those three and
+    # the valley table the boxes read for the nominal gap
     assert sorted(args[1] for args in corners) == sorted(design.SENSITIVITY_MODES)
-    assert len(params._memo) == 3
+    assert len(params._memo) == 4
     params = replace(PARAMS)
     for t in grid:
         for x in (0.0, 0.25, 0.5, 0.75, 1.0):
@@ -640,11 +641,16 @@ def _enumerated_band(params, t, mode):
     return SensitivityBand(t, min(xs), x_nom, max(xs), clipped)
 
 
-def _band_or_error(fn):
+def _band_or_error(fn, t):
+    """repr of fn()'s band, or the type, reason and message of its domain error.
+
+    A message is compared without the ``t = <t> nm:`` prefix of a sweep point.
+    """
     try:
-        return fn()
-    except InfeasibleError as err:
-        return err
+        return repr(fn())
+    except (InfeasibleError, ValueError) as err:
+        message = str(err).removeprefix(f"t = {t:g} nm: ")
+        return type(err).__name__, getattr(err, "reason", None), message
 
 
 _dilatational = st.floats(-12.0, 12.0)
@@ -659,9 +665,8 @@ _uniaxial = st.floats(0.5, 25.0)
 def test_gap_slope_is_bit_identical_to_the_linear_shift_difference(
     xi_u_delta, xi_d_delta, xi_u_L, xi_d_L, c12, c11_over_c12, c44
 ):
-    # each c1 of valley_coefficients, the nominal gap slope and the corners'
-    # loose-float slope must stay the very floats the per-valley shifts give
-    # at unit in-plane strain
+    # each c1 of valley_coefficients and the nominal gap slope must stay the
+    # very floats the per-valley shifts give at unit in-plane strain
     dp = DeformationPotentials(xi_u_delta, xi_d_delta, xi_u_L, xi_d_L)
     elastic = ElasticConstants(c11_over_c12 * c12, c12, c44)
     params = replace(PARAMS, deformation=dp, elastic=elastic)
@@ -671,7 +676,6 @@ def test_gap_slope_is_bit_identical_to_the_linear_shift_difference(
     expected = linear_shift(Valley.DELTA6, dp, unit) - linear_shift(Valley.L1, dp, unit)
     q = params.quadratic
     assert design._nominal_gap(params) == (expected, q.d_delta6 - q.d_L1)
-    assert design._gap_slope_of(unit.eps_perp, xi_u_delta, xi_d_delta, xi_u_L, xi_d_L) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -701,15 +705,49 @@ def test_two_corner_band_is_bit_identical_to_enumeration(
         quadratic=replace(PARAMS.quadratic, d_L1=d_L1, d_delta6=d_delta6),
         bands=replace(PARAMS.bands, e0_L=PARAMS.bands.e0_L + e0_L_shift),
     )
+    _assert_two_corners_match_enumeration(params, t)
+
+
+def _assert_two_corners_match_enumeration(params, t):
     for mode in design.SENSITIVITY_MODES:
-        want = _band_or_error(lambda: _enumerated_band(params, t, mode))
-        got = _band_or_error(lambda: sensitivity_band(params, [t], mode)[0])
-        if isinstance(want, InfeasibleError):
-            assert type(got) is type(want), (mode, got)
-            assert got.reason == want.reason, (mode, got)
-        else:
-            # repr tells 0.0 from -0.0 and shows every bit of each float
-            assert repr(got) == repr(want), mode
+        want = _band_or_error(lambda: _enumerated_band(params, t, mode), t)
+        got = _band_or_error(lambda: sensitivity_band(params, [t], mode)[0], t)
+        # repr tells 0.0 from -0.0 and shows every bit of each float
+        assert got == want, mode
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+_huge_positive = _log_uniform(1e-3, 1.7e308)
+_huge_signed = st.tuples(st.sampled_from((-1.0, 1.0)), _huge_positive).map(lambda p: p[0] * p[1])
+_DEFAULTS = dict(
+    xi_u_delta=9.16, xi_d_delta=1.1, xi_u_L=16.14, xi_d_L=-6.0, d_L1=-22.5, d_delta6=-10.0, t=3.0
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    xi_u_delta=_huge_positive, xi_d_delta=_huge_signed, xi_u_L=_huge_positive,
+    xi_d_L=_huge_signed, d_L1=_huge_signed, d_delta6=_huge_signed, t=st.floats(0.5, 20.0),
+)
+# only the up corner's slope overflows, in one term
+@example(**{**_DEFAULTS, "xi_d_delta": 1.1e308})
+# a finite nominal slope of 1.75e308: the up corner's two finite terms
+# overflow in their difference
+@example(**{**_DEFAULTS, "xi_d_delta": 5.6e307, "xi_d_L": -5.6e307})
+# 1.1 x 1.7e308 overflows: the scaled potential itself is rejected
+@example(**{**_DEFAULTS, "xi_u_L": 1.7e308})
+def test_two_corner_band_matches_enumeration_up_to_the_float_limit(
+    xi_u_delta, xi_d_delta, xi_u_L, xi_d_L, d_L1, d_delta6, t
+):
+    params = replace(
+        PARAMS,
+        deformation=DeformationPotentials(xi_u_delta, xi_d_delta, xi_u_L, xi_d_L),
+        quadratic=replace(PARAMS.quadratic, d_L1=d_L1, d_delta6=d_delta6),
+    )
+    _assert_two_corners_match_enumeration(params, t)
 
 
 @settings(max_examples=300, deadline=None)
