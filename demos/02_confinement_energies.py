@@ -26,19 +26,18 @@ def main():
     p = lv.default_params()
     grid = [round(1.0 + 0.1 * i, 1) for i in range(91)]
 
-    curves = {v: dict(lv.eq_vs_thickness(v, p, grid)) for v in lv.Valley}
+    # (L1, L3, Delta6) confinement energies at each thickness, eV
+    eq = {t: lv.confinement_energies(p, t) for t in grid}
 
     print("Confinement energy E_q (meV) for V0 = 0.28 eV")
     print("t (nm)     L1      L3    Delta6")
     for t in (1.0, 2.0, 3.0, 5.0, 10.0):
-        print(
-            f"{t:5.1f}  {curves[lv.Valley.L1][t]*1e3:7.2f} "
-            f"{curves[lv.Valley.L3][t]*1e3:7.2f} {curves[lv.Valley.DELTA6][t]*1e3:7.2f}"
-        )
+        l1, l3, d6 = eq[t]
+        print(f"{t:5.1f}  {l1*1e3:7.2f} {l3*1e3:7.2f} {d6*1e3:7.2f}")
 
     print("\nBelow ~3 nm the levels rise sharply; the Delta6/L1 difference")
-    d3 = (curves[lv.Valley.DELTA6][3.0] - curves[lv.Valley.L1][3.0]) * 1e3
-    d10 = (curves[lv.Valley.DELTA6][10.0] - curves[lv.Valley.L1][10.0]) * 1e3
+    d3 = (eq[3.0][2] - eq[3.0][0]) * 1e3
+    d10 = (eq[10.0][2] - eq[10.0][0]) * 1e3
     print(f"grows from {d10:.1f} meV at 10 nm to {d3:.1f} meV at 3 nm.")
 
     # sanity: a huge barrier reproduces the textbook hard-wall level
@@ -49,16 +48,14 @@ def main():
     with open("confinement_vs_thickness.csv", "w") as fh:
         fh.write("t_nm,e_q_l1_ev,e_q_l3_ev,e_q_delta6_ev\n")
         for t in grid:
-            fh.write(
-                f"{t:.3g},{curves[lv.Valley.L1][t]:.9g},"
-                f"{curves[lv.Valley.L3][t]:.9g},{curves[lv.Valley.DELTA6][t]:.9g}\n"
-            )
+            l1, l3, d6 = eq[t]
+            fh.write(f"{t:.3g},{l1:.9g},{l3:.9g},{d6:.9g}\n")
     print("wrote confinement_vs_thickness.csv")
 
     if plt is not None:
         fig, ax = plt.subplots(figsize=(6, 4))
-        for v in lv.Valley:
-            ax.plot(grid, [curves[v][t] for t in grid], label=v.value)
+        for i, v in enumerate(lv.Valley):
+            ax.plot(grid, [eq[t][i] for t in grid], label=v.value)
         ax.set_xlabel("Si(111) thickness t (nm)")
         ax.set_ylabel("confinement energy $E_q$ (eV)")
         ax.legend()

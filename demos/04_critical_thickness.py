@@ -21,7 +21,7 @@ def main():
 
     inp = lv.RelaxationInput(ge_fraction_x=1.0, elastic=p.elastic)
     grid = [round(x, 3) for x in np.arange(0.5, 1.0001, 0.05)]
-    curve = lv.hc_curve(inp, grid)
+    curve = [lv.critical_thickness(lv.replace(inp, ge_fraction_x=x)) for x in grid]
 
     print("x (Ge)   misfit f   h_c (nm)")
     for r, x in zip(curve, grid):

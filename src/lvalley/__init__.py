@@ -34,7 +34,6 @@ from .design import (
 )
 from .elasticity import (
     StrainState,
-    perp_strain,
     perp_strain_ratio,
     strain_state,
 )
@@ -61,14 +60,12 @@ from .relaxation import (
     CriticalThickness,
     RelaxationInput,
     critical_thickness,
-    hc_curve,
     poisson_111,
 )
 from .valleys import ValleyEnergy, bulk_energy, bulk_levels, linear_shift, valley_coefficients
 from .well import (
     WellConfig,
     WellSolution,
-    eq_vs_thickness,
     ground_state,
     infinite_well_reference,
     matching_mismatch,
@@ -76,4 +73,4 @@ from .well import (
     well_config,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -232,7 +232,7 @@ def _energy(params: MaterialParams, ns: argparse.Namespace):
     if ns.eps is not None and ns.x is not None:
         raise UsageError("give either --eps or --x, not both")
     eps_grid = [design.x_to_strain(ns.x, params.lattice)] if ns.x is not None else _grid(ns, "eps")
-    q_l1, q_l3, q_d6 = design.confinement_energies(params, ns.t).values()
+    q_l1, q_l3, q_d6 = design.confinement_energies(params, ns.t)
     header = ["eps_par", "e_l1_ev", "e_l3_ev", "e_delta6_ev"]
     rows = []
     for e in eps_grid:
@@ -245,10 +245,11 @@ def _energy(params: MaterialParams, ns: argparse.Namespace):
 def _well(params: MaterialParams, ns: argparse.Namespace):
     t_grid = _grid(ns, "t")
     if ns.valley is not None:
-        return ["t_nm", "e_q_ev"], well.eq_vs_thickness(Valley(ns.valley), params, t_grid)
-    # one column per valley, in Valley order as confinement_energies keys them
+        masses = params.masses(Valley(ns.valley))
+        return ["t_nm", "e_q_ev"], [(t, well._level(params, masses, t)) for t in t_grid]
+    # one column per valley, in Valley order as confinement_energies returns them
     header = ["t_nm"] + [f"e_q_{v.value.lower()}_ev" for v in Valley]
-    return header, [(t, *design.confinement_energies(params, t).values()) for t in t_grid]
+    return header, [(t, *design.confinement_energies(params, t)) for t in t_grid]
 
 
 def _feasible(points: list, failures: list[tuple[float, Exception]]) -> list:
@@ -268,15 +269,13 @@ def _crossover(params: MaterialParams, ns: argparse.Namespace):
 
 def _hc(params: MaterialParams, ns: argparse.Namespace):
     x_grid = _grid(ns, "x")
-    inp = relaxation.RelaxationInput(
-        ge_fraction_x=x_grid[0],
-        elastic=params.elastic,
-        burgers_b=params.constants.burgers_si,
-    )
-    rows = [
-        (x, r.misfit_f, r.nu_111, r.h_c)
-        for x, r in zip(x_grid, relaxation.hc_curve(inp, x_grid))
-    ]
+    if any(not 0.05 <= x <= 1.0 for x in x_grid):
+        raise ValueError("Ge-fraction grid must lie within [0.05, 1]")
+    elastic, b = params.elastic, params.constants.burgers_si
+    rows = []
+    for x in x_grid:
+        r = relaxation.critical_thickness(relaxation.RelaxationInput(x, elastic, b))
+        rows.append((x, r.misfit_f, r.nu_111, r.h_c))
     return ["x", "f", "nu_111", "h_c_nm"], rows
 
 

@@ -4,7 +4,7 @@ Combines strained bulk valley energies with the confinement energy of each
 valley, locates the critical in-plane strain where the L1 level drops below
 Delta6, maps strain to the Ge fraction of the barrier alloy through the
 Vegard rule, and evaluates deformation-potential sensitivity envelopes from
-the two corners of the perturbed box that bound the crossover.
+the corners of the perturbed box that bound the crossover.
 
 Both roots are closed-form.  The Delta6 - L1 gap is exactly the quadratic
 c0 + c1 eps + c2 eps**2 in the in-plane strain, and the Vegard strain is
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from itertools import product
-from typing import NamedTuple
 
 from .errors import InfeasibleError
 from .materials import LatticeParams, MaterialParams, Record, Valley, replace
@@ -63,9 +62,10 @@ class SensitivityBand(Record):
     _defaults = {"clipped": False}
 
 
-class Splitting(NamedTuple):
-    delta6_minus_l1: float  # eV
-    l3_minus_l1: float      # eV
+class Splitting(Record):
+    """Delta6 - L1 and L3 - L1 at one (thickness, Ge fraction) point, eV."""
+
+    __slots__ = ("delta6_minus_l1", "l3_minus_l1")
 
 
 # ---------------------------------------------------------------------------
@@ -122,18 +122,13 @@ def strain_to_x(eps_par: float, lat: LatticeParams) -> float:
 # ---------------------------------------------------------------------------
 # Combined energies and the L1/Delta6 crossover
 
-def _confinement(params: MaterialParams, t: float) -> tuple[float, float, float]:
-    """Confinement energies (L1, L3, Delta6) at thickness t as plain floats, eV."""
+def confinement_energies(params: MaterialParams, thickness_t: float) -> tuple[float, float, float]:
+    """Confinement energies (L1, L3, Delta6) at one thickness as plain floats, eV."""
     return (
-        _level(params, params.masses_l1, t),
-        _level(params, params.masses_l3, t),
-        _level(params, params.masses_delta6, t),
+        _level(params, params.masses_l1, thickness_t),
+        _level(params, params.masses_l3, thickness_t),
+        _level(params, params.masses_delta6, thickness_t),
     )
-
-
-def confinement_energies(params: MaterialParams, thickness_t: float) -> dict[Valley, float]:
-    """Confinement energy of each valley at one thickness, eV, keyed in Valley order."""
-    return dict(zip(Valley, _confinement(params, thickness_t)))
 
 
 def _gap_offset(params: MaterialParams, t: float) -> float:
@@ -256,19 +251,19 @@ def crossover_curve(
 def splitting_report(params: MaterialParams, thickness_t: float, x: float) -> Splitting:
     """Valley splittings relative to L1 at a (thickness, Ge fraction) point."""
     b_l1, b_l3, b_d6 = bulk_levels(params, x_to_strain(x, params.lattice))
-    q_l1, q_l3, q_d6 = _confinement(params, thickness_t)
+    q_l1, q_l3, q_d6 = confinement_energies(params, thickness_t)
     # (e0 + de1 + de2) + eq, the order of ValleyEnergy.total
     e_l1 = b_l1 + q_l1
     return Splitting(delta6_minus_l1=(b_d6 + q_d6) - e_l1, l3_minus_l1=(b_l3 + q_l3) - e_l1)
 
 
 # ---------------------------------------------------------------------------
-# Sensitivity envelopes from the two extreme corners
+# Sensitivity envelopes from the extreme corners
 
 def _extreme_corners(
     params: MaterialParams, mode: str
-) -> tuple[tuple[float, float], tuple[float, float], tuple[float, float]]:
-    """(c1, c2) gap coefficients of the nominal set and of the box's up and down corners.
+) -> tuple[tuple[float, float], tuple[tuple[float, float], ...]]:
+    """(c1, c2) gap coefficients of the nominal set, and the corners that bound the box.
 
     Every corner is a parameter set whose gap :func:`_nominal_gap` reads, so
     :func:`~lvalley.valleys.linear_shift` stays the one first-order formula.
@@ -276,12 +271,14 @@ def _extreme_corners(
     LINEAR_VARIATION_FACTORS (16 sets); the quadratic box takes the two ends
     of the literature ranges of d_L1 and d_delta6, each widened to hold the
     nominal coefficient.  The up corner has the largest slope and curvature
-    of its box, the down corner the smallest.  A scaled potential that
-    overflows is rejected as the parameter set rejects a non-finite one.  If
-    any slope is not finite, both corner slopes are nan, which fails every
-    thickness: ``max`` over a list holding nan depends on its order.
-    ``mode`` is one of SENSITIVITY_MODES, which :func:`sensitivity_curve`
-    checks.
+    of its box, the down corner the smallest.  A box with a negative slope
+    gives every (slope, curvature) pair and the nominal curvature instead:
+    the two forms of :func:`_gap_root` meet only to a few ulp at c1 = 0.  A
+    scaled potential that overflows is rejected as the parameter set
+    rejects a non-finite one.  If any slope is not finite, both corner
+    slopes are nan, which fails every thickness: ``max`` over a list holding
+    nan depends on its order.  ``mode`` is one of SENSITIVITY_MODES, which
+    :func:`sensitivity_curve` checks.
     """
     dp, q = params.deformation, params.quadratic
     factors = (1.0,) if mode == "quadratic_range" else LINEAR_VARIATION_FACTORS
@@ -304,7 +301,10 @@ def _extreme_corners(
         ]
     curvatures = [_nominal_gap(replace(params, quadratic=quad))[1] for quad in quads]
     # the nominal is read last, so a call that raises above keeps nothing
-    return _nominal_gap(params), (max(slopes), max(curvatures)), (min(slopes), min(curvatures))
+    nominal = _nominal_gap(params)
+    if any(s < 0.0 for s in slopes):
+        return nominal, tuple(product(slopes, [*curvatures, nominal[1]]))
+    return nominal, ((max(slopes), max(curvatures)), (min(slopes), min(curvatures)))
 
 
 def _corner_x(
@@ -331,11 +331,11 @@ def sensitivity_curve(
     c0 < 0, so it falls as c1 or c2 rises, the no-crossing guard moves the
     same way and strain_to_x is increasing.  x_low is therefore the
     crossover of the (max c1, max c2) corner and x_high that of the
-    (min c1, min c2) corner: three gap roots per band in every mode.  A
-    corner whose crossover would need x > 1, or none at all, enters at
-    x = 1 and sets the ``clipped`` flag.  The two corners come from the
-    parameter sets of :func:`_extreme_corners`, which the set enumerates
-    once per mode and keeps from its first call on.
+    (min c1, min c2) corner, unless the slopes straddle zero (see
+    :func:`_extreme_corners`).  A corner whose crossover would need x > 1,
+    or none at all, enters at x = 1 and sets the ``clipped`` flag.  The
+    corners come from the parameter sets of :func:`_extreme_corners`, which
+    the set enumerates once per mode and keeps from its first call on.
 
     A thickness whose nominal crossover fails, which lies outside the
     supported range, or where a corner's slope or curvature overflows, is
@@ -345,7 +345,7 @@ def sensitivity_curve(
     """
     if mode not in SENSITIVITY_MODES:
         raise ValueError(f"unknown sensitivity mode {mode!r}; valid: {SENSITIVITY_MODES}")
-    (c1_nom, c2_nom), up, down = params._derive(_extreme_corners, mode)
+    (c1_nom, c2_nom), corners = params._derive(_extreme_corners, mode)
     lat = params.lattice
     ceiling = _pure_ge_strain(lat)
     bands: list[SensitivityBand] = []
@@ -356,8 +356,14 @@ def sensitivity_curve(
         try:
             c0, eps = _crossing(params, t, c1_nom, c2_nom)
             x_nom = strain_to_x(eps, lat)
-            x_low, _ = _corner_x(c0, *up, lat, ceiling)
-            x_high, clipped = _corner_x(c0, *down, lat, ceiling)
+            if len(corners) == 2:
+                up, down = corners
+                x_low, _ = _corner_x(c0, *up, lat, ceiling)
+                x_high, clipped = _corner_x(c0, *down, lat, ceiling)
+            else:
+                # a clipped corner is (1.0, True), so max also finds any clip
+                xs = [_corner_x(c0, c1, c2, lat, ceiling) for c1, c2 in corners]
+                x_low, (x_high, clipped) = min(xs)[0], max(xs)
         except (InfeasibleError, ValueError) as err:
             failures.append((t, _at_thickness(t, err)))
             continue

@@ -21,11 +21,6 @@ def perp_strain_ratio(c: ElasticConstants) -> float:
     return -(2.0 * c.c11 + 4.0 * c.c12 - 4.0 * c.c44) / (c.c11 + 2.0 * c.c12 + 4.0 * c.c44)
 
 
-def perp_strain(c: ElasticConstants, eps_par: float) -> float:
-    """Out-of-plane strain of a (111) film with in-plane strain eps_par."""
-    return perp_strain_ratio(c) * eps_par
-
-
 class StrainState(Record):
     """Strain of a biaxial (111) film: in-plane and film-normal components."""
 
@@ -34,4 +29,4 @@ class StrainState(Record):
 
 def strain_state(c: ElasticConstants, eps_par: float) -> StrainState:
     """Strain state of a (111) film with in-plane strain eps_par."""
-    return StrainState(eps_par=eps_par, eps_perp=perp_strain(c, eps_par))
+    return StrainState(eps_par=eps_par, eps_perp=perp_strain_ratio(c) * eps_par)

@@ -244,15 +244,17 @@ class MaterialParams(Record, _Memo):
 
         Only for per-set constants: no key holds a thickness or a Ge
         fraction, so the memo stays a few entries.  A call that raises keeps
-        nothing.  Threads that race compute equal values, and setdefault
-        hands each of them the first one stored.
+        nothing, and runs outside the miss handler, so its error carries no
+        KeyError context.  Threads that race compute equal values, and
+        setdefault hands each of them the first one stored.
         """
         key = (fn, *args)
         memo = self._memo
         try:
             return memo[key]
         except KeyError:
-            return memo.setdefault(key, fn(self, *args))
+            pass
+        return memo.setdefault(key, fn(self, *args))
 
     def masses(self, valley: Valley) -> EffectiveMasses:
         if valley is Valley.L1:

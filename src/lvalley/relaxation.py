@@ -20,7 +20,7 @@ import sys
 
 from .elasticity import perp_strain_ratio
 from .errors import InfeasibleError, SolverError
-from .materials import BURGERS_SI_NM, ElasticConstants, Record, _require_finite, replace
+from .materials import BURGERS_SI_NM, ElasticConstants, Record, _require_finite
 from .well import STEP_RTOL
 
 # Linearized misfit of Si against the relaxed Si(1-x)Ge(x) barrier per unit
@@ -119,10 +119,3 @@ def critical_thickness(inp: RelaxationInput) -> CriticalThickness:
             return CriticalThickness(h_c=min(h, h - step), misfit_f=f, nu_111=nu, iterations=i)
         h -= step
     raise SolverError(f"critical-thickness Newton did not converge (f={f:.4g})")
-
-
-def hc_curve(inp: RelaxationInput, x_grid: list[float]) -> list[CriticalThickness]:
-    """Critical thickness at each Ge fraction of a grid within [0.05, 1]."""
-    if any(not 0.05 <= x <= 1.0 for x in x_grid):
-        raise ValueError("Ge-fraction grid must lie within [0.05, 1]")
-    return [critical_thickness(replace(inp, ge_fraction_x=x)) for x in x_grid]

@@ -271,10 +271,3 @@ def _level(params: MaterialParams, masses: EffectiveMasses, t: float) -> float:
         t, params.bands.v0_offset_111, masses.m_in, masses.m_out,
         params.constants.hbar2_over_2m0,
     )[0]
-
-
-def eq_vs_thickness(
-    valley: Valley, params: MaterialParams, t_grid: list[float]
-) -> list[tuple[float, float]]:
-    """Confinement energy of one valley at each thickness, (t, E_q) pairs."""
-    return [(t, _level(params, params.masses(valley), t)) for t in t_grid]

@@ -49,11 +49,9 @@ from lvalley import (
     critical_thickness,
     default_params,
     ground_state,
-    hc_curve,
     infinite_well_reference,
     linear_shift,
     matching_mismatch,
-    perp_strain,
     perp_strain_ratio,
     poisson_111,
     sensitivity_band,
@@ -72,10 +70,10 @@ def check(cid: str, ok: bool, detail: str):
 
 
 def test_c01_perp_strain_ratio_and_runtime():
-    ratio = perp_strain(PARAMS.elastic, 1.0)
+    ratio = strain_state(PARAMS.elastic, 1.0).eps_perp
     t0 = time.perf_counter()
     for _ in range(1000):
-        perp_strain(PARAMS.elastic, 0.039)
+        strain_state(PARAMS.elastic, 0.039)
     per_call = (time.perf_counter() - t0) / 1000.0
     ok = abs(ratio - (-0.439)) <= 1e-3 and per_call < 1e-3
     check("1", ok, f"perp ratio {ratio:.5f} (target -0.439 +/- 0.001), {per_call*1e6:.1f} us/call")
@@ -127,7 +125,7 @@ def test_c08_critical_thickness():
     inp = RelaxationInput(ge_fraction_x=0.94, elastic=PARAMS.elastic)
     h94 = critical_thickness(inp).h_c
     grid = [round(0.5 + 0.05 * i, 2) for i in range(11)]
-    curve = [c.h_c for c in hc_curve(inp, grid)]
+    curve = [critical_thickness(RelaxationInput(x, PARAMS.elastic)).h_c for x in grid]
     monotone = all(b < a for a, b in zip(curve, curve[1:]))
     nu, _ = poisson_111(PARAMS.elastic)
     oracle = fixed_point_hc(1.0, nu)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lvalley
 from lvalley import InfeasibleError, Valley, bulk_energy, cli, confinement_energies, default_params
 from lvalley.cli import (
     MAX_GRID_POINTS,
@@ -194,6 +196,21 @@ def test_hc_command(tmp_path):
     assert all(b < a for a, b in zip(hc, hc[1:]))
 
 
+@pytest.mark.parametrize("x", ["1.5", "-0.2", "0.01"])
+def test_hc_outside_its_grid_range_names_the_range(tmp_path, capsys, x):
+    out = tmp_path / "h.csv"
+    assert run(["hc", "--x", x, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: Ge-fraction grid must lie within [0.05, 1]\n"
+    assert not out.exists()
+
+
+def test_version_is_the_one_in_pyproject():
+    # a regex, because Python 3.10 has no tomllib
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    [version] = re.findall(r'^version = "([^"]+)"$', text, flags=re.M)
+    assert version == lvalley.__version__
+
+
 def test_energy_and_splitting_commands(tmp_path):
     out = tmp_path / "e.csv"
     assert run(["energy", "--t", "3", "--eps", "0.0388", "--out", str(out)]) == 0
@@ -225,7 +242,7 @@ def test_energy_rows_are_the_bulk_totals_plus_confinement(fig, dp_set, sets):
     eqs = confinement_energies(params, ns.t)
     assert len(rows) == 501
     for eps, *levels in rows:
-        expected = [bulk_energy(v, params, eps).total + eqs[v] for v in Valley]
+        expected = [bulk_energy(v, params, eps).total + eq for v, eq in zip(Valley, eqs)]
         assert repr(levels) == repr(expected)
 
 
@@ -424,13 +441,13 @@ def test_sensitivity_keeps_feasible_points_and_warns_per_failure(capsys):
         assert line.endswith("requires x > 1")
 
 
-def _loaded_after_cli_import(*modules):
-    """Which of ``modules`` a fresh interpreter holds after ``import lvalley.cli``."""
+def _loaded_after_cli_import(*modules, flags=()):
+    """Which of ``modules`` a fresh ``python *flags`` holds after ``import lvalley.cli``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = f"import sys, lvalley.cli; print([m for m in {modules!r} if m in sys.modules])"
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
@@ -447,6 +464,11 @@ def test_cli_import_leaves_numpy_unloaded():
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     # both cost a command-line start several milliseconds, and the records need neither
     assert _loaded_after_cli_import("dataclasses", "inspect") == "[]"
+
+
+def test_cli_import_leaves_typing_unloaded():
+    # -S skips site, whose start-up .pth files may import typing themselves
+    assert _loaded_after_cli_import("typing", flags=("-S",)) == "[]"
 
 
 def test_cli_import_leaves_the_reference_solver_unloaded():

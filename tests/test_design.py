@@ -52,13 +52,14 @@ LAT = PARAMS.lattice
 
 def _levels(params, t, eps):
     """Total levels (L1, L3, Delta6) at thickness t and strain eps: bulk plus confinement, eV."""
-    return tuple(b + q for b, q in zip(bulk_levels(params, eps), design._confinement(params, t)))
+    return tuple(b + q for b, q in zip(bulk_levels(params, eps), confinement_energies(params, t)))
 
 
 def _total_energy(valley, params, t, eps):
     """One valley's breakdown with its confinement energy at thickness t."""
     b = bulk_energy(valley, params, eps)
-    return ValleyEnergy(valley, b.e0, b.de1, b.de2, confinement_energies(params, t)[valley])
+    eq = dict(zip(Valley, confinement_energies(params, t)))[valley]
+    return ValleyEnergy(valley, b.e0, b.de1, b.de2, eq)
 
 
 def test_total_energy_reference_point():
@@ -241,6 +242,15 @@ def test_non_finite_gap_coefficient_is_a_domain_error(c1, c2):
         design._gap_root(-0.9, c1, c2)
 
 
+def test_a_derived_error_does_not_carry_the_memo_miss():
+    # 1.1 x 1.7e308 overflows while the set enumerates its linear box
+    params = replace(PARAMS, deformation=replace(PARAMS.deformation, xi_u_L=1.7e308))
+    with pytest.raises(ValueError, match="deformation potentials must be finite") as info:
+        sensitivity_curve(params, [3.0], "both")
+    assert info.value.__context__ is None
+    assert params._memo == {}
+
+
 def test_overflowing_corner_slope_fails_its_point():
     # 1.1 x 1.1e308 stays finite, but its slope term overflows in the up
     # corner only: the nominal crossover exists, the band does not
@@ -362,7 +372,7 @@ def test_float_well_path_is_bit_identical_to_object_path(
     k = params.constants.hbar2_over_2m0
 
     def object_eqs():
-        return {v: ground_state(well_config(v, params, t), k).energy_eq for v in Valley}
+        return tuple(ground_state(well_config(v, params, t), k).energy_eq for v in Valley)
 
     def object_splitting():
         eps = x_to_strain(x, params.lattice)
@@ -385,8 +395,8 @@ def test_float_well_path_is_bit_identical_to_object_path(
 
 def test_confinement_energies_are_keyed_in_valley_order():
     eqs = confinement_energies(PARAMS, 3.0)
-    assert list(eqs) == list(Valley)
-    assert repr(tuple(eqs.values())) == repr(design._confinement(PARAMS, 3.0))
+    expected = tuple(well._level(PARAMS, PARAMS.masses(v), 3.0) for v in Valley)
+    assert repr(eqs) == repr(expected)
 
 
 # --- sensitivity envelopes -------------------------------------------------------
@@ -725,6 +735,9 @@ _huge_signed = st.tuples(st.sampled_from((-1.0, 1.0)), _huge_positive).map(lambd
 _DEFAULTS = dict(
     xi_u_delta=9.16, xi_d_delta=1.1, xi_u_L=16.14, xi_d_L=-6.0, d_L1=-22.5, d_delta6=-10.0, t=3.0
 )
+_STRADDLE = dict(
+    xi_u_delta=1.0, xi_d_delta=-7.38905609893065, xi_u_L=1.0, xi_d_L=-7.38905609893065, d_L1=-1.0
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -739,6 +752,12 @@ _DEFAULTS = dict(
 @example(**{**_DEFAULTS, "xi_d_delta": 5.6e307, "xi_d_L": -5.6e307})
 # 1.1 x 1.7e308 overflows: the scaled potential itself is rejected
 @example(**{**_DEFAULTS, "xi_u_L": 1.7e308})
+# linear slopes that straddle zero under a dominant curvature: the two forms
+# of the gap root meet only to a few ulp there, and the down corner's
+# crossover came out below the up corner's, an inverted band
+@example(**{**_STRADDLE, "d_delta6": 1.8445513014941297e+150, "t": 1.75})
+@example(**{**_STRADDLE, "d_delta6": 1.675997586012831e+123, "t": 4.0})
+@example(**{**_STRADDLE, "d_delta6": 1.2057950493594587e+63, "t": 4.25})
 def test_two_corner_band_matches_enumeration_up_to_the_float_limit(
     xi_u_delta, xi_d_delta, xi_u_L, xi_d_L, d_L1, d_delta6, t
 ):
@@ -877,9 +896,9 @@ def _corners(mode):
 
 
 def _oracle_root(params, t):
-    eqs = confinement_energies(params, t)
+    q_l1, _, q_d6 = confinement_energies(params, t)
     b, el, dp, q = params.bands, params.elastic, params.deformation, params.quadratic
-    offset = b.e0_delta - b.e0_L + eqs[Valley.DELTA6] - eqs[Valley.L1]
+    offset = b.e0_delta - b.e0_L + q_d6 - q_l1
     return bisect_crossover(
         lambda eps: crossover_gap(
             eps, offset, (el.c11, el.c12, el.c44),

@@ -1,7 +1,7 @@
 """The closed-form (111) strain relation against the rank-4 oracle route.
 
 The rotation and stiffness tests check the oracle itself; every other test
-keeps a library operand (perp_strain_ratio, perp_strain or strain_state) on
+keeps a library operand (perp_strain_ratio or strain_state) on
 one side.
 """
 
@@ -22,7 +22,6 @@ from lvalley import (
     ElasticConstants,
     StrainState,
     default_params,
-    perp_strain,
     perp_strain_ratio,
     strain_state,
 )
@@ -115,12 +114,12 @@ def test_rotation_preserves_tensor_norm():
 # --- perpendicular strain -------------------------------------------------
 
 def test_perp_strain_zero():
-    assert perp_strain(ELASTIC, 0.0) == 0.0
+    assert strain_state(ELASTIC, 0.0).eps_perp == 0.0
 
 
 def test_perp_strain_hand_value():
     # -0.4390 x 0.039, oracle = direct formula evaluation
-    assert perp_strain(ELASTIC, 0.039) == pytest.approx(-0.01712, abs=1e-4)
+    assert strain_state(ELASTIC, 0.039).eps_perp == pytest.approx(-0.01712, abs=1e-4)
 
 
 def test_perp_ratio_default():
@@ -155,7 +154,7 @@ def test_strain_state_offdiagonal_hand_value():
 def test_strain_state_structure():
     s = strain_state(ELASTIC, 0.021)
     assert list(StrainState.__slots__) == ["eps_par", "eps_perp"]
-    assert s.eps_perp == perp_strain(ELASTIC, 0.021)
+    assert s.eps_perp == perp_strain_ratio(ELASTIC) * 0.021
     film, crystal = tensors(s)
     np.testing.assert_array_equal(film, np.diag([s.eps_par, s.eps_par, s.eps_perp]))
     # film frame carries no shear by the n-fold symmetry of the orientation

@@ -31,6 +31,7 @@ from lvalley import (
     ground_state,
     replace,
     sensitivity_band,
+    splitting_report,
     strain_state,
     well_config,
 )
@@ -54,6 +55,7 @@ EXAMPLES = [
     ground_state(well_config(Valley.L1, P, 3.0)),
     critical_strain(P, 3.0),
     sensitivity_band(P, [3.0], "both")[0],
+    splitting_report(P, 3.0, 1.0),
     RelaxationInput(0.94, P.elastic, misfit_slope=0.0417),
     critical_thickness(RelaxationInput(0.94, P.elastic)),
     BisectResult(1.0, 0.0, 3, 0.5, 1.5),

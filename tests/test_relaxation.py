@@ -10,9 +10,9 @@ from lvalley import (
     ElasticConstants,
     InfeasibleError,
     RelaxationInput,
+    cli,
     critical_thickness,
     default_params,
-    hc_curve,
     poisson_111,
     x_to_strain,
 )
@@ -176,28 +176,31 @@ def test_hc_finite_or_tagged_over_all_x(log_x):
     assert math.isfinite(h_c) and h_c > 0.0
 
 
+def hc_rows(*argv):
+    """The (x, f, nu_111, h_c) rows of the hc command with the default parameters."""
+    ns = cli._build_parser().parse_args(["hc", *argv])
+    return ns.rows(default_params(), ns)[1]
+
+
 def test_hc_curve_decreasing():
     grid = [round(0.5 + 0.05 * i, 2) for i in range(11)]
-    values = [r.h_c for r in hc_curve(make_input(0.5), grid)]
+    values = [critical_thickness(make_input(x)).h_c for x in grid]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
 def test_hc_curve_feasibility_window():
-    results = hc_curve(make_input(0.94), [0.94, 1.0])
-    assert all(r.h_c > 3.0 for r in results)
+    assert all(critical_thickness(make_input(x)).h_c > 3.0 for x in (0.94, 1.0))
 
 
 def test_hc_curve_single_point_matches():
-    assert hc_curve(make_input(0.8), [0.8])[0] == critical_thickness(make_input(0.8))
+    r = critical_thickness(make_input(0.8))
+    assert hc_rows("--x", "0.8") == [(0.8, r.misfit_f, r.nu_111, r.h_c)]
 
 
 def test_hc_curve_grid_validation():
-    with pytest.raises(ValueError):
-        hc_curve(make_input(0.5), [0.01, 0.5])
-    # each point is solved on its own: grid order and length are free
-    ascending = hc_curve(make_input(0.5), [0.6, 0.9])
-    assert hc_curve(make_input(0.5), [0.9, 0.6]) == ascending[::-1]
-    assert hc_curve(make_input(0.5), []) == []
+    # the hc command's grid [0.01, 0.5] leaves the supported [0.05, 1]
+    with pytest.raises(ValueError, match=r"within \[0.05, 1\]"):
+        hc_rows("--x-min", "0.01", "--x-max", "0.5", "--x-step", "0.49")
 
 
 def test_vegard_misfit_option():

@@ -11,8 +11,8 @@ from lvalley import (
     InfeasibleError,
     Valley,
     WellConfig,
+    cli,
     default_params,
-    eq_vs_thickness,
     ground_state,
     infinite_well_reference,
     matching_mismatch,
@@ -92,28 +92,29 @@ def test_infinite_well_reference_scaling():
     assert infinite_well_reference(2.0, 0.5) == infinite_well_reference(1.0, 0.5) / 4.0
 
 
+def level(valley, t):
+    """Confinement energy of one valley at thickness t, eV, as the well command computes it."""
+    return well._level(PARAMS, PARAMS.masses(valley), t)
+
+
 def test_eq_vs_thickness_sharp_rise_below_3nm():
-    pairs = dict(eq_vs_thickness(Valley.DELTA6, PARAMS, [2.0, 3.0]))
-    assert pairs[2.0] > 1.5 * pairs[3.0]
+    assert level(Valley.DELTA6, 2.0) > 1.5 * level(Valley.DELTA6, 3.0)
 
 
 def test_l1_below_delta6_at_every_thickness():
-    grid = [float(t) for t in np.arange(1.0, 10.01, 0.5)]
-    l1 = dict(eq_vs_thickness(Valley.L1, PARAMS, grid))
-    d6 = dict(eq_vs_thickness(Valley.DELTA6, PARAMS, grid))
-    for t in grid:
-        assert l1[t] < d6[t]
+    for t in np.arange(1.0, 10.01, 0.5):
+        assert level(Valley.L1, float(t)) < level(Valley.DELTA6, float(t))
 
 
 def test_bound_state_range():
     for v in Valley:
-        for _, e in eq_vs_thickness(v, PARAMS, [1.0, 2.0, 5.0, 10.0]):
-            assert 0.0 < e < V0
+        for t in (1.0, 2.0, 5.0, 10.0):
+            assert 0.0 < level(v, t) < V0
 
 
 def test_eq_strictly_decreasing_in_thickness():
     for v in Valley:
-        values = [e for _, e in eq_vs_thickness(v, PARAMS, list(np.arange(1.0, 10.01, 0.25)))]
+        values = [level(v, t) for t in np.arange(1.0, 10.01, 0.25)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
@@ -371,9 +372,10 @@ def test_config_validation():
 
 
 def test_grid_validation():
+    # the well command's grid [-1, 2] nm: its negative point is a domain error
+    ns = cli._build_parser().parse_args(
+        ["well", "--valley", "L1", "--t-min", "-1", "--t-max", "2", "--t-step", "3"]
+    )
+    assert cli._grid(ns, "t") == [-1.0, 2.0]
     with pytest.raises(ValueError, match="positive"):
-        eq_vs_thickness(Valley.L1, PARAMS, [-1.0, 2.0])
-    # each point is solved on its own: grid order and length are free
-    ascending = eq_vs_thickness(Valley.L1, PARAMS, [2.0, 3.0])
-    assert eq_vs_thickness(Valley.L1, PARAMS, [3.0, 2.0]) == ascending[::-1]
-    assert eq_vs_thickness(Valley.L1, PARAMS, []) == []
+        ns.rows(PARAMS, ns)
