@@ -15,6 +15,7 @@ quadratic formula (Press et al., Numerical Recipes, section 5.6).
 from __future__ import annotations
 
 import math
+import sys
 from itertools import product
 
 from .errors import InfeasibleError
@@ -25,6 +26,9 @@ from .well import _level
 # Crossover search bracket: slightly above the strain of pure-Ge barriers,
 # so "no crossing at all" is distinguishable from "requires x > 1".
 EPS_BRACKET_MAX = 0.06
+
+# Below the smallest normal float a discriminant keeps too few digits.
+_NORMAL_MIN = sys.float_info.min
 
 # Thickness range with a supported crossover search.
 T_MIN_NM = 0.5
@@ -150,9 +154,10 @@ def _gap_root(c0: float, c1: float, c2: float) -> float | None:
     q / c2, and neither subtracts nearly equal numbers.  For c1 >= 0 the
     crossing is c0 / q, which also covers c2 == 0; for c1 < 0 the guards
     force c2 > 0 and the crossing is q / c2.  A non-finite slope or
-    curvature is a domain error; a discriminant that overflows (a slope
-    above about 1e154, or a curvature near the float limit) takes
-    :func:`_scaled_root` instead.
+    curvature is a domain error.  A discriminant that overflows (a slope
+    above about 1e154, or a curvature near the float limit), or one whose
+    magnitude falls below the normal range (an offset near the float
+    minimum with a small slope), takes :func:`_scaled_root` instead.
     """
     if c0 >= 0.0:
         raise InfeasibleError(
@@ -160,22 +165,21 @@ def _gap_root(c0: float, c1: float, c2: float) -> float | None:
         )
     disc = c1 * c1 - 4.0 * c2 * c0
     # with c0 < 0, an infinite or nan c1 or c2 always makes disc non-finite
-    overflow = not math.isfinite(disc)
-    if overflow and not (math.isfinite(c1) and math.isfinite(c2)):
+    if not math.isfinite(disc) and not (math.isfinite(c1) and math.isfinite(c2)):
         raise ValueError("gap slope and curvature must be finite")
     if c0 + (c1 + c2 * EPS_BRACKET_MAX) * EPS_BRACKET_MAX < 0.0:
         return None
-    if overflow:
-        root = _scaled_root(c0, c1, c2)
-    else:
+    if _NORMAL_MIN <= abs(disc) < math.inf:
         sq = math.sqrt(max(disc, 0.0))
         root = -2.0 * c0 / (c1 + sq) if c1 >= 0.0 else (sq - c1) / (2.0 * c2)
+    else:
+        root = _scaled_root(c0, c1, c2)
     # both forms are positive; rounding can only push a root at the bracket end past it
     return min(root, EPS_BRACKET_MAX)
 
 
 def _scaled_root(c0: float, c1: float, c2: float) -> float:
-    """:func:`_gap_root`'s two forms for a discriminant that overflows.
+    """:func:`_gap_root`'s two forms for a discriminant that overflows or underflows.
 
     With h = c1 / 2 and m = sqrt|c2| sqrt|c0|, the discriminant is
     4 (h**2 + sgn(c2) m**2) because c0 < 0.  Dividing h, m and sqrt(disc) / 2
@@ -254,7 +258,7 @@ def splitting_report(params: MaterialParams, thickness_t: float, x: float) -> Sp
     q_l1, q_l3, q_d6 = confinement_energies(params, thickness_t)
     # (e0 + de1 + de2) + eq, the order of ValleyEnergy.total
     e_l1 = b_l1 + q_l1
-    return Splitting(delta6_minus_l1=(b_d6 + q_d6) - e_l1, l3_minus_l1=(b_l3 + q_l3) - e_l1)
+    return Splitting((b_d6 + q_d6) - e_l1, (b_l3 + q_l3) - e_l1)
 
 
 # ---------------------------------------------------------------------------

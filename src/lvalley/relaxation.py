@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import math
 import sys
+from math import isfinite
 
 from .elasticity import perp_strain_ratio
 from .errors import InfeasibleError, SolverError
-from .materials import BURGERS_SI_NM, ElasticConstants, Record, _require_finite
+from .materials import BURGERS_SI_NM, ElasticConstants, Record
 from .well import STEP_RTOL
 
 # Linearized misfit of Si against the relaxed Si(1-x)Ge(x) barrier per unit
@@ -59,10 +60,12 @@ class RelaxationInput(Record):
     def _check(self):
         if not 0.0 <= self.ge_fraction_x <= 1.0:
             raise ValueError("Ge fraction must lie in [0, 1]")
-        _require_finite("Burgers vector and misfit slope", self.burgers_b, self.misfit_slope)
-        if not self.burgers_b > 0.0:
+        b, slope = self.burgers_b, self.misfit_slope
+        if not (isfinite(b) and isfinite(slope)):
+            raise ValueError("Burgers vector and misfit slope must be finite")
+        if not b > 0.0:
             raise ValueError("Burgers vector must be positive")
-        if not self.misfit_slope > 0.0:
+        if not slope > 0.0:
             raise ValueError("misfit slope must be positive")
 
     def misfit(self) -> float:
@@ -107,15 +110,18 @@ def critical_thickness(inp: RelaxationInput) -> CriticalThickness:
     # A step that does not descend (F(h) <= 0 by rounding) means h is
     # within rounding of the root.
     h = amp * (1.0 + math.sqrt(2.0 * u) + u)
-    if not math.isfinite(h):
+    if not isfinite(h):
         raise InfeasibleError(
             f"misfit {f:.4g} with [111] Poisson ratio {nu:.4g} makes the prefactor A "
             "of the energy balance overflow: the critical thickness is unbounded",
             reason="unbounded",
         )
+    log, rtol = math.log, STEP_RTOL
     for i in range(1, _MAX_NEWTON + 1):
-        step = (h - amp * math.log(h / b)) / (1.0 - amp / h)
-        if step <= STEP_RTOL * h:
-            return CriticalThickness(h_c=min(h, h - step), misfit_f=f, nu_111=nu, iterations=i)
+        step = (h - amp * log(h / b)) / (1.0 - amp / h)
+        if step <= rtol * h:
+            # min(h, h - step) without the builtin call
+            h_next = h - step
+            return CriticalThickness(h_next if h_next < h else h, f, nu, i)
         h -= step
     raise SolverError(f"critical-thickness Newton did not converge (f={f:.4g})")

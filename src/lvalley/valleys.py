@@ -87,7 +87,9 @@ def bulk_levels(params: MaterialParams, eps_par: float) -> tuple[float, float, f
     eps_par).total``.  Only a level of exactly -0.0, which ``total`` turns
     into 0.0 by adding eq = 0.0, keeps its sign here.
     """
-    require_supported_strain(eps_par)
+    # every strain the check rejects, nan included, fails this comparison
+    if not abs(eps_par) <= MAX_SUPPORTED_STRAIN:
+        require_supported_strain(eps_par)
     e = eps_par
     table = params._derive(valley_coefficients)
     (e_l1, c1_l1, c2_l1), (e_l3, c1_l3, c2_l3), (e_d6, c1_d6, c2_d6) = table

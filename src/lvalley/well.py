@@ -54,6 +54,13 @@ STEP_RTOL = 4.0 * sys.float_info.epsilon
 # below u0, so convergence cannot be declared there.
 MIN_RELATIVE_GAP = 1e-12
 
+_INF = math.inf
+# the smallest normal float: r u0 and u0**2 must stay at or above it
+_TINY = sys.float_info.min
+# the first branch of g ends at the first tangent pole
+_HALF_PI = 0.5 * math.pi
+
+
 class WellConfig(Record):
     """Geometry, barrier and masses of one finite well: nm, eV and m0 units."""
 
@@ -119,12 +126,12 @@ def solve_well(
     in :func:`ground_state`.
     """
     t = thickness_t
-    if not 0.0 < t < math.inf:
+    if not 0.0 < t < _INF:
         raise ValueError("well thickness must be positive and finite")
     v0 = barrier_v0
-    u0 = t * math.sqrt(m_in * v0 / (4.0 * hbar2_over_2m0))
-    r = math.sqrt(m_in / m_out)
-    binding = (u0 / r) * (u0 / r) if r > 0.0 else math.inf
+    u0 = t * sqrt(m_in * v0 / (4.0 * hbar2_over_2m0))
+    r = sqrt(m_in / m_out)
+    binding = (u0 / r) * (u0 / r) if r > 0.0 else _INF
     if not binding >= MIN_RELATIVE_GAP:
         raise InfeasibleError(
             f"a {t:.3g} nm well under a {v0:.3g} eV barrier binds its ground state "
@@ -135,7 +142,7 @@ def solve_well(
         )
     # r u0 is 0 only when the mass ratio underflows, which the check below reports
     ru0 = r * u0
-    deficit = 2.0 / ru0 if ru0 > 0.0 else math.inf
+    deficit = 2.0 / ru0 if ru0 > 0.0 else _INF
     if not deficit >= MIN_RELATIVE_GAP:
         raise InfeasibleError(
             f"the level of a {t:.3g} nm well under a {v0:.3g} eV barrier lies only "
@@ -144,8 +151,7 @@ def solve_well(
             "use the hard-wall level",
             reason="hard_wall_limit",
         )
-    tiny = sys.float_info.min
-    if not (ru0 >= tiny and tiny <= u0 * u0 < math.inf and 4.0 * binding < math.inf):
+    if not (ru0 >= _TINY and _TINY <= u0 * u0 < _INF and 4.0 * binding < _INF):
         raise InfeasibleError(
             f"a {t:.3g} nm well with masses m_in = {m_in:.3g} and m_out = {m_out:.3g} m0 "
             f"under a {v0:.3g} eV barrier has a mass ratio m_in/m_out too small for "
@@ -159,7 +165,8 @@ def solve_well(
     # where r w <= 2 / MIN_RELATIVE_GAP and cos(pi/2) rounds to 6e-17.  The
     # steps, stopping rule and fallbacks are those of rootfind.bisect_root
     # started at the same point, iterate for iterate.
-    lo, hi = 0.0, min(u0, 0.5 * math.pi)
+    # min(u0, _HALF_PI) without the builtin call
+    lo, hi = 0.0, _HALF_PI if _HALF_PI < u0 else u0
     z = _newton_start(u0, ru0, binding, hi)
     for i in range(1, 257):
         s, c = sin(z), cos(z)
@@ -172,7 +179,8 @@ def solve_well(
         else:
             hi = z
         # w is 0 only where (u0 - z)(u0 + z) underflows: bisect instead
-        slope = s + z * c + r * (z * c / w + w * s) if w != 0.0 else 0.0
+        zc = z * c
+        slope = s + zc + r * (zc / w + w * s) if w != 0.0 else 0.0
         if slope != 0.0:
             step = g / slope
             if abs(step) <= STEP_RTOL * z:
@@ -209,7 +217,7 @@ def _newton_start(u0: float, ru0: float, binding: float, hi: float) -> float:
     bracket (an overflow) gives way to the midpoint.
     """
     if ru0 > 1.5:
-        z = 0.5 * math.pi * ru0 / (1.0 + ru0)
+        z = _HALF_PI * ru0 / (1.0 + ru0)
         if 0.0 < z < hi:
             return z
     b4 = 4.0 * binding

@@ -233,6 +233,49 @@ def test_gap_root_with_an_overflowing_discriminant_is_a_true_root():
     assert checked > 500
 
 
+def _exact_gap_changes_sign_at(c0, c1, c2, eps):
+    """:func:`_gap_changes_sign_at` in exact arithmetic, for a gap too small for floats."""
+    def gap(e):
+        return Fraction(c0) + (Fraction(c1) + Fraction(c2) * e) * e
+
+    nudge = Fraction(1, 10**9)
+    return gap(Fraction(eps) * (1 - nudge)) < 0 < gap(Fraction(eps) * (1 + nudge))
+
+
+@pytest.mark.parametrize("c0, c1, c2", [
+    # the discriminant rounds to zero (true root 6.29e-162), or keeps a few
+    # subnormal bits while the slope's square underflows
+    (-5e-324, 0.0, 0.125),
+    (-5e-324, 1e-170, 0.125),
+    (-5e-324, -1e-170, 0.125),
+    (-1e-310, 1e-160, 3.0),
+    (-1e-310, 2e-155, -1e-160),
+])
+def test_gap_root_with_an_underflowing_discriminant_is_a_true_root(c0, c1, c2):
+    assert abs(c1 * c1 - 4.0 * c2 * c0) < sys.float_info.min
+    eps = design._gap_root(c0, c1, c2)
+    assert eps is not None and eps > 0.0
+    assert _exact_gap_changes_sign_at(c0, c1, c2, eps), eps
+
+
+def test_gap_root_with_a_random_underflowing_discriminant_is_a_true_root():
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(2000):
+        c0 = -(10.0 ** rng.uniform(-323.0, -308.0))
+        c1 = rng.choice((-1.0, 1.0, 0.0)) * 10.0 ** rng.uniform(-200.0, -154.0)
+        c2 = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-10.0, 10.0)
+        if abs(c1 * c1 - 4.0 * c2 * c0) >= sys.float_info.min:
+            continue
+        eps = design._gap_root(c0, c1, c2)
+        if eps is None:
+            continue
+        checked += 1
+        assert eps > 0.0, (c0, c1, c2)
+        assert _exact_gap_changes_sign_at(c0, c1, c2, eps), (c0, c1, c2, eps)
+    assert checked > 200
+
+
 @pytest.mark.parametrize("c1, c2", [
     (math.inf, 12.5), (-math.inf, 12.5), (math.nan, 12.5),
     (15.0, math.inf), (15.0, -math.inf), (15.0, math.nan),
@@ -478,6 +521,8 @@ def _lattices(draw):
 @example(c0=-0.5, c1=10.0, c2=0.0, lat=LAT)
 @example(c0=-0.1, c1=10.0, c2=0.0, lat=LAT)
 @example(c0=-0.1, c1=math.inf, c2=0.0, lat=LAT)
+# a discriminant that underflows to zero, where the plain formula divided by zero
+@example(c0=-5e-324, c1=0.0, c2=0.125, lat=LAT)
 def test_compared_clip_matches_raise_and_catch(c0, c1, c2, lat):
     ceiling = design._pure_ge_strain(lat)
     assert ceiling == x_to_strain(1.0, lat)

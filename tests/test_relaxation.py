@@ -224,3 +224,53 @@ def test_relaxation_input_validation():
             make_input(0.5, burgers_b=bad)
         with pytest.raises(ValueError, match="must be finite"):
             make_input(0.5, misfit_slope=bad)
+
+
+FINITE = "Burgers vector and misfit slope must be finite"
+
+
+@pytest.mark.parametrize("field", ["burgers_b", "misfit_slope"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_burgers_vector_or_slope_names_both(field, bad):
+    with pytest.raises(ValueError) as info:
+        make_input(0.5, **{field: bad})
+    assert str(info.value) == FINITE
+
+
+@pytest.mark.parametrize("field, message", [
+    ("burgers_b", "Burgers vector must be positive"),
+    ("misfit_slope", "misfit slope must be positive"),
+])
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1e-300, -0.384])
+def test_a_non_positive_burgers_vector_or_slope_is_named(field, message, bad):
+    with pytest.raises(ValueError) as info:
+        make_input(0.5, **{field: bad})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("x", [-1e-300, -0.1, 1.0000000000000002, 1.5, math.nan, math.inf, -math.inf])
+def test_a_ge_fraction_outside_zero_one_is_named(x):
+    with pytest.raises(ValueError) as info:
+        make_input(x)
+    assert str(info.value) == "Ge fraction must lie in [0, 1]"
+
+
+@pytest.mark.parametrize("x, b, slope, message", [
+    # the Ge fraction is checked first, then finiteness of both, then each sign
+    (1.5, math.nan, 0.0, "Ge fraction must lie in [0, 1]"),
+    (math.nan, -1.0, math.inf, "Ge fraction must lie in [0, 1]"),
+    (0.5, -1.0, math.nan, FINITE),
+    (0.5, math.inf, -1.0, FINITE),
+    (0.5, 0.0, math.nan, FINITE),
+    (0.5, 0.0, 0.0, "Burgers vector must be positive"),
+    (0.5, -0.384, -0.0418, "Burgers vector must be positive"),
+])
+def test_the_first_bad_field_names_the_error(x, b, slope, message):
+    with pytest.raises(ValueError) as info:
+        make_input(x, burgers_b=b, misfit_slope=slope)
+    assert str(info.value) == message
+
+
+def test_the_edges_of_the_ge_fraction_are_accepted():
+    for x in (0.0, -0.0, 1.0):
+        assert make_input(x).ge_fraction_x == x
