@@ -22,13 +22,13 @@ def main():
     ratio = lv.perp_strain_ratio(p.elastic)
     print(f"eps_perp / eps_par = {ratio:+.4f}  (tension in-plane -> compression out-of-plane)\n")
 
-    s = lv.strain_state(p.elastic, 0.03)
+    eps_par, eps_perp = lv.strain_state(p.elastic, 0.03)
     # film frame: diag(eps_par, eps_par, eps_perp); on the cubic axes every
     # diagonal entry is the mean strain and every off-diagonal one
     # (eps_perp - eps_par)/3
-    film = np.diag([s.eps_par, s.eps_par, s.eps_perp])
-    crystal = np.full((3, 3), (s.eps_perp - s.eps_par) / 3.0)
-    np.fill_diagonal(crystal, (2.0 * s.eps_par + s.eps_perp) / 3.0)
+    film = np.diag([eps_par, eps_par, eps_perp])
+    crystal = np.full((3, 3), (eps_perp - eps_par) / 3.0)
+    np.fill_diagonal(crystal, (2.0 * eps_par + eps_perp) / 3.0)
     print("Strain state at eps_par = 3%:")
     print("  film frame (diagonal):   ", np.diag(film))
     print("  crystal frame diagonal:  ", np.diag(crystal))
@@ -39,19 +39,12 @@ def main():
     print("-----------------------------------")
     print("eps_par    E(L1)    E(L3)    E(Delta6)")
     for eps in (0.0, 0.01, 0.02, 0.03, 0.04, 0.05):
-        e = {v: lv.bulk_energy(v, p, eps).total for v in lv.Valley}
-        print(
-            f"{eps:6.3f}   {e[lv.Valley.L1]:.4f}   {e[lv.Valley.L3]:.4f}   "
-            f"{e[lv.Valley.DELTA6]:.4f}"
-        )
+        l1, l3, d6 = lv.bulk_levels(p, eps)
+        print(f"{eps:6.3f}   {l1:.4f}   {l3:.4f}   {d6:.4f}")
 
     # the bulk crossover, before any confinement correction
     grid = np.linspace(0.0, 0.05, 501)
-    gap = [
-        lv.bulk_energy(lv.Valley.DELTA6, p, float(x)).total
-        - lv.bulk_energy(lv.Valley.L1, p, float(x)).total
-        for x in grid
-    ]
+    gap = [d6 - l1 for l1, _, d6 in (lv.bulk_levels(p, float(x)) for x in grid)]
     idx = int(np.argmin(np.abs(gap)))
     print(f"\nBulk-only crossing near eps_par = {grid[idx]:.4f}")
     print("(confinement in a thin well moves this, see demo 03)")

@@ -9,6 +9,8 @@ Run:  python3 demos/02_confinement_energies.py
 Writes confinement_vs_thickness.csv and, if matplotlib is present, a PNG.
 """
 
+import math
+
 import numpy as np
 
 import lvalley as lv
@@ -42,7 +44,7 @@ def main():
 
     # sanity: a huge barrier reproduces the textbook hard-wall level
     sol = lv.ground_state(lv.WellConfig(3.0, 0.28 * 1e7, 0.26, 1.59))
-    ref = lv.infinite_well_reference(3.0, 0.26)
+    ref = math.pi**2 * lv.HBAR2_OVER_2M0 / (0.26 * 3.0**2)
     print(f"\nHard-wall check at 3 nm: {sol.energy_eq:.5f} eV vs {ref:.5f} eV (limit)")
 
     with open("confinement_vs_thickness.csv", "w") as fh:

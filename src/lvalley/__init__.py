@@ -32,11 +32,7 @@ from .design import (
     strain_to_x,
     x_to_strain,
 )
-from .elasticity import (
-    StrainState,
-    perp_strain_ratio,
-    strain_state,
-)
+from .elasticity import perp_strain_ratio, strain_state
 from .errors import InfeasibleError, SolverError
 from .materials import (
     BURGERS_SI_NM,
@@ -62,15 +58,14 @@ from .relaxation import (
     critical_thickness,
     poisson_111,
 )
-from .valleys import ValleyEnergy, bulk_energy, bulk_levels, linear_shift, valley_coefficients
+from .valleys import bulk_energy, bulk_levels, linear_shift, valley_coefficients
 from .well import (
     WellConfig,
     WellSolution,
     ground_state,
-    infinite_well_reference,
     matching_mismatch,
     solve_well,
     well_config,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

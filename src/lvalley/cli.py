@@ -236,7 +236,6 @@ def _energy(params: MaterialParams, ns: argparse.Namespace):
     header = ["eps_par", "e_l1_ev", "e_l3_ev", "e_delta6_ev"]
     rows = []
     for e in eps_grid:
-        # the same floats as bulk_energy(v, params, e).total + eq
         b_l1, b_l3, b_d6 = bulk_levels(params, e)
         rows.append((e, b_l1 + q_l1, b_l3 + q_l3, b_d6 + q_d6))
     return header, rows

@@ -256,7 +256,6 @@ def splitting_report(params: MaterialParams, thickness_t: float, x: float) -> Sp
     """Valley splittings relative to L1 at a (thickness, Ge fraction) point."""
     b_l1, b_l3, b_d6 = bulk_levels(params, x_to_strain(x, params.lattice))
     q_l1, q_l3, q_d6 = confinement_energies(params, thickness_t)
-    # (e0 + de1 + de2) + eq, the order of ValleyEnergy.total
     e_l1 = b_l1 + q_l1
     return Splitting((b_d6 + q_d6) - e_l1, (b_l3 + q_l3) - e_l1)
 

@@ -12,7 +12,7 @@ independent cross-check and lives with the test oracles.
 
 from __future__ import annotations
 
-from .materials import ElasticConstants, Record
+from .materials import ElasticConstants
 
 
 def perp_strain_ratio(c: ElasticConstants) -> float:
@@ -21,12 +21,6 @@ def perp_strain_ratio(c: ElasticConstants) -> float:
     return -(2.0 * c.c11 + 4.0 * c.c12 - 4.0 * c.c44) / (c.c11 + 2.0 * c.c12 + 4.0 * c.c44)
 
 
-class StrainState(Record):
-    """Strain of a biaxial (111) film: in-plane and film-normal components."""
-
-    __slots__ = ("eps_par", "eps_perp")
-
-
-def strain_state(c: ElasticConstants, eps_par: float) -> StrainState:
-    """Strain state of a (111) film with in-plane strain eps_par."""
-    return StrainState(eps_par=eps_par, eps_perp=perp_strain_ratio(c) * eps_par)
+def strain_state(c: ElasticConstants, eps_par: float) -> tuple[float, float]:
+    """Strain (eps_par, eps_perp) of a (111) film with in-plane strain eps_par."""
+    return eps_par, perp_strain_ratio(c) * eps_par

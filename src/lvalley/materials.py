@@ -109,6 +109,22 @@ class Valley(Enum):
     DELTA6 = "Delta6"
 
 
+_VALLEY_INDEX = {v: i for i, v in enumerate(Valley)}
+
+
+def _valley_index(valley: Valley) -> int:
+    """Position of ``valley`` in (L1, L3, Delta6), the order of every per-valley tuple.
+
+    Anything but a member, its name or value as a string included, is a
+    ValueError that names the members.
+    """
+    try:
+        return _VALLEY_INDEX[valley]
+    except (KeyError, TypeError):
+        members = ", ".join(f"Valley.{v.name}" for v in Valley)
+        raise ValueError(f"valley must be one of {members}, got {valley!r}") from None
+
+
 class ElasticConstants(Record):
     """Cubic elastic stiffness constants, GPa."""
 
@@ -257,11 +273,7 @@ class MaterialParams(Record, _Memo):
         return memo.setdefault(key, fn(self, *args))
 
     def masses(self, valley: Valley) -> EffectiveMasses:
-        if valley is Valley.L1:
-            return self.masses_l1
-        if valley is Valley.L3:
-            return self.masses_l3
-        return self.masses_delta6
+        return (self.masses_l1, self.masses_l3, self.masses_delta6)[_valley_index(valley)]
 
 
 # Literature deformation-potential sets that provide all four values

@@ -99,15 +99,6 @@ def matching_mismatch(
     return math.tan(0.5 * k_in * cfg.thickness_t) - rhs
 
 
-def infinite_well_reference(
-    thickness_t: float, m_in: float, hbar2_over_2m0: float = HBAR2_OVER_2M0
-) -> float:
-    """Ground-state energy of the infinite-barrier well, eV (limit check)."""
-    if not (thickness_t > 0.0 and m_in > 0.0):
-        raise ValueError("thickness and mass must be positive")
-    return math.pi**2 * hbar2_over_2m0 / (m_in * thickness_t**2)
-
-
 def solve_well(
     thickness_t: float,
     barrier_v0: float,

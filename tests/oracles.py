@@ -61,6 +61,13 @@ def bisect_well_energy(t, v0, m_in, m_out):
             hi = mid
 
 
+def infinite_well_reference(thickness_t, m_in, hbar2_over_2m0=K_ORACLE):
+    """Ground-state energy of the infinite-barrier well, eV (limit check)."""
+    if not (thickness_t > 0.0 and m_in > 0.0):
+        raise ValueError("thickness and mass must be positive")
+    return math.pi**2 * hbar2_over_2m0 / (m_in * thickness_t**2)
+
+
 def hard_wall_with_penetration(t, v0, m_in, m_out, rtol=1e-15):
     """Hard-wall level of a well widened by the barrier penetration depth.
 

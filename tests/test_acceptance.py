@@ -36,6 +36,7 @@ from oracles import (
     fixed_point_hc,
     hard_wall_barrier,
     hard_wall_with_penetration,
+    infinite_well_reference,
     strain_tensors,
     tensor_perp_ratio,
 )
@@ -49,7 +50,6 @@ from lvalley import (
     critical_thickness,
     default_params,
     ground_state,
-    infinite_well_reference,
     linear_shift,
     matching_mismatch,
     perp_strain_ratio,
@@ -70,7 +70,7 @@ def check(cid: str, ok: bool, detail: str):
 
 
 def test_c01_perp_strain_ratio_and_runtime():
-    ratio = strain_state(PARAMS.elastic, 1.0).eps_perp
+    _, ratio = strain_state(PARAMS.elastic, 1.0)
     t0 = time.perf_counter()
     for _ in range(1000):
         strain_state(PARAMS.elastic, 0.039)
@@ -81,7 +81,7 @@ def test_c01_perp_strain_ratio_and_runtime():
 
 def test_c02_composite_linear_coefficients():
     s = strain_state(PARAMS.elastic, 1e-3)
-    slopes = {v: linear_shift(v, PARAMS.deformation, s) / 1e-3 for v in Valley}
+    slopes = {v: linear_shift(v, PARAMS.deformation, *s) / 1e-3 for v in Valley}
     targets = {Valley.L1: -16.46, Valley.L3: 4.20, Valley.DELTA6: 6.48}
     ok = all(abs(slopes[v] - targets[v]) <= 0.02 for v in Valley)
     detail = ", ".join(f"{v.value}: {slopes[v]:+.4f} (target {targets[v]:+.2f})" for v in Valley)
@@ -225,9 +225,9 @@ def test_c12_property_suites_fast():
         assert abs(strain_to_x(x_to_strain(float(x), PARAMS.lattice), PARAMS.lattice) - x) <= 1e-8
 
     for eps in rng.uniform(-0.05, 0.05, size=1000):
-        s = strain_state(PARAMS.elastic, float(eps))
-        _, crystal = strain_tensors(s.eps_par, s.eps_perp)
-        assert abs(np.trace(crystal) - (2.0 * s.eps_par + s.eps_perp)) <= 1e-12
+        eps_par, eps_perp = strain_state(PARAMS.elastic, float(eps))
+        _, crystal = strain_tensors(eps_par, eps_perp)
+        assert abs(np.trace(crystal) - (2.0 * eps_par + eps_perp)) <= 1e-12
 
     for _ in range(100):
         c11 = rng.uniform(50.0, 300.0)

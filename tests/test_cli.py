@@ -242,7 +242,7 @@ def test_energy_rows_are_the_bulk_totals_plus_confinement(fig, dp_set, sets):
     eqs = confinement_energies(params, ns.t)
     assert len(rows) == 501
     for eps, *levels in rows:
-        expected = [bulk_energy(v, params, eps).total + eq for v, eq in zip(Valley, eqs)]
+        expected = [bulk_energy(v, params, eps) + eq for v, eq in zip(Valley, eqs)]
         assert repr(levels) == repr(expected)
 
 

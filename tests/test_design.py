@@ -19,7 +19,6 @@ from lvalley import (
     QuadraticCoefficients,
     SensitivityBand,
     Splitting,
-    StrainState,
     Valley,
     bulk_energy,
     bulk_levels,
@@ -42,7 +41,6 @@ from lvalley import (
     well_config,
     x_to_strain,
 )
-from lvalley.valleys import ValleyEnergy
 
 PARAMS = default_params()
 LAT = PARAMS.lattice
@@ -55,23 +53,23 @@ def _levels(params, t, eps):
     return tuple(b + q for b, q in zip(bulk_levels(params, eps), confinement_energies(params, t)))
 
 
-def _total_energy(valley, params, t, eps):
-    """One valley's breakdown with its confinement energy at thickness t."""
-    b = bulk_energy(valley, params, eps)
-    eq = dict(zip(Valley, confinement_energies(params, t)))[valley]
-    return ValleyEnergy(valley, b.e0, b.de1, b.de2, eq)
+def _breakdown(valley, params, t, eps):
+    """One valley's (e0, de1, de2, eq): edge, first- and second-order shifts, confinement, eV."""
+    i = list(Valley).index(valley)
+    e0, c1, c2 = valley_coefficients(params)[i]
+    return e0, c1 * eps, c2 * eps * eps, confinement_energies(params, t)[i]
 
 
 def test_total_energy_reference_point():
     # 1.17 plus the t = 3 nm confinement energy of Delta6
-    e = _total_energy(Valley.DELTA6, PARAMS, 3.0, 0.0)
-    assert e.total == pytest.approx(1.210, abs=3e-3)
-    assert e.eq == pytest.approx(0.0398, abs=1e-3)
+    total = _levels(PARAMS, 3.0, 0.0)[2]
+    assert total == pytest.approx(1.210, abs=3e-3)
+    assert _breakdown(Valley.DELTA6, PARAMS, 3.0, 0.0)[3] == pytest.approx(0.0398, abs=1e-3)
 
 
 def test_total_energy_confinement_vanishes_for_wide_well():
-    wide = _total_energy(Valley.L1, PARAMS, 1e4, 0.02).total
-    assert wide == pytest.approx(bulk_energy(Valley.L1, PARAMS, 0.02).total, abs=1e-5)
+    wide = _levels(PARAMS, 1e4, 0.02)[0]
+    assert wide == pytest.approx(bulk_energy(Valley.L1, PARAMS, 0.02), abs=1e-5)
 
 
 def test_near_crossing_at_t10():
@@ -80,8 +78,9 @@ def test_near_crossing_at_t10():
 
 
 def test_total_energy_breakdown_sums():
-    e = _total_energy(Valley.L3, PARAMS, 4.0, 0.03)
-    assert abs(e.total - (e.e0 + e.de1 + e.de2 + e.eq)) < 1e-12
+    total = _levels(PARAMS, 4.0, 0.03)[1]
+    e0, de1, de2, eq = _breakdown(Valley.L3, PARAMS, 4.0, 0.03)
+    assert abs(total - (e0 + de1 + de2 + eq)) < 1e-12
 
 
 # --- Vegard mapping ----------------------------------------------------------
@@ -404,7 +403,8 @@ def test_float_well_path_is_bit_identical_to_object_path(
     t, x, v0_scale, l1_scale, l3_scale, d6_scale
 ):
     # confinement_energies and splitting_report call the float well kernel;
-    # ground_state(well_config(...)), bulk_energy and ValleyEnergy build the objects
+    # ground_state(well_config(...)) builds the objects, and each level is
+    # bulk_energy plus confinement
     params = replace(
         PARAMS,
         bands=replace(PARAMS.bands, v0_offset_111=PARAMS.bands.v0_offset_111 * v0_scale),
@@ -421,9 +421,8 @@ def test_float_well_path_is_bit_identical_to_object_path(
         eps = x_to_strain(x, params.lattice)
         e = {}
         for v in Valley:
-            b = bulk_energy(v, params, eps)
             eq = ground_state(well_config(v, params, t), k).energy_eq
-            e[v] = ValleyEnergy(v, b.e0, b.de1, b.de2, eq).total
+            e[v] = bulk_energy(v, params, eps) + eq
         return Splitting(
             delta6_minus_l1=e[Valley.DELTA6] - e[Valley.L1],
             l3_minus_l1=e[Valley.L3] - e[Valley.L1],
@@ -725,10 +724,10 @@ def test_gap_slope_is_bit_identical_to_the_linear_shift_difference(
     dp = DeformationPotentials(xi_u_delta, xi_d_delta, xi_u_L, xi_d_L)
     elastic = ElasticConstants(c11_over_c12 * c12, c12, c44)
     params = replace(PARAMS, deformation=dp, elastic=elastic)
-    unit = StrainState(1.0, perp_strain_ratio(elastic))
+    unit = (1.0, perp_strain_ratio(elastic))
     for v, (_, c1, _) in zip(Valley, valley_coefficients(params)):
-        assert c1 == linear_shift(v, dp, unit), v
-    expected = linear_shift(Valley.DELTA6, dp, unit) - linear_shift(Valley.L1, dp, unit)
+        assert c1 == linear_shift(v, dp, *unit), v
+    expected = linear_shift(Valley.DELTA6, dp, *unit) - linear_shift(Valley.L1, dp, *unit)
     q = params.quadratic
     assert design._nominal_gap(params) == (expected, q.d_delta6 - q.d_L1)
 

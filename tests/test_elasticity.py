@@ -20,7 +20,6 @@ from oracles import (
 
 from lvalley import (
     ElasticConstants,
-    StrainState,
     default_params,
     perp_strain_ratio,
     strain_state,
@@ -114,12 +113,12 @@ def test_rotation_preserves_tensor_norm():
 # --- perpendicular strain -------------------------------------------------
 
 def test_perp_strain_zero():
-    assert strain_state(ELASTIC, 0.0).eps_perp == 0.0
+    assert strain_state(ELASTIC, 0.0)[1] == 0.0
 
 
 def test_perp_strain_hand_value():
     # -0.4390 x 0.039, oracle = direct formula evaluation
-    assert strain_state(ELASTIC, 0.039).eps_perp == pytest.approx(-0.01712, abs=1e-4)
+    assert strain_state(ELASTIC, 0.039)[1] == pytest.approx(-0.01712, abs=1e-4)
 
 
 def test_perp_ratio_default():
@@ -136,7 +135,7 @@ def test_closed_form_agrees_with_tensor_path():
 # --- strain state through the oracle tensors -------------------------------
 
 def tensors(s):
-    return strain_tensors(s.eps_par, s.eps_perp)
+    return strain_tensors(*s)
 
 
 def test_strain_state_zero_everywhere():
@@ -153,10 +152,12 @@ def test_strain_state_offdiagonal_hand_value():
 
 def test_strain_state_structure():
     s = strain_state(ELASTIC, 0.021)
-    assert list(StrainState.__slots__) == ["eps_par", "eps_perp"]
-    assert s.eps_perp == perp_strain_ratio(ELASTIC) * 0.021
+    assert type(s) is tuple and len(s) == 2
+    eps_par, eps_perp = s
+    assert eps_par == 0.021
+    assert eps_perp == perp_strain_ratio(ELASTIC) * 0.021
     film, crystal = tensors(s)
-    np.testing.assert_array_equal(film, np.diag([s.eps_par, s.eps_par, s.eps_perp]))
+    np.testing.assert_array_equal(film, np.diag([eps_par, eps_par, eps_perp]))
     # film frame carries no shear by the n-fold symmetry of the orientation
     assert film[0, 2] == 0.0 and film[1, 2] == 0.0
     np.testing.assert_allclose(crystal, crystal.T, atol=0)
@@ -175,6 +176,7 @@ def test_trace_invariance_1000_random():
     for eps in rng.uniform(-0.05, 0.05, size=1000):
         s = strain_state(ELASTIC, float(eps))
         film, crystal = tensors(s)
-        expected = 2.0 * s.eps_par + s.eps_perp
+        eps_par, eps_perp = s
+        expected = 2.0 * eps_par + eps_perp
         assert abs(np.trace(crystal) - expected) < 1e-12
         assert abs(np.trace(film) - expected) < 1e-12

@@ -21,10 +21,8 @@ from lvalley import (
     Record,
     RelaxationInput,
     SensitivityBand,
-    StrainState,
+    Splitting,
     Valley,
-    ValleyEnergy,
-    bulk_energy,
     critical_strain,
     critical_thickness,
     default_params,
@@ -32,7 +30,6 @@ from lvalley import (
     replace,
     sensitivity_band,
     splitting_report,
-    strain_state,
     well_config,
 )
 from lvalley.relaxation import DEFAULT_MISFIT_SLOPE
@@ -49,8 +46,6 @@ EXAMPLES = [
     P.bands,
     P.constants,
     P.masses_l1,
-    strain_state(P.elastic, 0.03),
-    bulk_energy(Valley.L3, P, 0.03),
     well_config(Valley.L1, P, 3.0),
     ground_state(well_config(Valley.L1, P, 3.0)),
     critical_strain(P, 3.0),
@@ -67,7 +62,6 @@ DEFAULTS = {
     PhysicalConstants: {"hbar2_over_2m0": HBAR2_OVER_2M0, "burgers_si": BURGERS_SI_NM},
     RelaxationInput: {"burgers_b": BURGERS_SI_NM, "misfit_slope": DEFAULT_MISFIT_SLOPE},
     SensitivityBand: {"clipped": False},
-    ValleyEnergy: {"eq": 0.0},
 }
 
 DEFAULT_PARAMS_REPR = (
@@ -167,9 +161,9 @@ def test_equal_records_hash_equal(record):
 
 
 def test_equality_is_strict_about_the_class():
-    masses, strain = EffectiveMasses(0.5, 1.5), StrainState(0.5, 1.5)
-    assert masses != strain and not masses == strain
-    assert masses.__eq__(strain) is NotImplemented
+    masses, split = EffectiveMasses(0.5, 1.5), Splitting(0.5, 1.5)
+    assert masses != split and not masses == split
+    assert masses.__eq__(split) is NotImplemented
     assert masses != (0.5, 1.5)
     assert masses != EffectiveMasses(0.5, 1.6)
 
@@ -188,4 +182,3 @@ def test_pickle_and_copy_round_trip(record):
 
 def test_repr_of_the_default_parameters_is_pinned():
     assert repr(default_params()) == DEFAULT_PARAMS_REPR
-    assert repr(StrainState(0.5, 1.5)) == "StrainState(eps_par=0.5, eps_perp=1.5)"

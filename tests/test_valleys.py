@@ -19,37 +19,38 @@ from lvalley import (
     perp_strain_ratio,
     strain_state,
     valley_coefficients,
+    well_config,
 )
-from lvalley.valleys import ValleyEnergy
 
 PARAMS = default_params()
 
 
 def state(eps):
+    """(eps_par, eps_perp) of the default film at in-plane strain eps."""
     return strain_state(PARAMS.elastic, eps)
 
 
 def test_linear_shift_vanishes_at_zero():
     for v in Valley:
-        assert linear_shift(v, PARAMS.deformation, state(0.0)) == 0.0
+        assert linear_shift(v, PARAMS.deformation, *state(0.0)) == 0.0
 
 
 def test_linear_shift_composite_values():
-    assert linear_shift(Valley.L1, PARAMS.deformation, state(0.01)) == pytest.approx(
+    assert linear_shift(Valley.L1, PARAMS.deformation, *state(0.01)) == pytest.approx(
         -0.1646, abs=5e-4
     )
-    assert linear_shift(Valley.DELTA6, PARAMS.deformation, state(0.01)) == pytest.approx(
+    assert linear_shift(Valley.DELTA6, PARAMS.deformation, *state(0.01)) == pytest.approx(
         0.0648, abs=5e-4
     )
-    assert linear_shift(Valley.L3, PARAMS.deformation, state(0.01)) == pytest.approx(
+    assert linear_shift(Valley.L3, PARAMS.deformation, *state(0.01)) == pytest.approx(
         0.0420, abs=5e-4
     )
 
 
 def test_linear_shift_exactly_linear():
     for v in Valley:
-        one = linear_shift(v, PARAMS.deformation, state(0.004))
-        two = linear_shift(v, PARAMS.deformation, state(0.008))
+        one = linear_shift(v, PARAMS.deformation, *state(0.004))
+        two = linear_shift(v, PARAMS.deformation, *state(0.008))
         assert two / one == pytest.approx(2.0, rel=1e-12)
 
 
@@ -59,7 +60,7 @@ def test_composite_coefficient_reconstruction():
     r = perp_strain_ratio(PARAMS.elastic)
     by_hand = PARAMS.deformation.xi_d_L * (2.0 + r) + PARAMS.deformation.xi_u_L * r
     assert by_hand == pytest.approx(-16.46, abs=0.02)
-    slope = linear_shift(Valley.L1, PARAMS.deformation, state(1e-3)) / 1e-3
+    slope = linear_shift(Valley.L1, PARAMS.deformation, *state(1e-3)) / 1e-3
     assert slope == pytest.approx(by_hand, rel=1e-9)
 
 
@@ -81,13 +82,13 @@ def test_linear_shift_matches_crystal_frame_projection():
             xi_d_L=rng.uniform(-20.0, 20.0),
         )
         s = state(float(rng.uniform(-0.05, 0.05)))
-        _, crystal = strain_tensors(s.eps_par, s.eps_perp)
+        _, crystal = strain_tensors(*s)
         for v, dirs in axes.items():
             if v is Valley.DELTA6:
                 xi_d, xi_u = dp.xi_d_delta, dp.xi_u_delta
             else:
                 xi_d, xi_u = dp.xi_d_L, dp.xi_u_L
-            shift = linear_shift(v, dp, s)
+            shift = linear_shift(v, dp, *s)
             for d in dirs:
                 n = np.array(d) / math.sqrt(np.dot(d, d))
                 dil, uni = xi_d * np.trace(crystal), xi_u * (n @ crystal @ n)
@@ -103,23 +104,23 @@ def test_quadratic_shift_values():
 
 
 def test_bulk_energy_unstrained_edges():
-    assert bulk_energy(Valley.L1, PARAMS, 0.0).total == pytest.approx(2.10)
-    assert bulk_energy(Valley.DELTA6, PARAMS, 0.0).total == pytest.approx(1.17)
+    assert bulk_energy(Valley.L1, PARAMS, 0.0) == pytest.approx(2.10)
+    assert bulk_energy(Valley.DELTA6, PARAMS, 0.0) == pytest.approx(1.17)
 
 
 def test_bulk_energy_hand_value():
     # 2.10 - 0.688 - 0.0393 at 4.18% strain
-    assert bulk_energy(Valley.L1, PARAMS, 0.0418).total == pytest.approx(1.373, abs=2e-3)
+    assert bulk_energy(Valley.L1, PARAMS, 0.0418) == pytest.approx(1.373, abs=2e-3)
 
 
 def test_l_valleys_degenerate_at_zero_strain():
-    assert bulk_energy(Valley.L1, PARAMS, 0.0).total == bulk_energy(Valley.L3, PARAMS, 0.0).total
+    assert bulk_energy(Valley.L1, PARAMS, 0.0) == bulk_energy(Valley.L3, PARAMS, 0.0)
 
 
 def test_l1_below_l3_under_tension():
     for eps in np.linspace(1e-4, 0.06, 40):
-        e1 = bulk_energy(Valley.L1, PARAMS, float(eps)).total
-        e3 = bulk_energy(Valley.L3, PARAMS, float(eps)).total
+        e1 = bulk_energy(Valley.L1, PARAMS, float(eps))
+        e3 = bulk_energy(Valley.L3, PARAMS, float(eps))
         assert e1 < e3
 
 
@@ -127,13 +128,13 @@ def test_bulk_energy_matches_published_closed_forms():
     # the three published closed forms, within 1 meV over the fit range
     for eps in np.linspace(0.0, 0.05, 11):
         eps = float(eps)
-        assert bulk_energy(Valley.L1, PARAMS, eps).total == pytest.approx(
+        assert bulk_energy(Valley.L1, PARAMS, eps) == pytest.approx(
             2.10 - 16.46 * eps - 22.5 * eps**2, abs=1e-3
         )
-        assert bulk_energy(Valley.L3, PARAMS, eps).total == pytest.approx(
+        assert bulk_energy(Valley.L3, PARAMS, eps) == pytest.approx(
             2.10 + 4.20 * eps - 15.0 * eps**2, abs=1e-3
         )
-        assert bulk_energy(Valley.DELTA6, PARAMS, eps).total == pytest.approx(
+        assert bulk_energy(Valley.DELTA6, PARAMS, eps) == pytest.approx(
             1.17 + 6.48 * eps - 10.0 * eps**2, abs=1e-3
         )
 
@@ -147,6 +148,22 @@ def test_bulk_energy_rejects_unsupported_strain():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             bulk_energy(Valley.L1, PARAMS, bad)
+
+
+# every call that picks a valley; a non-member once fell through to Delta6
+_PER_VALLEY = {
+    "masses": lambda v: PARAMS.masses(v),
+    "well_config": lambda v: well_config(v, PARAMS, 3.0),
+    "linear_shift": lambda v: linear_shift(v, PARAMS.deformation, 0.03, -0.0132),
+    "bulk_energy": lambda v: bulk_energy(v, PARAMS, 0.03),
+}
+
+
+@pytest.mark.parametrize("valley", ("L1", "bogus", None), ids=repr)
+@pytest.mark.parametrize("call", list(_PER_VALLEY))
+def test_a_valley_that_is_no_member_is_rejected(call, valley):
+    with pytest.raises(ValueError, match=r"one of Valley\.L1, Valley\.L3, Valley\.DELTA6, got "):
+        _PER_VALLEY[call](valley)
 
 
 def _error_or_repr(fn):
@@ -172,20 +189,16 @@ def test_bulk_levels_are_the_bulk_energy_totals(eps, dp_set, c44, d_L1):
         quadratic=replace(PARAMS.quadratic, d_L1=d_L1),
     )
     assert _error_or_repr(lambda: bulk_levels(params, eps)) == _error_or_repr(
-        lambda: tuple(bulk_energy(v, params, eps).total for v in Valley)
+        lambda: tuple(bulk_energy(v, params, eps) for v in Valley)
     )
 
 
-def test_valley_energy_total_is_component_sum():
-    ve = ValleyEnergy(valley=Valley.L1, e0=2.10, de1=-0.5, de2=-0.03, eq=0.02)
-    assert abs(ve.total - (2.10 - 0.5 - 0.03 + 0.02)) < 1e-12
-
-
 def test_breakdown_fields_populated():
-    ve = bulk_energy(Valley.DELTA6, PARAMS, 0.02)
-    assert ve.eq == 0.0
-    assert ve.e0 == 1.17
-    assert abs(ve.total - (ve.e0 + ve.de1 + ve.de2 + ve.eq)) < 1e-12
+    # the bulk level is its unstrained edge plus the first- and second-order shifts
+    e0, c1, c2 = valley_coefficients(PARAMS)[2]
+    assert e0 == 1.17
+    de1, de2 = c1 * 0.02, c2 * 0.02 * 0.02
+    assert abs(bulk_energy(Valley.DELTA6, PARAMS, 0.02) - (e0 + de1 + de2)) < 1e-12
 
 
 # the strain grid of the fig2/fig3 sweeps, eps = 0, 1e-4, ..., 0.05

@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import EQ_FROZEN, bisect_well_energy, grid_scan_ground_state
+from oracles import EQ_FROZEN, bisect_well_energy, grid_scan_ground_state, infinite_well_reference
 
 from lvalley import (
+    HBAR2_OVER_2M0,
     InfeasibleError,
     Valley,
     WellConfig,
     cli,
     default_params,
     ground_state,
-    infinite_well_reference,
     matching_mismatch,
     solve_well,
     well,
@@ -223,7 +223,7 @@ def test_hard_wall_limit_is_a_tagged_domain_error():
             ground_state(WellConfig(t, 0.28, 1.70, 1.59))
         assert exc.value.reason == "hard_wall_limit"
     sol = ground_state(WellConfig(1e12, 0.28, 1.70, 1.59))
-    ref = infinite_well_reference(1e12, 1.70)
+    ref = infinite_well_reference(1e12, 1.70, HBAR2_OVER_2M0)
     assert 0.0 < sol.energy_eq <= ref
     assert sol.energy_eq == pytest.approx(ref, rel=1e-11)
 
@@ -353,7 +353,7 @@ def test_ground_state_bounds_or_thin_well(t, v0, m_in, m_out):
         assert err.reason == "thin_well"
         return
     assert 0.0 < sol.energy_eq < v0
-    assert sol.energy_eq <= infinite_well_reference(t, m_in)
+    assert sol.energy_eq <= infinite_well_reference(t, m_in, HBAR2_OVER_2M0)
     assert sol.k_out > 0.0
 
 
