@@ -14,7 +14,6 @@ import argparse
 import math
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import design, relaxation, well
@@ -86,10 +85,11 @@ def apply_override(params: MaterialParams, key: str, raw_value: str) -> Material
 
 
 def read_config(path: str | Path) -> list[tuple[str, str]]:
-    """Parse a flat ``key = value`` config file with ``#`` comments."""
+    """Parse a flat ``key = value`` config file with ``#`` comments; a UTF-8 BOM is skipped."""
     pairs: list[tuple[str, str]] = []
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # decoded as plain UTF-8 so an error's offset counts the BOM's bytes too
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as err:
         raise UsageError(f"cannot read config file {path}: {err.strerror}") from None
     except UnicodeDecodeError as err:
@@ -166,20 +166,19 @@ def write_atomic(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file and one rename.
 
     The file gets the mode ``open(path, "w")`` would leave: an existing file
-    keeps its own, a new one gets 0o666 less the umask.
+    keeps its own, a new one gets 0o666 less the umask, which ``os.open``
+    applies as ``open`` does.
     """
-    path = Path(path)
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
-        mode = os.stat(path).st_mode & 0o777
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
-    try:
-        os.chmod(tmp, mode)
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
+        try:
+            os.chmod(tmp, os.stat(path).st_mode & 0o777)
+        except FileNotFoundError:
+            pass
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -212,7 +211,8 @@ def make_grid(lo: float, hi: float, step: float, name: str) -> list[float]:
             "use a larger step or a narrower range"
         )
     n = int(math.floor(span)) + 1
-    return [lo + i * step for i in range(n)]
+    # the tolerance above may admit a last point a rounding error past hi
+    return [min(lo + i * step, hi) for i in range(n)]
 
 
 def _grid(ns: argparse.Namespace, axis: str) -> list[float]:
@@ -400,14 +400,17 @@ def run(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
+    out = _default_out(ns.command, ns.format) if ns.out is None else ns.out
     try:
+        if not out:
+            raise UsageError("--out needs a path, or '-' for standard output")
         params = resolve_params(ns.config, ns.dp_set, ns.set)
         header, rows = ns.rows(params, ns)
         text = render(header, rows, ns.format)
-        if ns.out == "-":
+        if out == "-":
             sys.stdout.write(text)
         else:
-            write_atomic(Path(ns.out or _default_out(ns.command, ns.format)), text)
+            write_atomic(Path(out), text)
         return 0
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -416,7 +419,8 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except OSError as err:
-        print(f"error: cannot write output: {err}", file=sys.stderr)
+        where = "standard output" if out == "-" else out
+        print(f"error: cannot write output: {where}: {err.strerror or err}", file=sys.stderr)
         return 1
 
 

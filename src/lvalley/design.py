@@ -98,15 +98,14 @@ def strain_to_x(eps_par: float, lat: LatticeParams) -> float:
     The Vegard relation gives -b x**2 + B x - a_si eps = 0 with
     B = a_ge - a_si + b, which is positive because |b| < a_ge - a_si.  The
     root in [0, 1] is x = 2 a_si eps / (B + sqrt(B**2 - 4 b a_si eps)): one
-    formula for either sign of b, free of cancellation even for tiny strains.
+    formula for either sign of b, free of cancellation even for tiny strains;
+    zero strain keeps its sign.
     """
     if not eps_par >= 0.0:
         if math.isnan(eps_par):
             raise ValueError("strain must be a number, got nan")
         raise ValueError("compressive strain has no Ge-barrier realization")
     ceiling = _pure_ge_strain(lat)
-    if eps_par == 0.0:
-        return 0.0
     if eps_par == ceiling:
         return 1.0
     if eps_par > ceiling:
@@ -274,14 +273,13 @@ def _extreme_corners(
     LINEAR_VARIATION_FACTORS (16 sets); the quadratic box takes the two ends
     of the literature ranges of d_L1 and d_delta6, each widened to hold the
     nominal coefficient.  The up corner has the largest slope and curvature
-    of its box, the down corner the smallest.  A box with a negative slope
-    gives every (slope, curvature) pair and the nominal curvature instead:
-    the two forms of :func:`_gap_root` meet only to a few ulp at c1 = 0.  A
-    scaled potential that overflows is rejected as the parameter set
-    rejects a non-finite one.  If any slope is not finite, both corner
-    slopes are nan, which fails every thickness: ``max`` over a list holding
-    nan depends on its order.  ``mode`` is one of SENSITIVITY_MODES, which
-    :func:`sensitivity_curve` checks.
+    of its box, the down corner the smallest.  A box whose slopes are not all
+    finite and non-negative gives every (slope, curvature) pair and the
+    nominal curvature instead: the two forms of :func:`_gap_root` meet only
+    to a few ulp at c1 = 0, and it rejects a non-finite pair at every
+    thickness.  A scaled potential that overflows is rejected as the
+    parameter set rejects a non-finite one.  ``mode`` is one of
+    SENSITIVITY_MODES, which :func:`sensitivity_curve` checks.
     """
     dp, q = params.deformation, params.quadratic
     factors = (1.0,) if mode == "quadratic_range" else LINEAR_VARIATION_FACTORS
@@ -292,8 +290,6 @@ def _extreme_corners(
         )))[0]
         for a, b, c, d in product(factors, repeat=4)
     ]
-    if not all(map(math.isfinite, slopes)):
-        slopes = [math.nan]
     quads = [q]
     if mode != "linear10pct":
         ranges = QUADRATIC_COEFF_RANGES
@@ -305,24 +301,27 @@ def _extreme_corners(
     curvatures = [_nominal_gap(replace(params, quadratic=quad))[1] for quad in quads]
     # the nominal is read last, so a call that raises above keeps nothing
     nominal = _nominal_gap(params)
-    if any(s < 0.0 for s in slopes):
-        return nominal, tuple(product(slopes, [*curvatures, nominal[1]]))
-    return nominal, ((max(slopes), max(curvatures)), (min(slopes), min(curvatures)))
+    if all(0.0 <= s < math.inf for s in slopes):
+        return nominal, ((max(slopes), max(curvatures)), (min(slopes), min(curvatures)))
+    return nominal, tuple(product(slopes, [*curvatures, nominal[1]]))
 
 
-def _corner_x(
-    c0: float, c1: float, c2: float, lat: LatticeParams, ceiling: float
-) -> tuple[float, bool]:
-    """Critical Ge fraction of one corner and whether it was clipped to x = 1.
+def _corners_x(
+    c0: float, corners: tuple[tuple[float, float], ...], lat: LatticeParams, ceiling: float
+) -> tuple[float, float, bool]:
+    """Least and greatest critical Ge fraction over the (c1, c2) corners, the greatest's clip flag.
 
     A clip is a value, not an error: no crossing in the bracket, or one above
     the pure-Ge strain ``ceiling``, the comparisons on which :func:`_crossing`
-    and :func:`strain_to_x` raise.  below_at_zero and non-finite c1 or c2 raise.
+    and :func:`strain_to_x` raise.  A clipped corner enters as (1.0, True),
+    so ``max`` also finds any clip.  below_at_zero and non-finite c1 or c2 raise.
     """
-    eps = _gap_root(c0, c1, c2)
-    if eps is None or eps > ceiling:
-        return 1.0, True
-    return strain_to_x(eps, lat), False
+    xs = []
+    for c1, c2 in corners:
+        eps = _gap_root(c0, c1, c2)
+        xs.append((1.0, True) if eps is None or eps > ceiling else (strain_to_x(eps, lat), False))
+    x_high, clipped = max(xs)
+    return min(xs)[0], x_high, clipped
 
 
 def sensitivity_curve(
@@ -334,7 +333,7 @@ def sensitivity_curve(
     c0 < 0, so it falls as c1 or c2 rises, the no-crossing guard moves the
     same way and strain_to_x is increasing.  x_low is therefore the
     crossover of the (max c1, max c2) corner and x_high that of the
-    (min c1, min c2) corner, unless the slopes straddle zero (see
+    (min c1, min c2) corner, unless the box keeps every pair (see
     :func:`_extreme_corners`).  A corner whose crossover would need x > 1,
     or none at all, enters at x = 1 and sets the ``clipped`` flag.  The
     corners come from the parameter sets of :func:`_extreme_corners`, which
@@ -359,14 +358,7 @@ def sensitivity_curve(
         try:
             c0, eps = _crossing(params, t, c1_nom, c2_nom)
             x_nom = strain_to_x(eps, lat)
-            if len(corners) == 2:
-                up, down = corners
-                x_low, _ = _corner_x(c0, *up, lat, ceiling)
-                x_high, clipped = _corner_x(c0, *down, lat, ceiling)
-            else:
-                # a clipped corner is (1.0, True), so max also finds any clip
-                xs = [_corner_x(c0, c1, c2, lat, ceiling) for c1, c2 in corners]
-                x_low, (x_high, clipped) = min(xs)[0], max(xs)
+            x_low, x_high, clipped = _corners_x(c0, corners, lat, ceiling)
         except (InfeasibleError, ValueError) as err:
             failures.append((t, _at_thickness(t, err)))
             continue

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import math
@@ -67,6 +68,19 @@ def test_make_grid_rejects_non_finite_and_caps_points():
         make_grid(1.0, 10.0, 1e-300, "g")
     with pytest.raises(UsageError, match="more than"):  # hi - lo overflows
         make_grid(-1e308, 1e308, 1.0, "g")
+
+
+def test_grid_ends_at_its_max(capsys):
+    # 1 + 700 * 0.07 rounds to 50.00000000000001, outside the supported thickness range
+    grid = make_grid(1.0, 50.0, 0.07, "t")
+    assert len(grid) == 701 and grid[-1] == 50.0 and max(grid) == 50.0
+    assert grid[:-1] == [1.0 + i * 0.07 for i in range(700)]
+    for command in ("crossover", "sensitivity"):
+        argv = [command, "--t-min", "1", "--t-max", "50", "--t-step", "0.07", "--out", "-"]
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1].startswith("50.0,")
 
 
 def test_apply_override_paths():
@@ -148,6 +162,18 @@ def test_read_config(tmp_path):
     bad.write_bytes(b"deformation.xi_u_L = 16.5\n\xff\xfe\n")
     with pytest.raises(UsageError, match=r"cannot read config file .*bad\.conf: invalid UTF-8 at byte 26"):
         read_config(bad)
+
+
+def test_config_file_with_a_byte_order_mark(tmp_path, capsys):
+    cfg = tmp_path / "bom.conf"
+    cfg.write_bytes(b"\xef\xbb\xbfdeformation.xi_u_L = 16.5\n")
+    assert read_config(cfg) == [("deformation.xi_u_L", "16.5")]
+    assert run(["splitting", "--t", "3", "--x", "1", "--config", str(cfg), "--out", "-"]) == 0
+    assert capsys.readouterr().err == ""
+    # a bad byte is still reported at its offset in the file, the BOM counted
+    cfg.write_bytes(b"\xef\xbb\xbfdeformation.xi_u_L = 16.5\n\xff\n")
+    with pytest.raises(UsageError, match=r"bom\.conf: invalid UTF-8 at byte 29$"):
+        read_config(cfg)
 
 
 # --- commands -----------------------------------------------------------------
@@ -284,6 +310,21 @@ def test_written_file_gets_the_mode_open_would_give(tmp_path, umask):
     assert new.stat().st_mode & 0o777 == 0o666 & ~umask
     assert existing.stat().st_mode & 0o777 == 0o640
     assert existing.read_bytes() == new.read_bytes()
+
+
+def test_write_leaves_the_process_umask_alone(tmp_path, monkeypatch):
+    # reading the umask means setting it, which races any thread that creates a file
+    def refuse(mask):
+        raise AssertionError("os.umask called")
+
+    new, existing = tmp_path / "new.csv", tmp_path / "existing.csv"
+    existing.write_text("old\n")
+    monkeypatch.setattr(os, "umask", refuse)
+    args = ["splitting", "--t", "3", "--x", "1", "--out"]
+    assert run(args + [str(new)]) == 0
+    assert run(args + [str(existing)]) == 0
+    assert new.read_bytes() == existing.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["existing.csv", "new.csv"]
 
 
 def test_json_lines_format(tmp_path):
@@ -471,6 +512,11 @@ def test_cli_import_leaves_typing_unloaded():
     assert _loaded_after_cli_import("typing", flags=("-S",)) == "[]"
 
 
+def test_cli_import_leaves_tempfile_unloaded():
+    # the atomic write names its own temporary file; tempfile would also load random
+    assert _loaded_after_cli_import("tempfile", "random", flags=("-S",)) == "[]"
+
+
 def test_cli_import_leaves_the_reference_solver_unloaded():
     # the production solvers take their stopping rule from well.py
     assert _loaded_after_cli_import("lvalley.rootfind") == "[]"
@@ -628,6 +674,38 @@ def test_well_limits_reach_user_as_domain_errors(capsys):
 def test_unwritable_path_exit_1(capsys):
     assert run(["well", "--valley", "L1", "--t", "3", "--out", "/nonexistent-dir/out.csv"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_write_error_names_the_requested_path(tmp_path, monkeypatch, capsys):
+    args = ["well", "--valley", "L1", "--t", "3", "--out"]
+    missing = tmp_path / "no-such-dir" / "x.csv"
+    assert run(args + [str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write output: {missing}: {os.strerror(errno.ENOENT)}\n"
+    # a directory in the way: the temp file is not named, and none is left
+    target = tmp_path / "dir"
+    target.mkdir()
+    assert run(args + [str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write output: {target}: ") and ".tmp" not in err
+    assert sorted(os.listdir(tmp_path)) == ["dir"] and os.listdir(target) == []
+
+    class BrokenStdout:
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    monkeypatch.setattr(sys, "stdout", BrokenStdout())
+    assert run(args + ["-"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write output: standard output: {os.strerror(errno.EPIPE)}\n"
+
+
+def test_empty_out_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(cli.ENV_OUTDIR, str(tmp_path))
+    assert run(["well", "--valley", "L1", "--t", "3", "--out", ""]) == 2
+    assert capsys.readouterr().err.startswith("error: --out needs a path")
+    assert os.listdir(tmp_path) == []
 
 
 def test_no_temp_files_left_behind(tmp_path):

@@ -128,6 +128,12 @@ def test_strain_to_x_endpoints_and_inverse():
     assert strain_to_x(1e-300, LAT) == pytest.approx(tiny, rel=1e-12)
 
 
+def test_strain_to_x_keeps_the_sign_of_zero():
+    # the Vegard formula itself maps zero strain to zero, either sign kept
+    assert repr(strain_to_x(0.0, LAT)) == "0.0"
+    assert repr(strain_to_x(-0.0, LAT)) == "-0.0"
+
+
 def test_strain_to_x_infeasible_above_pure_ge():
     with pytest.raises(InfeasibleError) as exc:
         strain_to_x(0.045, LAT)
@@ -482,7 +488,7 @@ def test_clipped_corners_are_flagged():
 def _raise_and_catch_corner(c0, c1, c2, lat):
     """A corner decided by raising and catching: strain_to_x of the root, any InfeasibleError at x = 1.
 
-    The reference for ``design._corner_x``, which compares instead.  A root
+    The reference for ``design._corners_x``, which compares instead.  A root
     of None (no crossing) is raised here as ``_gap_root`` once raised it.
     """
     try:
@@ -525,15 +531,19 @@ def _lattices(draw):
 def test_compared_clip_matches_raise_and_catch(c0, c1, c2, lat):
     ceiling = design._pure_ge_strain(lat)
     assert ceiling == x_to_strain(1.0, lat)
+    box = ((c1, c2),)
     try:
         want = _raise_and_catch_corner(c0, c1, c2, lat)
     except ValueError as err:
         with pytest.raises(ValueError) as info:
-            design._corner_x(c0, c1, c2, lat, ceiling)
+            design._corners_x(c0, box, lat, ceiling)
         assert str(info.value) == str(err)
     else:
+        x_low, x_high, clipped = design._corners_x(c0, box, lat, ceiling)
+        # a one-corner box is its own least and greatest corner
+        assert x_low == x_high
         # repr tells 0.0 from -0.0 and shows every bit of x
-        assert repr(design._corner_x(c0, c1, c2, lat, ceiling)) == repr(want)
+        assert repr((x_high, clipped)) == repr(want)
 
 
 @pytest.mark.parametrize("mode", ["linear10pct", "both"])
