@@ -29,6 +29,7 @@ EPS_BRACKET_MAX = 0.06
 
 # Below the smallest normal float a discriminant keeps too few digits.
 _NORMAL_MIN = sys.float_info.min
+_INF = math.inf
 
 # Thickness range with a supported crossover search.
 T_MIN_NM = 0.5
@@ -101,25 +102,27 @@ def strain_to_x(eps_par: float, lat: LatticeParams) -> float:
     formula for either sign of b, free of cancellation even for tiny strains;
     zero strain keeps its sign.
     """
+    a_si, b = lat.a_si, lat.bowing_b
+    diff = lat.a_ge - a_si
+    ceiling = diff / a_si  # _pure_ge_strain(lat), bit for bit
+    if 0.0 <= eps_par < ceiling:
+        a_eps = a_si * eps_par
+        lin = diff + b
+        # the discriminant is at least (a_ge - a_si - b)**2 > 0 below the ceiling;
+        # the comparisons are max(disc, 0.0) and min(x, 1.0), operands in order
+        disc = lin * lin - 4.0 * b * a_eps
+        x = 2.0 * a_eps / (lin + math.sqrt(0.0 if 0.0 > disc else disc))
+        return 1.0 if 1.0 < x else x
     if not eps_par >= 0.0:
         if math.isnan(eps_par):
             raise ValueError("strain must be a number, got nan")
         raise ValueError("compressive strain has no Ge-barrier realization")
-    ceiling = _pure_ge_strain(lat)
     if eps_par == ceiling:
         return 1.0
-    if eps_par > ceiling:
-        raise InfeasibleError(
-            f"strain {eps_par:.6g} exceeds the pure-Ge value {ceiling:.6g}: "
-            "requires x > 1",
-            reason="requires_x_gt_1",
-        )
-    a_si, b = lat.a_si, lat.bowing_b
-    a_eps = a_si * eps_par
-    lin = (lat.a_ge - a_si) + b
-    # the discriminant is at least (a_ge - a_si - b)**2 > 0 below the ceiling
-    disc = max(lin * lin - 4.0 * b * a_eps, 0.0)
-    return min(2.0 * a_eps / (lin + math.sqrt(disc)), 1.0)
+    raise InfeasibleError(
+        f"strain {eps_par:.6g} exceeds the pure-Ge value {ceiling:.6g}: requires x > 1",
+        reason="requires_x_gt_1",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -163,18 +166,21 @@ def _gap_root(c0: float, c1: float, c2: float) -> float | None:
             "L1 already lies below Delta6 at zero strain", reason="below_at_zero"
         )
     disc = c1 * c1 - 4.0 * c2 * c0
-    # with c0 < 0, an infinite or nan c1 or c2 always makes disc non-finite
-    if not math.isfinite(disc) and not (math.isfinite(c1) and math.isfinite(c2)):
+    # |disc| is a finite normal float
+    normal = _NORMAL_MIN <= disc < _INF or -_INF < disc <= -_NORMAL_MIN
+    # with c0 < 0 or nan, an infinite or nan c1 or c2 always makes disc non-finite
+    if not normal and not (math.isfinite(c1) and math.isfinite(c2)):
         raise ValueError("gap slope and curvature must be finite")
     if c0 + (c1 + c2 * EPS_BRACKET_MAX) * EPS_BRACKET_MAX < 0.0:
         return None
-    if _NORMAL_MIN <= abs(disc) < math.inf:
-        sq = math.sqrt(max(disc, 0.0))
+    if normal:
+        sq = 0.0 if 0.0 > disc else math.sqrt(disc)
         root = -2.0 * c0 / (c1 + sq) if c1 >= 0.0 else (sq - c1) / (2.0 * c2)
     else:
         root = _scaled_root(c0, c1, c2)
-    # both forms are positive; rounding can only push a root at the bracket end past it
-    return min(root, EPS_BRACKET_MAX)
+    # both forms are positive; rounding can only push a root at the bracket end
+    # past it.  min(root, EPS_BRACKET_MAX), operands in order: a nan root stays nan
+    return EPS_BRACKET_MAX if EPS_BRACKET_MAX < root else root
 
 
 def _scaled_root(c0: float, c1: float, c2: float) -> float:
@@ -313,15 +319,22 @@ def _corners_x(
 
     A clip is a value, not an error: no crossing in the bracket, or one above
     the pure-Ge strain ``ceiling``, the comparisons on which :func:`_crossing`
-    and :func:`strain_to_x` raise.  A clipped corner enters as (1.0, True),
-    so ``max`` also finds any clip.  below_at_zero and non-finite c1 or c2 raise.
+    and :func:`strain_to_x` raise.  A clip counts as x = 1.0, which no
+    crossover exceeds, and wins a tie there, as ``max`` over (x, clipped)
+    pairs would.  below_at_zero and non-finite c1 or c2 raise.
     """
-    xs = []
+    x_low, x_high, clipped = _INF, -_INF, False
     for c1, c2 in corners:
         eps = _gap_root(c0, c1, c2)
-        xs.append((1.0, True) if eps is None or eps > ceiling else (strain_to_x(eps, lat), False))
-    x_high, clipped = max(xs)
-    return min(xs)[0], x_high, clipped
+        if eps is None or eps > ceiling:
+            x, x_high, clipped = 1.0, 1.0, True
+        else:
+            x = strain_to_x(eps, lat)
+            if x_high < x:
+                x_high, clipped = x, False
+        if x < x_low:
+            x_low = x
+    return x_low, x_high, clipped
 
 
 def sensitivity_curve(

@@ -17,8 +17,9 @@ from .materials import ElasticConstants
 
 def perp_strain_ratio(c: ElasticConstants) -> float:
     """Signed ratio eps_perp / eps_par for a biaxially strained (111) film."""
-    # ElasticConstants keeps both sums finite and the denominator positive
-    return -(2.0 * c.c11 + 4.0 * c.c12 - 4.0 * c.c44) / (c.c11 + 2.0 * c.c12 + 4.0 * c.c44)
+    # the closed form above, which ElasticConstants computes once, from the
+    # two sums it keeps finite, and keeps in its _memo slot
+    return c._memo
 
 
 def strain_state(c: ElasticConstants, eps_par: float) -> tuple[float, float]:

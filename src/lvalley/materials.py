@@ -125,8 +125,20 @@ def _valley_index(valley: Valley) -> int:
         raise ValueError(f"valley must be one of {members}, got {valley!r}") from None
 
 
-class ElasticConstants(Record):
-    """Cubic elastic stiffness constants, GPa."""
+class _Memo:
+    """A slot for derived constants, declared here so a record's ``__slots__`` stay its fields."""
+
+    __slots__ = ("_memo",)
+
+
+_set_memo = _Memo._memo.__set__
+
+
+class ElasticConstants(Record, _Memo):
+    """Cubic elastic stiffness constants, GPa.
+
+    ``_memo`` keeps their (111) ratio eps_perp / eps_par, which is no field.
+    """
 
     __slots__ = ("c11", "c12", "c44")
 
@@ -136,11 +148,13 @@ class ElasticConstants(Record):
             raise ValueError("elastic constants must be strictly positive")
         if not self.c11 > self.c12:
             raise ValueError("cubic stability requires c11 > c12")
-        # the two sums of the (111) ratio eps_perp / eps_par in elasticity.perp_strain_ratio
+        # the two sums of the (111) ratio eps_perp / eps_par, -(C'_3311 + C'_3322) / C'_3333
         numer = 2.0 * self.c11 + 4.0 * self.c12 - 4.0 * self.c44
         denom = self.c11 + 2.0 * self.c12 + 4.0 * self.c44
         if not (math.isfinite(numer) and math.isfinite(denom)):
             raise ValueError("elastic constants overflow the (111) strain ratio")
+        # the generated __init__ ends here: every new or replaced record keeps its own ratio
+        _set_memo(self, -numer / denom)
 
 
 class DeformationPotentials(Record):
@@ -223,15 +237,6 @@ class PhysicalConstants(Record):
             raise ValueError("hbar2_over_2m0 must stay within 0.1% of 0.0381 eV nm^2")
         if not self.burgers_si > 0.0:
             raise ValueError("Burgers vector must be positive")
-
-
-class _Memo:
-    """A slot for derived constants, declared here so a record's ``__slots__`` stay its fields."""
-
-    __slots__ = ("_memo",)
-
-
-_set_memo = _Memo._memo.__set__
 
 
 class MaterialParams(Record, _Memo):

@@ -546,6 +546,45 @@ def test_compared_clip_matches_raise_and_catch(c0, c1, c2, lat):
         assert repr((x_high, clipped)) == repr(want)
 
 
+def _corner_pair(c0, c1, c2, lat, ceiling):
+    """One corner as the (x, clipped) pair, a clip at (1.0, True)."""
+    eps = design._gap_root(c0, c1, c2)
+    return (1.0, True) if eps is None or eps > ceiling else (strain_to_x(eps, lat), False)
+
+
+_CEILING = design._pure_ge_strain(LAT)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    c0=st.floats(-2.0, 0.0, exclude_max=True),
+    box=st.lists(
+        st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)), min_size=1, max_size=8
+    ),
+    lat=_lattices(),
+)
+# a corner whose crossing is exactly the pure-Ge strain (x = 1.0, not
+# clipped) tied with a clipped one, whose crossing lies at 1.25 times the
+# ceiling, in either order
+@example(c0=-_CEILING, box=[(1.0, 0.0), (0.8, 0.0)], lat=LAT)
+@example(c0=-_CEILING, box=[(0.8, 0.0), (1.0, 0.0)], lat=LAT)
+@example(c0=-0.9, box=[(20.0, 5.0)], lat=LAT)
+def test_corners_x_is_the_least_x_and_the_greatest_pair(c0, box, lat):
+    ceiling = design._pure_ge_strain(lat)
+    pairs = [_corner_pair(c0, c1, c2, lat, ceiling) for c1, c2 in box]
+    # repr tells 0.0 from -0.0 and shows every bit of x
+    assert repr(design._corners_x(c0, tuple(box), lat, ceiling)) == repr(
+        (min(pairs)[0], *max(pairs))
+    )
+
+
+def test_a_corner_at_the_ceiling_ties_with_a_clipped_one():
+    assert _corner_pair(-_CEILING, 1.0, 0.0, LAT, _CEILING) == (1.0, False)
+    assert _corner_pair(-_CEILING, 0.8, 0.0, LAT, _CEILING) == (1.0, True)
+    for box in (((1.0, 0.0), (0.8, 0.0)), ((0.8, 0.0), (1.0, 0.0))):
+        assert design._corners_x(-_CEILING, box, LAT, _CEILING) == (1.0, 1.0, True)
+
+
 @pytest.mark.parametrize("mode", ["linear10pct", "both"])
 def test_clipped_corners_build_no_error(monkeypatch, mode):
     # with the defaults every down corner of these boxes needs x > 1

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -12,6 +14,7 @@ from lvalley import (
     Valley,
     default_params,
     perp_strain_ratio,
+    replace,
     table1_labels,
     table1_set,
 )
@@ -96,6 +99,21 @@ def test_elastic_constants_that_overflow_the_111_ratio_are_rejected():
             ElasticConstants(c11=c11, c12=63.9, c44=c44)
     # large but representable sums keep the ratio finite
     assert perp_strain_ratio(ElasticConstants(c11=165.7, c12=63.9, c44=4e307)) == 1.0
+
+
+def test_elastic_constants_keep_their_111_ratio_through_copies_and_replace():
+    def closed_form(c):
+        return -(2.0 * c.c11 + 4.0 * c.c12 - 4.0 * c.c44) / (c.c11 + 2.0 * c.c12 + 4.0 * c.c44)
+
+    elastic = default_params().elastic
+    for twin in (
+        elastic, pickle.loads(pickle.dumps(elastic)), copy.copy(elastic), copy.deepcopy(elastic),
+        replace(elastic, c44=70.0), ElasticConstants(c11=1.0, c12=5e-324, c44=1e-300),
+    ):
+        assert perp_strain_ratio(twin) == closed_form(twin)
+    # the kept ratio is no field
+    assert repr(elastic) == "ElasticConstants(c11=165.7, c12=63.9, c44=79.6)"
+    assert elastic.__reduce__() == (ElasticConstants, (165.7, 63.9, 79.6))
 
 
 def test_deformation_potentials_validation():
