@@ -244,8 +244,14 @@ def _energy(params: MaterialParams, ns: argparse.Namespace):
 def _well(params: MaterialParams, ns: argparse.Namespace):
     t_grid = _grid(ns, "t")
     if ns.valley is not None:
-        masses = params.masses(Valley(ns.valley))
-        return ["t_nm", "e_q_ev"], [(t, well._level(params, masses, t)) for t in t_grid]
+        v0, table = params._derive(well._well_table)
+        a, r, m_in, m_out = table[_VALLEY_CHOICES.index(ns.valley)]
+        rows = []
+        for t in t_grid:
+            if not 0.0 < t < math.inf:
+                raise ValueError(well._BAD_THICKNESS)
+            rows.append((t, well._solve(t, v0, t * a, r, m_in, m_out)[0]))
+        return ["t_nm", "e_q_ev"], rows
     # one column per valley, in Valley order as confinement_energies returns them
     header = ["t_nm"] + [f"e_q_{v.value.lower()}_ev" for v in Valley]
     return header, [(t, *design.confinement_energies(params, t)) for t in t_grid]

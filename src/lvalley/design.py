@@ -21,7 +21,7 @@ from itertools import product
 from .errors import InfeasibleError
 from .materials import LatticeParams, MaterialParams, Record, Valley, replace
 from .valleys import bulk_levels, valley_coefficients
-from .well import _level
+from .well import _BAD_THICKNESS, _solve, _well_table
 
 # Crossover search bracket: slightly above the strain of pure-Ge barriers,
 # so "no crossing at all" is distinguishable from "requires x > 1".
@@ -130,20 +130,24 @@ def strain_to_x(eps_par: float, lat: LatticeParams) -> float:
 
 def confinement_energies(params: MaterialParams, thickness_t: float) -> tuple[float, float, float]:
     """Confinement energies (L1, L3, Delta6) at one thickness as plain floats, eV."""
+    if not 0.0 < thickness_t < _INF:
+        raise ValueError(_BAD_THICKNESS)
+    v0, ((a1, r1, mi1, mo1), (a3, r3, mi3, mo3), (a6, r6, mi6, mo6)) = params._derive(_well_table)
     return (
-        _level(params, params.masses_l1, thickness_t),
-        _level(params, params.masses_l3, thickness_t),
-        _level(params, params.masses_delta6, thickness_t),
+        _solve(thickness_t, v0, thickness_t * a1, r1, mi1, mo1)[0],
+        _solve(thickness_t, v0, thickness_t * a3, r3, mi3, mo3)[0],
+        _solve(thickness_t, v0, thickness_t * a6, r6, mi6, mo6)[0],
     )
 
 
 def _gap_offset(params: MaterialParams, t: float) -> float:
     """Delta6 - L1 gap at zero strain and thickness t, confinement included, eV.
 
-    Solves the L1 and the Delta6 well only: the gap never reads L3.
+    Solves the L1 and the Delta6 well only, at a t that :func:`_crossing` has range-checked.
     """
-    q_l1 = _level(params, params.masses_l1, t)
-    q_d6 = _level(params, params.masses_delta6, t)
+    v0, ((a1, r1, mi1, mo1), _, (a6, r6, mi6, mo6)) = params._derive(_well_table)
+    q_l1 = _solve(t, v0, t * a1, r1, mi1, mo1)[0]
+    q_d6 = _solve(t, v0, t * a6, r6, mi6, mo6)[0]
     return params.bands.e0_delta - params.bands.e0_L + q_d6 - q_l1
 
 

@@ -264,12 +264,13 @@ class MaterialParams(Record, _Memo):
         """``fn(self, *args)``, computed on first use and kept by this set.
 
         Only for per-set constants: no key holds a thickness or a Ge
-        fraction, so the memo stays a few entries.  A call that raises keeps
-        nothing, and runs outside the miss handler, so its error carries no
-        KeyError context.  Threads that race compute equal values, and
-        setdefault hands each of them the first one stored.
+        fraction, so the memo stays a few entries; ``fn`` alone is the key of
+        a call without ``args``.  A call that raises keeps nothing, and runs
+        outside the miss handler, so its error carries no KeyError context.
+        Threads that race compute equal values, and setdefault hands each of
+        them the first one stored.
         """
-        key = (fn, *args)
+        key = (fn, *args) if args else fn
         memo = self._memo
         try:
             return memo[key]

@@ -16,7 +16,7 @@ K = hbar**2 / 2 m0, as
 On the first branch, z in (0, min(u0, pi/2)), g has no tangent pole and
 rises strictly from -r u0 to a positive value, so exactly one root exists
 and a bracket-safeguarded Newton iteration (``rtsafe``) reaches it.  The
-iteration is a plain loop over floats inside :func:`solve_well`: the signs
+iteration is a plain loop over floats inside :func:`_solve`: the signs
 at both bracket ends are known, so neither end is evaluated, and each step
 computes g and g' together, sharing sin z, cos z and sqrt(u0**2 - z**2).
 It starts near the root, from the closed-form estimate of
@@ -26,9 +26,10 @@ the tests use as the reference.
 
 :func:`solve_well` is the float kernel: thickness, barrier and masses in,
 (energy, z, residual, iterations) out, with no configuration or solution
-object.  The per-point sweeps reach it through :func:`_level`, which passes
-a parameter set's barrier, masses and constants; :func:`ground_state` wraps
-it for a validated :class:`WellConfig` and returns a :class:`WellSolution`.
+object.  It checks the thickness and passes u0 and r to :func:`_solve`, the
+one copy of the guards and the loop, which the sweeps call with the per-set
+constants of :func:`_well_table`; :func:`ground_state` wraps solve_well for
+a validated :class:`WellConfig` and returns a :class:`WellSolution`.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import sys
 from math import cos, sin, sqrt
 
 from .errors import InfeasibleError, SolverError
-from .materials import HBAR2_OVER_2M0, EffectiveMasses, MaterialParams, Record, Valley
+from .materials import HBAR2_OVER_2M0, MaterialParams, Record, Valley
 
 # Newton has converged once its step is at most four ulp of the iterate; the
 # well loop, rootfind.bisect_root and the People-Bean iteration share it.
@@ -60,6 +61,8 @@ _TINY = sys.float_info.min
 # the first branch of g ends at the first tangent pole
 _HALF_PI = 0.5 * math.pi
 
+_BAD_THICKNESS = "well thickness must be positive and finite"
+
 
 class WellConfig(Record):
     """Geometry, barrier and masses of one finite well: nm, eV and m0 units."""
@@ -69,7 +72,7 @@ class WellConfig(Record):
     def _check(self):
         # chained bounds also reject NaN, for which every comparison is False
         if not 0.0 < self.thickness_t < math.inf:
-            raise ValueError("well thickness must be positive and finite")
+            raise ValueError(_BAD_THICKNESS)
         if not 0.0 < self.barrier_v0 < math.inf:
             raise ValueError("barrier height must be positive and finite")
         if not (0.0 < self.m_in < math.inf and 0.0 < self.m_out < math.inf):
@@ -118,10 +121,15 @@ def solve_well(
     """
     t = thickness_t
     if not 0.0 < t < _INF:
-        raise ValueError("well thickness must be positive and finite")
-    v0 = barrier_v0
-    u0 = t * sqrt(m_in * v0 / (4.0 * hbar2_over_2m0))
-    r = sqrt(m_in / m_out)
+        raise ValueError(_BAD_THICKNESS)
+    u0 = t * sqrt(m_in * barrier_v0 / (4.0 * hbar2_over_2m0))
+    return _solve(t, barrier_v0, u0, sqrt(m_in / m_out), m_in, m_out)
+
+
+def _solve(
+    t: float, v0: float, u0: float, r: float, m_in: float, m_out: float
+) -> tuple[float, float, float, int]:
+    """:func:`solve_well` past its thickness check, given u0 and r = sqrt(m_in / m_out)."""
     binding = (u0 / r) * (u0 / r) if r > 0.0 else _INF
     if not binding >= MIN_RELATIVE_GAP:
         raise InfeasibleError(
@@ -260,13 +268,14 @@ def well_config(valley: Valley, params: MaterialParams, thickness_t: float) -> W
     )
 
 
-def _level(params: MaterialParams, masses: EffectiveMasses, t: float) -> float:
-    """Confinement energy of the well with ``masses`` at thickness t as a plain float, eV.
+def _well_table(params: MaterialParams) -> tuple[float, tuple[tuple[float, ...], ...]]:
+    """(v0, one (a, r, m_in, m_out) row per valley in Valley order) of a set, for ``_derive``.
 
-    The one mapping from a parameter set to :func:`solve_well`: the set's
-    barrier and constants, which the set has already validated.
+    With a = sqrt(m_in v0 / (4 K)), :func:`_solve` at u0 = t a is
+    :func:`solve_well` at a checked thickness t, bit for bit.
     """
-    return solve_well(
-        t, params.bands.v0_offset_111, masses.m_in, masses.m_out,
-        params.constants.hbar2_over_2m0,
-    )[0]
+    v0, k = params.bands.v0_offset_111, params.constants.hbar2_over_2m0
+    return v0, tuple(
+        (sqrt(m.m_in * v0 / (4.0 * k)), sqrt(m.m_in / m.m_out), m.m_in, m.m_out)
+        for m in (params.masses_l1, params.masses_l3, params.masses_delta6)
+    )

@@ -212,6 +212,33 @@ def test_well_without_valley_has_one_column_per_valley(tmp_path):
         assert [r[col] for r in rows] == [r[1] for r in single]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+def test_single_valley_rows_are_the_all_valley_columns(tmp_path, fmt):
+    grid = ["--t-min", "0.5", "--t-max", "50", "--t-step", "0.5", "--format", fmt]
+
+    def cells(path):
+        # the printed text of every cell, so the columns compare byte for byte
+        lines = path.read_text().splitlines()
+        if fmt == "csv":
+            return [line.split(",") for line in lines[1:]]
+        return [list(json.loads(line, parse_float=str).values()) for line in lines]
+
+    every = tmp_path / "all"
+    assert run(["well", *grid, "--out", str(every)]) == 0
+    table = cells(every)
+    assert len(table) == 100
+    for col, valley in enumerate(("L1", "L3", "Delta6"), start=1):
+        one = tmp_path / valley
+        assert run(["well", "--valley", valley, *grid, "--out", str(one)]) == 0
+        assert [row[1] for row in cells(one)] == [row[col] for row in table]
+        # and every bit of the floats behind the printed digits
+        ns = cli._build_parser().parse_args(["well", "--valley", valley, *grid])
+        _, rows = ns.rows(PARAMS, ns)
+        assert repr([e for _, e in rows]) == repr(
+            [confinement_energies(PARAMS, t)[col - 1] for t, _ in rows]
+        )
+
+
 def test_hc_command(tmp_path):
     out = tmp_path / "h.csv"
     assert run(["hc", "--x-min", "0.5", "--x-max", "1.0", "--x-step", "0.01", "--out", str(out)]) == 0

@@ -17,6 +17,7 @@ from lvalley import (
     InfeasibleError,
     LatticeParams,
     QuadraticCoefficients,
+    RelaxationInput,
     SensitivityBand,
     Splitting,
     Valley,
@@ -24,6 +25,7 @@ from lvalley import (
     bulk_levels,
     confinement_energies,
     critical_strain,
+    critical_thickness,
     crossover_curve,
     default_params,
     design,
@@ -443,7 +445,10 @@ def test_float_well_path_is_bit_identical_to_object_path(
 
 def test_confinement_energies_are_keyed_in_valley_order():
     eqs = confinement_energies(PARAMS, 3.0)
-    expected = tuple(well._level(PARAMS, PARAMS.masses(v), 3.0) for v in Valley)
+    v0, k = PARAMS.bands.v0_offset_111, PARAMS.constants.hbar2_over_2m0
+    expected = tuple(
+        well.solve_well(3.0, v0, m.m_in, m.m_out, k)[0] for m in map(PARAMS.masses, Valley)
+    )
     assert repr(eqs) == repr(expected)
 
 
@@ -648,47 +653,79 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def _counting_solve_well(monkeypatch):
-    """Route the parameter-set well solves through a wrapper; returns their argument tuples."""
-    return _counting(monkeypatch, well, "solve_well")
+def _counting_solves(monkeypatch):
+    """Route the parameter-set well solves through a wrapper; returns their argument tuples.
+
+    Each is a call of the well core, (t, v0, u0, r, m_in, m_out).
+    """
+    return _counting(monkeypatch, design, "_solve")
 
 
 @pytest.mark.parametrize("mode", design.SENSITIVITY_MODES)
 def test_sensitivity_point_solves_the_l1_and_delta6_wells_only(monkeypatch, mode):
-    calls = _counting_solve_well(monkeypatch)
+    calls = _counting_solves(monkeypatch)
     grid = [1.0, 3.0, 7.0, 20.0]
     for t in grid:
         sensitivity_band(PARAMS, [t], mode)
     assert len(calls) == 2 * len(grid)
     l1, d6 = PARAMS.masses_l1, PARAMS.masses_delta6
-    assert {args[2:4] for args in calls} == {(l1.m_in, l1.m_out), (d6.m_in, d6.m_out)}
+    assert {args[4:6] for args in calls} == {(l1.m_in, l1.m_out), (d6.m_in, d6.m_out)}
 
 
 def test_crossover_point_solves_two_wells(monkeypatch):
-    calls = _counting_solve_well(monkeypatch)
+    calls = _counting_solves(monkeypatch)
     grid = [0.5, 1.0, 3.0, 10.0, 50.0]
     results, failures = crossover_curve(PARAMS, grid)
     assert len(results) == len(grid) and not failures
     assert len(calls) == 2 * len(grid)
 
 
+def test_design_point_solves_one_well_per_valley(monkeypatch):
+    calls = _counting_solves(monkeypatch)
+    splitting_report(PARAMS, 3.0, 0.5)
+    assert [args[4:6] for args in calls] == [(m.m_in, m.m_out) for m in map(PARAMS.masses, Valley)]
+
+
 def test_a_set_computes_its_corner_boxes_and_valley_table_once(monkeypatch):
     corners = _counting(monkeypatch, design, "_extreme_corners")
     tables = _counting(monkeypatch, valleys, "valley_coefficients")
+    wells = _counting(monkeypatch, design, "_well_table")
     grid = [1.0 + 0.5 * i for i in range(19)]
     params = replace(PARAMS)
     for mode in design.SENSITIVITY_MODES:
         for t in grid:
             sensitivity_band(params, [t], mode)
-    # one box per mode, not one per call; the memo holds those three and
-    # the valley table the boxes read for the nominal gap
+    # one box per mode, not one per call; the memo holds those three, the
+    # valley table the boxes read for the nominal gap and the well table
     assert sorted(args[1] for args in corners) == sorted(design.SENSITIVITY_MODES)
-    assert len(params._memo) == 4
+    assert len(params._memo) == 5
+    assert len(wells) == 1
     params = replace(PARAMS)
     for t in grid:
         for x in (0.0, 0.25, 0.5, 0.75, 1.0):
             splitting_report(params, t, x)
     assert len(tables) == 1
+    assert len(wells) == 2
+
+
+def test_the_memo_holds_per_set_constants_only():
+    # no entry per thickness or Ge fraction: after 1,000 seeded design points
+    # and every band of the three figure sweeps the set keeps its five constants
+    rng = random.Random(26)
+    params = replace(PARAMS)
+    for _ in range(1000):
+        t = math.exp(rng.uniform(math.log(design.T_MIN_NM), math.log(design.T_MAX_NM)))
+        x = rng.uniform(0.05, 1.0)
+        splitting_report(params, t, x)
+        critical_thickness(RelaxationInput(ge_fraction_x=x, elastic=params.elastic))
+    assert len(params._memo) == 2
+    for mode in design.SENSITIVITY_MODES:
+        sensitivity_curve(params, [1.0 + 0.5 * i for i in range(19)], mode)
+    # a function without arguments is its own key
+    assert sorted((key if callable(key) else key[0]).__name__ for key in params._memo) == [
+        "_extreme_corners", "_extreme_corners", "_extreme_corners",
+        "_well_table", "valley_coefficients",
+    ]
 
 
 def _enumerated_band(params, t, mode):

@@ -1,7 +1,7 @@
 """The per-point kernels, frozen bit for bit.
 
-One design point runs ``splitting_report`` (``bulk_levels`` and three
-``solve_well`` calls) and ``critical_thickness`` (with ``RelaxationInput``
+One design point runs ``splitting_report`` (``bulk_levels`` and three well
+solves) and ``critical_thickness`` (with ``RelaxationInput``
 validation).  Each outcome below is the ``repr`` of a result, or the type,
 reason tag and message of an error, over a seeded set of points that reaches
 every error of these kernels.  The sha256 of all of them is frozen, so any

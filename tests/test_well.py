@@ -9,13 +9,16 @@ from oracles import EQ_FROZEN, bisect_well_energy, grid_scan_ground_state, infin
 
 from lvalley import (
     HBAR2_OVER_2M0,
+    EffectiveMasses,
     InfeasibleError,
     Valley,
     WellConfig,
     cli,
+    confinement_energies,
     default_params,
     ground_state,
     matching_mismatch,
+    replace,
     solve_well,
     well,
     well_config,
@@ -93,8 +96,13 @@ def test_infinite_well_reference_scaling():
 
 
 def level(valley, t):
-    """Confinement energy of one valley at thickness t, eV, as the well command computes it."""
-    return well._level(PARAMS, PARAMS.masses(valley), t)
+    """Confinement energy of one valley at thickness t, eV, as the well command computes it.
+
+    The set's well table row for the valley, solved by the core at u0 = t a.
+    """
+    v0, table = PARAMS._derive(well._well_table)
+    a, r, m_in, m_out = table[list(Valley).index(valley)]
+    return well._solve(t, v0, t * a, r, m_in, m_out)[0]
 
 
 def test_eq_vs_thickness_sharp_rise_below_3nm():
@@ -314,6 +322,62 @@ def test_bracket_fallback_bisects_as_bisect_root_does(monkeypatch):
     assert got[3] > default[3]
     assert repr(got) == repr(_bisect_root_well(t, v0, m_in, m_out, x0=1e-9 * 0.5 * math.pi))
     assert got[0] == default[0]
+
+
+def _outcome(fn):
+    """repr of fn()'s result, or the type, reason tag and message of the error it raises."""
+    try:
+        return repr(fn())
+    except Exception as err:  # every error is an outcome to compare
+        return type(err).__name__, getattr(err, "reason", None), str(err)
+
+
+def _set_levels(params, t):
+    """(L1, L3, Delta6) energies of ``params`` at t, one public solve_well call per valley."""
+    v0, k = params.bands.v0_offset_111, params.constants.hbar2_over_2m0
+    return tuple(
+        solve_well(t, v0, m.m_in, m.m_out, k)[0]
+        for m in (params.masses_l1, params.masses_l3, params.masses_delta6)
+    )
+
+
+# physical masses, or any positive float from subnormal up, which reaches the
+# mass_ratio limit when m_in / m_out underflows or overflows
+_mass = st.floats(0.01, 10.0) | st.floats(-320.0, 308.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m_l1=_mass, m_l3=_mass, m_d6=_mass, m_out=_mass,
+    v0=st.floats(-3.0, 1.0).map(lambda e: 10.0**e),
+    k=st.floats(0.0381 * (1.0 - 9e-4), 0.0381 * (1.0 + 9e-4)),
+    t=st.floats(-8.0, 8.0).map(lambda e: 10.0**e)
+    | st.sampled_from((0.0, -1.0, math.nan, math.inf)),
+)
+@example(m_l1=1.70, m_l3=0.13, m_d6=0.26, m_out=1.59, v0=V0, k=HBAR2_OVER_2M0, t=1e-8)  # thin_well
+@example(m_l1=1e5, m_l3=1e5, m_d6=1e5, m_out=1.59, v0=V0, k=HBAR2_OVER_2M0, t=1e8)  # hard_wall_limit
+@example(m_l1=1e-320, m_l3=0.13, m_d6=0.26, m_out=1.59, v0=V0, k=HBAR2_OVER_2M0, t=1e-3)  # mass_ratio
+def test_confinement_energies_are_the_public_kernel_per_valley(m_l1, m_l3, m_d6, m_out, v0, k, t):
+    # the per-set well table and the core give solve_well's floats and errors
+    params = replace(
+        PARAMS,
+        bands=replace(PARAMS.bands, v0_offset_111=v0),
+        constants=replace(PARAMS.constants, hbar2_over_2m0=k),
+        masses_l1=EffectiveMasses(m_l1, m_out),
+        masses_l3=EffectiveMasses(m_l3, m_out),
+        masses_delta6=EffectiveMasses(m_d6, m_out),
+    )
+    assert _outcome(lambda: confinement_energies(params, t)) == _outcome(lambda: _set_levels(params, t))
+    # a set derived after the first call keeps its own table, never the parent's
+    for derived in (
+        replace(params, masses_l3=EffectiveMasses(0.5 * m_l3, m_out)),
+        replace(params, **{f"masses_{v}": EffectiveMasses(m, 0.5 * m_out)
+                           for v, m in (("l1", m_l1), ("l3", m_l3), ("delta6", m_d6))}),
+        replace(params, bands=replace(params.bands, v0_offset_111=0.5 * v0)),
+    ):
+        assert _outcome(lambda: confinement_energies(derived, t)) == _outcome(
+            lambda: _set_levels(derived, t)
+        )
 
 
 def _log_grid(lo, hi, n):
