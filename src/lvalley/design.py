@@ -81,16 +81,17 @@ def x_to_strain(x: float, lat: LatticeParams) -> float:
 
     a(x) / a_si - 1 for the Vegard alloy lattice a(x) = (1 - x) a_si +
     x a_ge + bowing_b x (1 - x), with the a_si terms cancelled by hand, so
-    the strain keeps full relative precision down to the smallest x.
+    the strain keeps full relative precision down to the smallest x; a_si
+    and a_ge - a_si are read from the constants the lattice keeps.
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"Ge fraction must lie in [0, 1], got {x}")
-    return x * ((lat.a_ge - lat.a_si) + lat.bowing_b * (1.0 - x)) / lat.a_si
+    return x * (lat._memo[1] + lat.bowing_b * (1.0 - x)) / lat._memo[0]
 
 
 def _pure_ge_strain(lat: LatticeParams) -> float:
-    """x_to_strain(1.0, lat) bit for bit: its bowing term b * (1 - 1) is a signed zero."""
-    return (lat.a_ge - lat.a_si) / lat.a_si
+    """x_to_strain(1.0, lat) bit for bit, which the lattice keeps: b * (1 - 1) is a signed zero."""
+    return lat._memo[5]
 
 
 def strain_to_x(eps_par: float, lat: LatticeParams) -> float:
@@ -100,17 +101,15 @@ def strain_to_x(eps_par: float, lat: LatticeParams) -> float:
     B = a_ge - a_si + b, which is positive because |b| < a_ge - a_si.  The
     root in [0, 1] is x = 2 a_si eps / (B + sqrt(B**2 - 4 b a_si eps)): one
     formula for either sign of b, free of cancellation even for tiny strains;
-    zero strain keeps its sign.
+    zero strain keeps its sign.  a_si, B, B**2, 4 b and the pure-Ge strain
+    are the constants the lattice keeps: a call does no lattice arithmetic.
     """
-    a_si, b = lat.a_si, lat.bowing_b
-    diff = lat.a_ge - a_si
-    ceiling = diff / a_si  # _pure_ge_strain(lat), bit for bit
+    a_si, _, lin, lin2, four_b, ceiling = lat._memo
     if 0.0 <= eps_par < ceiling:
         a_eps = a_si * eps_par
-        lin = diff + b
         # the discriminant is at least (a_ge - a_si - b)**2 > 0 below the ceiling;
         # the comparisons are max(disc, 0.0) and min(x, 1.0), operands in order
-        disc = lin * lin - 4.0 * b * a_eps
+        disc = lin2 - four_b * a_eps
         x = 2.0 * a_eps / (lin + math.sqrt(0.0 if 0.0 > disc else disc))
         return 1.0 if 1.0 < x else x
     if not eps_par >= 0.0:
@@ -138,17 +137,6 @@ def confinement_energies(params: MaterialParams, thickness_t: float) -> tuple[fl
         _solve(thickness_t, v0, thickness_t * a3, r3, mi3, mo3)[0],
         _solve(thickness_t, v0, thickness_t * a6, r6, mi6, mo6)[0],
     )
-
-
-def _gap_offset(params: MaterialParams, t: float) -> float:
-    """Delta6 - L1 gap at zero strain and thickness t, confinement included, eV.
-
-    Solves the L1 and the Delta6 well only, at a t that :func:`_crossing` has range-checked.
-    """
-    v0, ((a1, r1, mi1, mo1), _, (a6, r6, mi6, mo6)) = params._derive(_well_table)
-    q_l1 = _solve(t, v0, t * a1, r1, mi1, mo1)[0]
-    q_d6 = _solve(t, v0, t * a6, r6, mi6, mo6)[0]
-    return params.bands.e0_delta - params.bands.e0_L + q_d6 - q_l1
 
 
 def _gap_root(c0: float, c1: float, c2: float) -> float | None:
@@ -203,13 +191,15 @@ def _scaled_root(c0: float, c1: float, c2: float) -> float:
     return (-c0 / s) / (h + w) if c1 >= 0.0 else (w - h) * (s / c2)
 
 
-def _crossing(params: MaterialParams, t: float, c1: float, c2: float) -> tuple[float, float]:
-    """(c0, eps*) of the gap with slope c1 and curvature c2 at a supported thickness t."""
+def _crossing(gap: tuple, t: float) -> tuple[float, float]:
+    """(c0, eps*) of a :func:`_gap_table` at a supported t, from the L1 and Delta6 wells only."""
     if not T_MIN_NM <= t <= T_MAX_NM:
         raise ValueError(
             f"thickness {t} nm outside the supported range [{T_MIN_NM}, {T_MAX_NM}] nm"
         )
-    c0 = _gap_offset(params, t)
+    e0_gap, v0, (a1, r1, mi1, mo1), (a6, r6, mi6, mo6), c1, c2 = gap
+    q_l1 = _solve(t, v0, t * a1, r1, mi1, mo1)[0]
+    c0 = e0_gap + _solve(t, v0, t * a6, r6, mi6, mo6)[0] - q_l1
     eps = _gap_root(c0, c1, c2)
     if eps is None:
         raise InfeasibleError(
@@ -225,9 +215,15 @@ def _nominal_gap(params: MaterialParams) -> tuple[float, float]:
     return c1_d6 - c1_l1, c2_d6 - c2_l1
 
 
+def _gap_table(params: MaterialParams) -> tuple:
+    """(e0_delta - e0_L, v0, L1 and Delta6 well rows, c1, c2) of the nominal gap, for _derive."""
+    v0, (l1, _, d6) = _well_table(params)
+    return (params.bands.e0_delta - params.bands.e0_L, v0, l1, d6, *_nominal_gap(params))
+
+
 def critical_strain(params: MaterialParams, thickness_t: float) -> CrossoverResult:
     """Critical strain and Ge fraction at which L1 and Delta6 intersect."""
-    _, eps = _crossing(params, thickness_t, *_nominal_gap(params))
+    _, eps = _crossing(params._derive(_gap_table), thickness_t)
     return CrossoverResult(thickness_t, eps, strain_to_x(eps, params.lattice))
 
 
@@ -272,10 +268,8 @@ def splitting_report(params: MaterialParams, thickness_t: float, x: float) -> Sp
 # ---------------------------------------------------------------------------
 # Sensitivity envelopes from the extreme corners
 
-def _extreme_corners(
-    params: MaterialParams, mode: str
-) -> tuple[tuple[float, float], tuple[tuple[float, float], ...]]:
-    """(c1, c2) gap coefficients of the nominal set, and the corners that bound the box.
+def _extreme_corners(params: MaterialParams, mode: str) -> tuple:
+    """(gap table, corners that bound the box, lattice, pure-Ge strain) of a set, for ``_derive``.
 
     Every corner is a parameter set whose gap :func:`_nominal_gap` reads, so
     :func:`~lvalley.valleys.linear_shift` stays the one first-order formula.
@@ -309,11 +303,13 @@ def _extreme_corners(
             replace(q, d_L1=max(l1_hi, q.d_L1), d_delta6=min(d6_lo, q.d_delta6)),
         ]
     curvatures = [_nominal_gap(replace(params, quadratic=quad))[1] for quad in quads]
-    # the nominal is read last, so a call that raises above keeps nothing
-    nominal = _nominal_gap(params)
+    # the gap table is read last, so a call that raises above keeps nothing
+    gap, lat = params._derive(_gap_table), params.lattice
     if all(0.0 <= s < math.inf for s in slopes):
-        return nominal, ((max(slopes), max(curvatures)), (min(slopes), min(curvatures)))
-    return nominal, tuple(product(slopes, [*curvatures, nominal[1]]))
+        corners = ((max(slopes), max(curvatures)), (min(slopes), min(curvatures)))
+    else:
+        corners = tuple(product(slopes, [*curvatures, gap[5]]))  # gap[5]: nominal curvature
+    return gap, corners, lat, _pure_ge_strain(lat)
 
 
 def _corners_x(
@@ -352,9 +348,9 @@ def sensitivity_curve(
     crossover of the (max c1, max c2) corner and x_high that of the
     (min c1, min c2) corner, unless the box keeps every pair (see
     :func:`_extreme_corners`).  A corner whose crossover would need x > 1,
-    or none at all, enters at x = 1 and sets the ``clipped`` flag.  The
-    corners come from the parameter sets of :func:`_extreme_corners`, which
-    the set enumerates once per mode and keeps from its first call on.
+    or none at all, enters at x = 1 and sets the ``clipped`` flag.  The set
+    keeps, per mode from its first call on, the gap table, the corners of
+    :func:`_extreme_corners` and the lattice, so a call reads its memo once.
 
     A thickness whose nominal crossover fails, which lies outside the
     supported range, or where a corner's slope or curvature overflows, is
@@ -364,16 +360,14 @@ def sensitivity_curve(
     """
     if mode not in SENSITIVITY_MODES:
         raise ValueError(f"unknown sensitivity mode {mode!r}; valid: {SENSITIVITY_MODES}")
-    (c1_nom, c2_nom), corners = params._derive(_extreme_corners, mode)
-    lat = params.lattice
-    ceiling = _pure_ge_strain(lat)
+    gap, corners, lat, ceiling = params._derive(_extreme_corners, mode)
     bands: list[SensitivityBand] = []
     failures: list[tuple[float, Exception]] = []
     for t in t_grid:
         # corners perturb only c1 and c2, so c0 and its below_at_zero check
         # are shared by the whole box
         try:
-            c0, eps = _crossing(params, t, c1_nom, c2_nom)
+            c0, eps = _crossing(gap, t)
             x_nom = strain_to_x(eps, lat)
             x_low, x_high, clipped = _corners_x(c0, corners, lat, ceiling)
         except (InfeasibleError, ValueError) as err:

@@ -195,8 +195,12 @@ class EffectiveMasses(Record):
             raise ValueError("effective masses must be strictly positive")
 
 
-class LatticeParams(Record):
-    """Si and Ge lattice constants and the alloy bowing term, Angstrom."""
+class LatticeParams(Record, _Memo):
+    """Si and Ge lattice constants and the alloy bowing term, Angstrom.
+
+    ``_memo`` keeps the Vegard constants of design.strain_to_x, which are no
+    field: a_si, a_ge - a_si, B = a_ge - a_si + b, B**2, 4 b, (a_ge - a_si) / a_si.
+    """
 
     __slots__ = ("a_si", "a_ge", "bowing_b")
 
@@ -210,6 +214,9 @@ class LatticeParams(Record):
         lin = (self.a_ge - self.a_si) + abs(self.bowing_b)
         if not math.isfinite(lin * lin):
             raise ValueError("lattice parameters overflow the Vegard discriminant")
+        # the generated __init__ ends here: every new or replaced record keeps its own constants
+        a_si, diff, b = self.a_si, self.a_ge - self.a_si, self.bowing_b
+        _set_memo(self, (a_si, diff, diff + b, (diff + b) * (diff + b), 4.0 * b, diff / a_si))
 
 
 class BandEdges(Record):
@@ -263,9 +270,12 @@ class MaterialParams(Record, _Memo):
     def _derive(self, fn, *args):
         """``fn(self, *args)``, computed on first use and kept by this set.
 
-        Only for per-set constants: no key holds a thickness or a Ge
-        fraction, so the memo stays a few entries; ``fn`` alone is the key of
-        a call without ``args``.  A call that raises keeps nothing, and runs
+        Only for per-set constants: the valley table of
+        valleys.valley_coefficients, the well table of well._well_table, the
+        gap table of design._gap_table and the band table of
+        design._extreme_corners per sensitivity mode.  No key holds a
+        thickness or a Ge fraction; ``fn`` alone is the key of a call
+        without ``args``.  A call that raises keeps nothing, and runs
         outside the miss handler, so its error carries no KeyError context.
         Threads that race compute equal values, and setdefault hands each of
         them the first one stored.

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import sys
 import threading
@@ -31,6 +32,7 @@ from lvalley import (
     design,
     ground_state,
     linear_shift,
+    materials,
     perp_strain_ratio,
     replace,
     sensitivity_band,
@@ -214,8 +216,9 @@ def _gap_changes_sign_at(c0, c1, c2, eps):
 ])
 def test_crossing_with_an_overflowing_discriminant_is_a_true_root(section, field, value):
     params = replace(PARAMS, **{section: replace(getattr(PARAMS, section), **{field: value})})
-    c1, c2 = design._nominal_gap(params)
-    c0 = design._gap_offset(params, 3.0)
+    gap = params._derive(design._gap_table)
+    c1, c2 = gap[4:]
+    c0, _ = design._crossing(gap, 3.0)
     assert not math.isfinite(c1 * c1 - 4.0 * c2 * c0)
     eps = critical_strain(params, 3.0).eps_critical
     assert eps > 0.0
@@ -590,6 +593,46 @@ def test_a_corner_at_the_ceiling_ties_with_a_clipped_one():
         assert design._corners_x(-_CEILING, box, LAT, _CEILING) == (1.0, 1.0, True)
 
 
+def _assert_vegard_of_the_fields(lat, x, u):
+    """The three Vegard kernels equal their formulas written from the fields, every bit compared."""
+    a_si, a_ge, b = lat.a_si, lat.a_ge, lat.bowing_b
+    ceiling = (a_ge - a_si) / a_si
+    assert repr(design._pure_ge_strain(lat)) == repr(ceiling)
+    assert repr(x_to_strain(x, lat)) == repr(x * ((a_ge - a_si) + b * (1.0 - x)) / a_si)
+    eps = u * ceiling
+    if eps == ceiling:
+        assert strain_to_x(eps, lat) == 1.0
+        return
+    a_eps = a_si * eps
+    lin = (a_ge - a_si) + b
+    disc = lin * lin - 4.0 * b * a_eps
+    want = min(2.0 * a_eps / (lin + math.sqrt(max(disc, 0.0))), 1.0)
+    assert repr(strain_to_x(eps, lat)) == repr(want)
+
+
+@settings(max_examples=500, deadline=None)
+@given(lat=_lattices(), x=st.floats(0.0, 1.0), u=st.floats(0.0, 1.0), v=st.floats(-0.99, 0.99))
+# zero bowing of either sign, and a lattice at extreme scales with a pure-Ge strain of 1e300
+@example(lat=LatticeParams(a_si=5.4307, a_ge=5.6575, bowing_b=-0.0), x=0.0, u=0.0, v=0.0)
+@example(lat=LatticeParams(a_si=5.4307, a_ge=5.6575, bowing_b=0.0), x=1.0, u=1.0, v=-0.0)
+@example(lat=LatticeParams(a_si=1e-150, a_ge=1e150, bowing_b=-1e149), x=1e-300, u=0.5, v=0.9)
+def test_a_lattice_keeps_the_vegard_constants_of_its_own_fields(lat, x, u, v):
+    diff = lat.a_ge - lat.a_si
+    twins = (
+        lat,
+        pickle.loads(pickle.dumps(lat)),
+        replace(lat, bowing_b=v * diff),
+        replace(lat, a_ge=lat.a_ge + diff, bowing_b=-lat.bowing_b),
+    )
+    for twin in twins:
+        _assert_vegard_of_the_fields(twin, x, u)
+    # the kept constants are no field: a record with other constants is still equal
+    stale = LatticeParams(lat.a_si, lat.a_ge, lat.bowing_b)
+    materials._set_memo(stale, twins[-1]._memo)
+    assert stale == lat and hash(stale) == hash(lat) and repr(stale) == repr(lat)
+    assert stale.__reduce__() == (LatticeParams, (lat.a_si, lat.a_ge, lat.bowing_b))
+
+
 @pytest.mark.parametrize("mode", ["linear10pct", "both"])
 def test_clipped_corners_build_no_error(monkeypatch, mode):
     # with the defaults every down corner of these boxes needs x > 1
@@ -610,9 +653,18 @@ def test_clipped_corners_build_no_error(monkeypatch, mode):
 def test_sensitivity_rejects_unknown_mode():
     with pytest.raises(ValueError, match="mode"):
         sensitivity_band(PARAMS, [3.0], "bogus")
-    # the mode is checked before, not inside, the thickness loop
-    with pytest.raises(ValueError, match="mode"):
-        sensitivity_band(PARAMS, [], "bogus")
+    # the mode is checked before, not inside, the thickness loop, and before
+    # the memo is read: an unhashable mode is the same ValueError, and the
+    # set keeps nothing
+    for mode in ("bogus", None, ["both"]):
+        params = replace(PARAMS)
+        with pytest.raises(ValueError) as info:
+            sensitivity_curve(params, [], mode)
+        assert type(info.value) is ValueError
+        assert str(info.value) == (
+            f"unknown sensitivity mode {mode!r}; valid: ('linear10pct', 'quadratic_range', 'both')"
+        )
+        assert params._memo == {}
 
 
 def test_sensitivity_error_keeps_reason_and_names_thickness():
@@ -690,15 +742,19 @@ def test_a_set_computes_its_corner_boxes_and_valley_table_once(monkeypatch):
     corners = _counting(monkeypatch, design, "_extreme_corners")
     tables = _counting(monkeypatch, valleys, "valley_coefficients")
     wells = _counting(monkeypatch, design, "_well_table")
+    gaps = _counting(monkeypatch, design, "_gap_table")
     grid = [1.0 + 0.5 * i for i in range(19)]
     params = replace(PARAMS)
     for mode in design.SENSITIVITY_MODES:
         for t in grid:
             sensitivity_band(params, [t], mode)
+    crossover_curve(params, grid)
     # one box per mode, not one per call; the memo holds those three, the
-    # valley table the boxes read for the nominal gap and the well table
+    # gap table every crossing reads and the valley table it reads for the
+    # nominal gap
     assert sorted(args[1] for args in corners) == sorted(design.SENSITIVITY_MODES)
     assert len(params._memo) == 5
+    assert len(gaps) == 1
     assert len(wells) == 1
     params = replace(PARAMS)
     for t in grid:
@@ -710,7 +766,7 @@ def test_a_set_computes_its_corner_boxes_and_valley_table_once(monkeypatch):
 
 def test_the_memo_holds_per_set_constants_only():
     # no entry per thickness or Ge fraction: after 1,000 seeded design points
-    # and every band of the three figure sweeps the set keeps its five constants
+    # and every band of the three figure sweeps the set keeps its six constants
     rng = random.Random(26)
     params = replace(PARAMS)
     for _ in range(1000):
@@ -724,7 +780,7 @@ def test_the_memo_holds_per_set_constants_only():
     # a function without arguments is its own key
     assert sorted((key if callable(key) else key[0]).__name__ for key in params._memo) == [
         "_extreme_corners", "_extreme_corners", "_extreme_corners",
-        "_well_table", "valley_coefficients",
+        "_gap_table", "_well_table", "valley_coefficients",
     ]
 
 
@@ -762,7 +818,7 @@ def _enumerated_band(params, t, mode):
                 (*ranges[Valley.DELTA6], q.d_delta6),
             )
         ]
-    c0, eps_nom = design._crossing(params, t, c1_nom, c2_nom)
+    c0, eps_nom = design._crossing(params._derive(design._gap_table), t)
     x_nom = strain_to_x(eps_nom, params.lattice)
     xs, clipped = [], False
     for c1, c2 in product(slopes, curvatures):
