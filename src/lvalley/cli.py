@@ -244,13 +244,9 @@ def _energy(params: MaterialParams, ns: argparse.Namespace):
 def _well(params: MaterialParams, ns: argparse.Namespace):
     t_grid = _grid(ns, "t")
     if ns.valley is not None:
-        v0, table = params._derive(well._well_table)
-        a, r, m_in, m_out = table[_VALLEY_CHOICES.index(ns.valley)]
-        rows = []
-        for t in t_grid:
-            if not 0.0 < t < math.inf:
-                raise ValueError(well._BAD_THICKNESS)
-            rows.append((t, well._solve(t, v0, t * a, r, m_in, m_out)[0]))
+        m = params.masses(Valley(ns.valley))
+        v0, k = params.bands.v0_offset_111, params.constants.hbar2_over_2m0
+        rows = [(t, well.solve_well(t, v0, m.m_in, m.m_out, k)[0]) for t in t_grid]
         return ["t_nm", "e_q_ev"], rows
     # one column per valley, in Valley order as confinement_energies returns them
     header = ["t_nm"] + [f"e_q_{v.value.lower()}_ev" for v in Valley]
@@ -410,6 +406,9 @@ def run(argv: list[str] | None = None) -> int:
     try:
         if not out:
             raise UsageError("--out needs a path, or '-' for standard output")
+        for flag, value in (("--config", ns.config), ("--dp-set", ns.dp_set)):
+            if value == "":  # which resolve_params would read as the flag not given
+                raise UsageError(f"{flag} needs a value")
         params = resolve_params(ns.config, ns.dp_set, ns.set)
         header, rows = ns.rows(params, ns)
         text = render(header, rows, ns.format)

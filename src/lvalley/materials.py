@@ -267,20 +267,20 @@ class MaterialParams(Record, _Memo):
         # the generated __init__ ends here: every new or replaced set starts empty
         _set_memo(self, {})
 
-    def _derive(self, fn, *args):
-        """``fn(self, *args)``, computed on first use and kept by this set.
+    def _derive(self, fn, arg=None):
+        """``fn(self)``, computed on first use and kept by this set; ``fn(self, arg)`` if arg is not None.
 
         Only for per-set constants: the valley table of
         valleys.valley_coefficients, the well table of well._well_table, the
         gap table of design._gap_table and the band table of
-        design._extreme_corners per sensitivity mode.  No key holds a
-        thickness or a Ge fraction; ``fn`` alone is the key of a call
-        without ``args``.  A call that raises keeps nothing, and runs
-        outside the miss handler, so its error carries no KeyError context.
-        Threads that race compute equal values, and setdefault hands each of
-        them the first one stored.
+        design._extreme_corners per sensitivity mode, its one ``arg``.  No
+        key holds a thickness or a Ge fraction; the key is ``fn`` alone, or
+        ``(fn, arg)``.  A call that raises keeps nothing, and runs outside
+        the miss handler, so its error carries no KeyError context.  Threads
+        that race compute equal values, and setdefault hands each of them
+        the first one stored.
         """
-        key = (fn, *args) if args else fn
+        key, args = (fn, ()) if arg is None else ((fn, arg), (arg,))
         memo = self._memo
         try:
             return memo[key]

@@ -271,8 +271,8 @@ def well_config(valley: Valley, params: MaterialParams, thickness_t: float) -> W
 def _well_table(params: MaterialParams) -> tuple[float, tuple[tuple[float, ...], ...]]:
     """(v0, one (a, r, m_in, m_out) row per valley in Valley order) of a set, for ``_derive``.
 
-    With a = sqrt(m_in v0 / (4 K)), :func:`_solve` at u0 = t a is
-    :func:`solve_well` at a checked thickness t, bit for bit.
+    The design sweeps read it: with a = sqrt(m_in v0 / (4 K)), :func:`_solve`
+    at u0 = t a is :func:`solve_well` at a checked thickness t, bit for bit.
     """
     v0, k = params.bands.v0_offset_111, params.constants.hbar2_over_2m0
     return v0, tuple(

@@ -8,7 +8,7 @@ are read with ``ast``, so neither bench module is imported.
 
 ``bench/child.py`` also reads library names directly: the attributes it
 takes from ``lvalley`` and ``lvalley.cli`` must exist, and its paper-anchor
-mode must run clean against this checkout's ``src``.
+mode must run clean against the ``lvalley`` these tests import.
 """
 
 import ast
@@ -92,7 +92,7 @@ def test_bench_child_anchors_run_clean():
     proc = subprocess.run(
         [sys.executable, str(BENCH / "child.py"), "anchors", str(ROOT / "tests" / "oracles.py")],
         cwd=ROOT,
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        env=dict(os.environ, PYTHONPATH=str(Path(lvalley.__file__).resolve().parents[1])),
         capture_output=True,
         text=True,
         timeout=120,

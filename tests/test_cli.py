@@ -14,7 +14,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lvalley
-from lvalley import InfeasibleError, Valley, bulk_energy, cli, confinement_energies, default_params
+from lvalley import (
+    InfeasibleError,
+    SolverError,
+    Valley,
+    bulk_energy,
+    cli,
+    confinement_energies,
+    default_params,
+    solve_well,
+)
 from lvalley.cli import (
     MAX_GRID_POINTS,
     UsageError,
@@ -27,6 +36,8 @@ from lvalley.cli import (
 )
 
 PARAMS = default_params()
+# the tree whose lvalley these tests imported, for subprocesses to import too
+SRC = str(Path(lvalley.__file__).resolve().parents[1])
 
 
 def read_rows(path):
@@ -237,6 +248,25 @@ def test_single_valley_rows_are_the_all_valley_columns(tmp_path, fmt):
         assert repr([e for _, e in rows]) == repr(
             [confinement_energies(PARAMS, t)[col - 1] for t, _ in rows]
         )
+
+
+def test_each_valley_fails_alone_where_only_the_l1_level_is_unresolved(capsys):
+    # at 5e12 nm the heavy L1 level lies within 1e-12 of its hard-wall
+    # level, while the light L3 and Delta6 levels still resolve
+    v0, k = PARAMS.bands.v0_offset_111, PARAMS.constants.hbar2_over_2m0
+    with pytest.raises(InfeasibleError) as l1:
+        solve_well(5e12, v0, PARAMS.masses_l1.m_in, PARAMS.masses_l1.m_out, k)
+    assert l1.value.reason == "hard_wall_limit"
+    for argv in (["--valley", "L1"], []):
+        assert run(["well", *argv, "--t", "5e12", "--out", "-"]) == 1
+        assert capsys.readouterr() == ("", f"error: {l1.value}\n")
+    for valley in ("L3", "Delta6"):
+        m = PARAMS.masses(Valley(valley))
+        energy = solve_well(5e12, v0, m.m_in, m.m_out, k)[0]
+        assert run(["well", "--valley", valley, "--t", "5e12", "--out", "-"]) == 0
+        assert capsys.readouterr() == (f"t_nm,e_q_ev\n5e+12,{format_number(energy)}\n", "")
+        ns = cli._build_parser().parse_args(["well", "--valley", valley, "--t", "5e12"])
+        assert repr(ns.rows(PARAMS, ns)[1]) == repr([(5e12, energy)])
 
 
 def test_hc_command(tmp_path):
@@ -511,8 +541,7 @@ def test_sensitivity_keeps_feasible_points_and_warns_per_failure(capsys):
 
 def _loaded_after_cli_import(*modules, flags=()):
     """Which of ``modules`` a fresh ``python *flags`` holds after ``import lvalley.cli``."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     code = f"import sys, lvalley.cli; print([m for m in {modules!r} if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, *flags, "-c", code],
@@ -730,9 +759,11 @@ def test_write_error_names_the_requested_path(tmp_path, monkeypatch, capsys):
 def test_empty_out_is_a_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv(cli.ENV_OUTDIR, str(tmp_path))
-    assert run(["well", "--valley", "L1", "--t", "3", "--out", ""]) == 2
-    assert capsys.readouterr().err.startswith("error: --out needs a path")
-    assert os.listdir(tmp_path) == []
+    # an empty --config or --dp-set used to run with the default parameters
+    for flag, what in (("--out", "a path"), ("--config", "a value"), ("--dp-set", "a value")):
+        assert run(["well", "--valley", "L1", "--t", "3", flag, ""]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} needs {what}")
+        assert os.listdir(tmp_path) == []
 
 
 def test_no_temp_files_left_behind(tmp_path):
@@ -939,3 +970,38 @@ def test_every_invocation_gives_finite_json_or_a_clean_error(command, data):
     assert len(lines) == 1 and lines[0].startswith("error: "), err
     for solver_text in ("Traceback", "sign change", "bracket", "converge"):
         assert solver_text not in err
+
+
+# --- well --valley: the solve_well level of the resolved set ---------------------
+
+@settings(max_examples=300, deadline=None)
+@given(
+    valley=st.sampled_from(("L1", "L3", "Delta6")),
+    t=_value(0.5, 50.0, 0.0, -1.0, 1e-9, 5e12, 1e160),
+    m_in=_value(1e-3, 10.0, 0.0, -1.0, 1e-300, 1e-154, 1e300),
+    m_out=_value(1e-3, 10.0, 0.0, 1e-300, 1e300),
+    v0=_value(1e-3, 10.0, 0.0, -0.28, 1e-300, 1e300),
+    k=_value(0.0381 * 0.9991, 0.0381 * 1.0009, 0.04),
+)
+@example(valley="L1", t=3.0, m_in=1.7, m_out=1.59, v0=0.28, k=PARAMS.constants.hbar2_over_2m0)
+def test_single_valley_row_is_the_solve_well_level(valley, t, m_in, m_out, v0, k):
+    sets = [
+        f"masses.m_out={m_out!r}", f"masses.{valley}.m_in={m_in!r}",
+        f"bands.v0_offset_111={v0!r}", f"constants.hbar2_over_2m0={k!r}",
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["well", "--valley", valley, f"--t={t!r}", "--out", "-",
+                    *(f"--set={s}" for s in sets)])
+    result = (code, out.getvalue(), err.getvalue())
+    try:
+        cli.resolve_params(None, None, sets)
+    except UsageError as usage:  # a set the parameter records reject
+        assert result == (2, "", f"error: {usage}\n")
+        return
+    try:
+        energy = solve_well(t, v0, m_in, m_out, k)[0]
+    except (InfeasibleError, SolverError, ValueError) as domain:
+        assert result == (1, "", f"error: {domain}\n")
+        return
+    assert result == (0, f"t_nm,e_q_ev\n{format_number(t)},{format_number(energy)}\n", "")

@@ -7,7 +7,11 @@ from pathlib import Path
 
 import pytest
 
+import lvalley
+
 ROOT = Path(__file__).resolve().parents[1]
+# the tree whose lvalley these tests imported, for the demos to import too
+SRC = str(Path(lvalley.__file__).resolve().parents[1])
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -18,7 +22,7 @@ def test_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
     # the demos write their CSV (and PNG) files to the working directory
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(demo)],
         cwd=tmp_path,
@@ -68,7 +72,7 @@ def test_demo_plots_with_matplotlib(stem, png, tmp_path):
     (stub / "pyplot.py").write_text(_STUB_PYPLOT)
     work = tmp_path / "work"
     work.mkdir()
-    parts = [str(stub.parent), str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    parts = [str(stub.parent), SRC, os.environ.get("PYTHONPATH")]
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / f"{stem}.py")],
         cwd=work,

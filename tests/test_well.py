@@ -96,7 +96,7 @@ def test_infinite_well_reference_scaling():
 
 
 def level(valley, t):
-    """Confinement energy of one valley at thickness t, eV, as the well command computes it.
+    """Confinement energy of one valley at thickness t, eV, as confinement_energies computes it.
 
     The set's well table row for the valley, solved by the core at u0 = t a.
     """
