@@ -136,7 +136,7 @@ def format_number(value) -> str:
     if isinstance(value, int):
         return str(value)
     s = format(float(value), ".9g")
-    if "." not in s and "e" not in s and "E" not in s and s.lstrip("+-").isdigit():
+    if s.lstrip("+-").isdigit():
         s += ".0"
     return s
 

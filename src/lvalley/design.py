@@ -21,7 +21,7 @@ from itertools import product
 from .errors import InfeasibleError
 from .materials import LatticeParams, MaterialParams, Record, Valley, replace
 from .valleys import bulk_levels, valley_coefficients
-from .well import _BAD_THICKNESS, _solve, _well_table
+from .well import _solve, _well_table
 
 # Crossover search bracket: slightly above the strain of pure-Ge barriers,
 # so "no crossing at all" is distinguishable from "requires x > 1".
@@ -129,14 +129,8 @@ def strain_to_x(eps_par: float, lat: LatticeParams) -> float:
 
 def confinement_energies(params: MaterialParams, thickness_t: float) -> tuple[float, float, float]:
     """Confinement energies (L1, L3, Delta6) at one thickness as plain floats, eV."""
-    if not 0.0 < thickness_t < _INF:
-        raise ValueError(_BAD_THICKNESS)
-    v0, ((a1, r1, mi1, mo1), (a3, r3, mi3, mo3), (a6, r6, mi6, mo6)) = params._derive(_well_table)
-    return (
-        _solve(thickness_t, v0, thickness_t * a1, r1, mi1, mo1)[0],
-        _solve(thickness_t, v0, thickness_t * a3, r3, mi3, mo3)[0],
-        _solve(thickness_t, v0, thickness_t * a6, r6, mi6, mo6)[0],
-    )
+    l1, l3, d6 = params._derive(_well_table)
+    return _solve(thickness_t, l1)[0], _solve(thickness_t, l3)[0], _solve(thickness_t, d6)[0]
 
 
 def _gap_root(c0: float, c1: float, c2: float) -> float | None:
@@ -197,9 +191,9 @@ def _crossing(gap: tuple, t: float) -> tuple[float, float]:
         raise ValueError(
             f"thickness {t} nm outside the supported range [{T_MIN_NM}, {T_MAX_NM}] nm"
         )
-    e0_gap, v0, (a1, r1, mi1, mo1), (a6, r6, mi6, mo6), c1, c2 = gap
-    q_l1 = _solve(t, v0, t * a1, r1, mi1, mo1)[0]
-    c0 = e0_gap + _solve(t, v0, t * a6, r6, mi6, mo6)[0] - q_l1
+    e0_gap, l1, d6, c1, c2 = gap
+    q_l1 = _solve(t, l1)[0]
+    c0 = e0_gap + _solve(t, d6)[0] - q_l1
     eps = _gap_root(c0, c1, c2)
     if eps is None:
         raise InfeasibleError(
@@ -216,9 +210,9 @@ def _nominal_gap(params: MaterialParams) -> tuple[float, float]:
 
 
 def _gap_table(params: MaterialParams) -> tuple:
-    """(e0_delta - e0_L, v0, L1 and Delta6 well rows, c1, c2) of the nominal gap, for _derive."""
-    v0, (l1, _, d6) = _well_table(params)
-    return (params.bands.e0_delta - params.bands.e0_L, v0, l1, d6, *_nominal_gap(params))
+    """(e0_delta - e0_L, L1 and Delta6 well rows, c1, c2) of the nominal gap, for _derive."""
+    l1, _, d6 = params._derive(_well_table)
+    return (params.bands.e0_delta - params.bands.e0_L, l1, d6, *_nominal_gap(params))
 
 
 def critical_strain(params: MaterialParams, thickness_t: float) -> CrossoverResult:
@@ -308,7 +302,7 @@ def _extreme_corners(params: MaterialParams, mode: str) -> tuple:
     if all(0.0 <= s < math.inf for s in slopes):
         corners = ((max(slopes), max(curvatures)), (min(slopes), min(curvatures)))
     else:
-        corners = tuple(product(slopes, [*curvatures, gap[5]]))  # gap[5]: nominal curvature
+        corners = tuple(product(slopes, [*curvatures, gap[4]]))  # gap[4]: nominal curvature
     return gap, corners, lat, _pure_ge_strain(lat)
 
 

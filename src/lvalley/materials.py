@@ -271,14 +271,15 @@ class MaterialParams(Record, _Memo):
         """``fn(self)``, computed on first use and kept by this set; ``fn(self, arg)`` if arg is not None.
 
         Only for per-set constants: the valley table of
-        valleys.valley_coefficients, the well table of well._well_table, the
-        gap table of design._gap_table and the band table of
-        design._extreme_corners per sensitivity mode, its one ``arg``.  No
-        key holds a thickness or a Ge fraction; the key is ``fn`` alone, or
-        ``(fn, arg)``.  A call that raises keeps nothing, and runs outside
-        the miss handler, so its error carries no KeyError context.  Threads
-        that race compute equal values, and setdefault hands each of them
-        the first one stored.
+        valleys.valley_coefficients, the well rows of well._well_table (one
+        per valley, the ``row`` of well._solve(t, row)), the gap table of
+        design._gap_table, which holds the same L1 and Delta6 rows, and the
+        band table of design._extreme_corners per sensitivity mode, its one
+        ``arg``.  No key holds a thickness or a Ge fraction; the key is
+        ``fn`` alone, or ``(fn, arg)``.  A call that raises keeps nothing,
+        and runs outside the miss handler, so its error carries no KeyError
+        context.  Threads that race compute equal values, and setdefault
+        hands each of them the first one stored.
         """
         key, args = (fn, ()) if arg is None else ((fn, arg), (arg,))
         memo = self._memo

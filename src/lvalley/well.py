@@ -26,10 +26,11 @@ the tests use as the reference.
 
 :func:`solve_well` is the float kernel: thickness, barrier and masses in,
 (energy, z, residual, iterations) out, with no configuration or solution
-object.  It checks the thickness and passes u0 and r to :func:`_solve`, the
-one copy of the guards and the loop, which the sweeps call with the per-set
-constants of :func:`_well_table`; :func:`ground_state` wraps solve_well for
-a validated :class:`WellConfig` and returns a :class:`WellSolution`.
+object.  A well is one row of :func:`_row`, (v0, a, r, m_in, m_out) with
+a = sqrt(m_in v0 / (4 K)); ``_solve(t, row)`` checks t, forms u0 = t a and
+holds the one copy of the guards and the loop, which the sweeps call with
+the set's rows of :func:`_well_table`.  :func:`ground_state` wraps
+solve_well for a validated :class:`WellConfig`.
 """
 
 from __future__ import annotations
@@ -113,23 +114,28 @@ def solve_well(
 
     The float kernel behind :func:`ground_state`, for callers that hold
     already-validated barrier and masses (a :class:`MaterialParams` set) and
-    need only the energy.  The thickness is checked here as
+    need only the energy.  The thickness is checked first, as
     :class:`WellConfig` checks it.  ``z`` = k_in t/2 is the root,
     ``residual`` is |g(z)| / (r u0) and ``iterations`` counts the evaluations
     of g, as ``BisectResult.iterations`` does; the limits raise as described
     in :func:`ground_state`.
     """
-    t = thickness_t
+    if not 0.0 < thickness_t < _INF:
+        raise ValueError(_BAD_THICKNESS)
+    return _solve(thickness_t, _row(barrier_v0, m_in, m_out, hbar2_over_2m0))
+
+
+def _row(v0: float, m_in: float, m_out: float, k: float) -> tuple[float, ...]:
+    """One well as (v0, a, r, m_in, m_out): a = sqrt(m_in v0 / (4 k)), r = sqrt(m_in / m_out)."""
+    return v0, sqrt(m_in * v0 / (4.0 * k)), sqrt(m_in / m_out), m_in, m_out
+
+
+def _solve(t: float, row: tuple) -> tuple[float, float, float, int]:
+    """:func:`solve_well` of one :func:`_row` at thickness t."""
     if not 0.0 < t < _INF:
         raise ValueError(_BAD_THICKNESS)
-    u0 = t * sqrt(m_in * barrier_v0 / (4.0 * hbar2_over_2m0))
-    return _solve(t, barrier_v0, u0, sqrt(m_in / m_out), m_in, m_out)
-
-
-def _solve(
-    t: float, v0: float, u0: float, r: float, m_in: float, m_out: float
-) -> tuple[float, float, float, int]:
-    """:func:`solve_well` past its thickness check, given u0 and r = sqrt(m_in / m_out)."""
+    v0, a, r, m_in, m_out = row
+    u0 = t * a
     binding = (u0 / r) * (u0 / r) if r > 0.0 else _INF
     if not binding >= MIN_RELATIVE_GAP:
         raise InfeasibleError(
@@ -268,14 +274,7 @@ def well_config(valley: Valley, params: MaterialParams, thickness_t: float) -> W
     )
 
 
-def _well_table(params: MaterialParams) -> tuple[float, tuple[tuple[float, ...], ...]]:
-    """(v0, one (a, r, m_in, m_out) row per valley in Valley order) of a set, for ``_derive``.
-
-    The design sweeps read it: with a = sqrt(m_in v0 / (4 K)), :func:`_solve`
-    at u0 = t a is :func:`solve_well` at a checked thickness t, bit for bit.
-    """
+def _well_table(params: MaterialParams) -> tuple[tuple[float, ...], ...]:
+    """The set's :func:`_row` per valley, in Valley order, for ``_derive``."""
     v0, k = params.bands.v0_offset_111, params.constants.hbar2_over_2m0
-    return v0, tuple(
-        (sqrt(m.m_in * v0 / (4.0 * k)), sqrt(m.m_in / m.m_out), m.m_in, m.m_out)
-        for m in (params.masses_l1, params.masses_l3, params.masses_delta6)
-    )
+    return tuple(_row(v0, m.m_in, m.m_out, k) for m in map(params.masses, Valley))

@@ -217,7 +217,7 @@ def _gap_changes_sign_at(c0, c1, c2, eps):
 def test_crossing_with_an_overflowing_discriminant_is_a_true_root(section, field, value):
     params = replace(PARAMS, **{section: replace(getattr(PARAMS, section), **{field: value})})
     gap = params._derive(design._gap_table)
-    c1, c2 = gap[4:]
+    c1, c2 = gap[3:]
     c0, _ = design._crossing(gap, 3.0)
     assert not math.isfinite(c1 * c1 - 4.0 * c2 * c0)
     eps = critical_strain(params, 3.0).eps_critical
@@ -453,6 +453,23 @@ def test_confinement_energies_are_keyed_in_valley_order():
         well.solve_well(3.0, v0, m.m_in, m.m_out, k)[0] for m in map(PARAMS.masses, Valley)
     )
     assert repr(eqs) == repr(expected)
+
+
+@pytest.mark.parametrize("t", [0.0, -0.0, -1.0, math.nan, math.inf])
+def test_a_bad_thickness_is_reported_before_anything_else(t):
+    # the thickness is checked before a well row is built, so a negative or
+    # nan barrier or mass cannot turn its error into a math domain error
+    bad = "^well thickness must be positive and finite$"
+    for v0, m_in, m_out in [
+        (0.28, -1.0, 1.59), (0.28, 0.19, -1.59), (-0.28, 0.19, 1.59),
+        (math.nan, 0.19, 1.59), (0.28, math.nan, 1.59), (0.28, 0.19, math.nan),
+    ]:
+        with pytest.raises(ValueError, match=bad):
+            well.solve_well(t, v0, m_in, m_out)
+    with pytest.raises(ValueError, match=bad):
+        confinement_energies(PARAMS, t)
+    with pytest.raises(ValueError, match=bad):
+        splitting_report(PARAMS, t, 0.5)
 
 
 # --- sensitivity envelopes -------------------------------------------------------
@@ -705,37 +722,51 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def _counting_solves(monkeypatch):
-    """Route the parameter-set well solves through a wrapper; returns their argument tuples.
+def _counting_solves(monkeypatch, params):
+    """Route the well solves through a wrapper; returns the valley each call solves.
 
-    Each is a call of the well core, (t, v0, u0, r, m_in, m_out).
+    Each is a call of the well core, ``_solve(t, row)``, and its row must be
+    one of the set's own rows: the very object that
+    ``params._derive(well._well_table)`` holds, not an equal copy.
     """
-    return _counting(monkeypatch, design, "_solve")
+    rows = params._derive(well._well_table)
+    valleys_solved = []
+    solve = design._solve
+
+    def counting(t, row):
+        own = [v for v, r in zip(Valley, rows) if r is row]
+        assert own, f"{row!r} is not one of the set's well rows"
+        valleys_solved.append(own[0])
+        return solve(t, row)
+
+    monkeypatch.setattr(design, "_solve", counting)
+    return valleys_solved
 
 
 @pytest.mark.parametrize("mode", design.SENSITIVITY_MODES)
 def test_sensitivity_point_solves_the_l1_and_delta6_wells_only(monkeypatch, mode):
-    calls = _counting_solves(monkeypatch)
+    params = replace(PARAMS)
+    calls = _counting_solves(monkeypatch, params)
     grid = [1.0, 3.0, 7.0, 20.0]
     for t in grid:
-        sensitivity_band(PARAMS, [t], mode)
-    assert len(calls) == 2 * len(grid)
-    l1, d6 = PARAMS.masses_l1, PARAMS.masses_delta6
-    assert {args[4:6] for args in calls} == {(l1.m_in, l1.m_out), (d6.m_in, d6.m_out)}
+        sensitivity_band(params, [t], mode)
+    assert calls == [Valley.L1, Valley.DELTA6] * len(grid)
 
 
 def test_crossover_point_solves_two_wells(monkeypatch):
-    calls = _counting_solves(monkeypatch)
+    params = replace(PARAMS)
+    calls = _counting_solves(monkeypatch, params)
     grid = [0.5, 1.0, 3.0, 10.0, 50.0]
-    results, failures = crossover_curve(PARAMS, grid)
+    results, failures = crossover_curve(params, grid)
     assert len(results) == len(grid) and not failures
     assert len(calls) == 2 * len(grid)
 
 
 def test_design_point_solves_one_well_per_valley(monkeypatch):
-    calls = _counting_solves(monkeypatch)
-    splitting_report(PARAMS, 3.0, 0.5)
-    assert [args[4:6] for args in calls] == [(m.m_in, m.m_out) for m in map(PARAMS.masses, Valley)]
+    params = replace(PARAMS)
+    calls = _counting_solves(monkeypatch, params)
+    splitting_report(params, 3.0, 0.5)
+    assert calls == list(Valley)
 
 
 def test_a_set_computes_its_corner_boxes_and_valley_table_once(monkeypatch):
@@ -750,10 +781,10 @@ def test_a_set_computes_its_corner_boxes_and_valley_table_once(monkeypatch):
             sensitivity_band(params, [t], mode)
     crossover_curve(params, grid)
     # one box per mode, not one per call; the memo holds those three, the
-    # gap table every crossing reads and the valley table it reads for the
-    # nominal gap
+    # gap table every crossing reads, the valley table it reads for the
+    # nominal gap and the well rows it shares
     assert sorted(args[1] for args in corners) == sorted(design.SENSITIVITY_MODES)
-    assert len(params._memo) == 5
+    assert len(params._memo) == 6
     assert len(gaps) == 1
     assert len(wells) == 1
     params = replace(PARAMS)

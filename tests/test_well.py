@@ -98,11 +98,10 @@ def test_infinite_well_reference_scaling():
 def level(valley, t):
     """Confinement energy of one valley at thickness t, eV, as confinement_energies computes it.
 
-    The set's well table row for the valley, solved by the core at u0 = t a.
+    The set's well row for the valley, ``(v0, a, r, m_in, m_out)``, solved
+    by the core as ``well._solve(t, row)``.
     """
-    v0, table = PARAMS._derive(well._well_table)
-    a, r, m_in, m_out = table[list(Valley).index(valley)]
-    return well._solve(t, v0, t * a, r, m_in, m_out)[0]
+    return well._solve(t, PARAMS._derive(well._well_table)[list(Valley).index(valley)])[0]
 
 
 def test_eq_vs_thickness_sharp_rise_below_3nm():
