@@ -2,19 +2,20 @@
 
 Output is data, not rendered images; every numeric field is printed with
 up to nine significant digits and a locale-independent decimal point, so
-identical inputs always produce byte-identical files.  Files are written
-atomically (temp file in the target directory, then rename).
+identical inputs always produce byte-identical files.  Regular files are
+written atomically (temp file in the target directory, then rename).
 
 Exit codes: 0 success, 1 domain/infeasibility/solver errors, 2 usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
+import stat
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import InfeasibleError, SolverError, at_thickness
 from .materials import (
@@ -168,22 +169,32 @@ def render(header: list[str], rows: list[tuple], fmt: str) -> str:
 
 
 def write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file and one rename.
+    """Write ``text`` to ``path``, a regular file through a temporary file and one rename.
 
-    The file gets the mode ``open(path, "w")`` would leave: an existing file
-    keeps its own, a new one gets 0o666 less the umask, which ``os.open``
-    applies as ``open`` does.
+    A symlink is followed: its target gets the bytes and the link stays.  A
+    path that exists and is not a regular file, such as a FIFO or a device,
+    is written in place with ``open(path, "w")``.  A regular or new file gets
+    the mode ``open(path, "w")`` would leave: an existing file keeps its own,
+    a new one gets 0o666 less the umask, which ``os.open`` applies as
+    ``open`` does.
     """
+    path = os.path.realpath(path)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        return
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
-        try:
-            os.chmod(tmp, os.stat(path).st_mode & 0o777)
-        except FileNotFoundError:
-            pass
+        if mode is not None:
+            os.chmod(tmp, mode & 0o777)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -220,7 +231,7 @@ def make_grid(lo: float, hi: float, step: float, name: str) -> list[float]:
     return [min(lo + i * step, hi) for i in range(n)]
 
 
-def _grid(ns: argparse.Namespace, axis: str) -> list[float]:
+def _grid(ns: SimpleNamespace, axis: str) -> list[float]:
     """The single ``--AXIS`` value if given, else the ``--AXIS-min/max/step`` grid."""
     single = getattr(ns, axis, None)
     if single is not None:
@@ -235,7 +246,7 @@ def _grid(ns: argparse.Namespace, axis: str) -> list[float]:
 # the modules it runs when it runs, and calls through their attributes, so a
 # command loads only what it computes with.
 
-def _energy(params: MaterialParams, ns: argparse.Namespace):
+def _energy(params: MaterialParams, ns: SimpleNamespace):
     from . import design, valleys
 
     if ns.eps is not None and ns.x is not None:
@@ -264,7 +275,7 @@ def _per_point(point, t_grid: list[float]) -> tuple[list, list[tuple[float, Exce
     return rows, failures
 
 
-def _well(params: MaterialParams, ns: argparse.Namespace):
+def _well(params: MaterialParams, ns: SimpleNamespace):
     t_grid = _grid(ns, "t")
     if ns.valley is not None:
         from . import well
@@ -296,7 +307,7 @@ def _feasible(points: list, failures: list[tuple[float, Exception]]) -> list:
     return points
 
 
-def _crossover(params: MaterialParams, ns: argparse.Namespace):
+def _crossover(params: MaterialParams, ns: SimpleNamespace):
     from . import design
 
     results = _feasible(*design.crossover_curve(params, _grid(ns, "t")))
@@ -304,7 +315,7 @@ def _crossover(params: MaterialParams, ns: argparse.Namespace):
     return ["t_nm", "eps_critical", "x_critical"], rows
 
 
-def _hc(params: MaterialParams, ns: argparse.Namespace):
+def _hc(params: MaterialParams, ns: SimpleNamespace):
     from . import relaxation
 
     x_grid = _grid(ns, "x")
@@ -318,7 +329,7 @@ def _hc(params: MaterialParams, ns: argparse.Namespace):
     return ["x", "f", "nu_111", "h_c_nm"], rows
 
 
-def _sensitivity(params: MaterialParams, ns: argparse.Namespace):
+def _sensitivity(params: MaterialParams, ns: SimpleNamespace):
     from . import design
 
     bands = _feasible(*design.sensitivity_curve(params, _grid(ns, "t"), ns.mode))
@@ -326,10 +337,14 @@ def _sensitivity(params: MaterialParams, ns: argparse.Namespace):
     return ["t_nm", "x_low", "x_nominal", "x_high", "clipped"], rows
 
 
-def _splitting(params: MaterialParams, ns: argparse.Namespace):
+def _splitting(params: MaterialParams, ns: SimpleNamespace):
     from . import design
 
-    s = design.splitting_report(params, ns.t, ns.x)
+    design.x_to_strain(ns.x, params.lattice)  # a bad Ge fraction is not named by thickness
+    try:
+        s = design.splitting_report(params, ns.t, ns.x)
+    except (InfeasibleError, ValueError) as err:
+        raise at_thickness(ns.t, err) from err
     header = ["t_nm", "x", "delta6_minus_l1_ev", "l3_minus_l1_ev"]
     return header, [(ns.t, ns.x, s.delta6_minus_l1, s.l3_minus_l1)]
 
@@ -349,86 +364,198 @@ FIGURES = {
 }
 
 
-def _figure(params: MaterialParams, ns: argparse.Namespace):
+def _figure(params: MaterialParams, ns: SimpleNamespace):
     if ns.id not in FIGURES:
         raise UsageError(
             f"unknown figure id {ns.id!r}; valid ids: {', '.join(FIGURES)} "
             "(fig6 is a schematic with no computed curve)"
         )
-    preset = ns.parser.parse_args(FIGURES[ns.id])
+    preset = _parse(FIGURES[ns.id])
     return preset.rows(params, preset)
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and dispatch
+# the command table, argument parsing and dispatch
 
-def _add_axis(sp, axis: str, lo: float, hi: float, step: float, single: str | None = None) -> None:
-    """The ``--AXIS-min/max/step`` flags ``_grid`` reads, and ``--AXIS`` if ``single`` is its help."""
-    if single:
-        sp.add_argument(f"--{axis}", type=float, help=single)
-    sp.add_argument(f"--{axis}-min", type=float, default=lo)
-    sp.add_argument(f"--{axis}-max", type=float, default=hi)
-    sp.add_argument(f"--{axis}-step", type=float, default=step)
+# A flag is (kind, default, help): kind is float, str, list (repeatable) or a
+# tuple of choices, and a default of _REQUIRED marks a flag that must be given.
+_REQUIRED = object()
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key = value config file with dotted keys")
-    common.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=VALUE",
-        help="override one parameter, e.g. deformation.xi_u_L=16.14 (repeatable)",
+def _axis(axis: str, lo: float, hi: float, step: float, single: str) -> dict:
+    """The ``--AXIS`` flag and the ``--AXIS-min/max/step`` grid flags ``_grid`` reads."""
+    return {
+        f"--{axis}": (float, None, single),
+        f"--{axis}-min": (float, lo, "first grid point"),
+        f"--{axis}-max": (float, hi, "last grid point"),
+        f"--{axis}-step": (float, step, "grid step"),
+    }
+
+
+_COMMON = {
+    "--config": (str, None, "flat key = value config file with dotted keys"),
+    "--set": (list, None, "override one parameter as KEY=VALUE, e.g. deformation.xi_u_L=16.14"),
+    "--dp-set": (str, None, "select a literature deformation-potential set, e.g. fischetti1996"),
+    "--out": (str, None, "output path ('-' for stdout); default <outdir>/<command>.<ext>"),
+    "--format": (("csv", "json-lines"), "csv", "output format"),
+}
+
+# Each command is (row builder, summary, its own flags); every command also takes _COMMON.
+_COMMANDS = {
+    "energy": (_energy, "valley energies vs strain at fixed thickness", {
+        "--t": (float, _REQUIRED, "well thickness, nm"),
+        "--x": (float, None, "single Ge fraction instead of a sweep"),
+        **_axis("eps", 0.0, 0.05, 0.001, "single strain instead of a sweep"),
+    }),
+    "well": (_well, "confinement energy vs thickness", {
+        "--valley": (_VALLEY_CHOICES, None, "one valley; default: one column per valley"),
+        **_axis("t", 1.0, 10.0, 0.1, "single thickness, nm"),
+    }),
+    "crossover": (_crossover, "critical strain and Ge fraction vs thickness",
+                  _axis("t", 1.0, 10.0, 0.5, "single thickness, nm")),
+    "hc": (_hc, "critical thickness vs Ge fraction",
+           _axis("x", 0.5, 1.0, 0.01, "single Ge fraction")),
+    "sensitivity": (_sensitivity, "critical-x envelopes under coefficient variation", {
+        "--mode": (SENSITIVITY_MODES, "both", "which coefficients vary"),
+        **_axis("t", 1.0, 10.0, 0.5, "single thickness, nm"),
+    }),
+    "splitting": (_splitting, "valley splittings at one design point", {
+        "--t": (float, _REQUIRED, "well thickness, nm"),
+        "--x": (float, _REQUIRED, "barrier Ge fraction"),
+    }),
+    "figure": (_figure, "emit the data sweep behind one figure", {
+        "--id": (str, _REQUIRED, "figure id, fig1..fig5 or fig7..fig10"),
+    }),
+}
+_HELP = ("-h", "--help")
+
+
+class _Help(Exception):
+    """--help was given; the argument is the listing to print."""
+
+
+def _listing(command: str | None) -> str:
+    """The --help text of ``command``, or of the program if None."""
+    if command is None:
+        lines = [
+            "usage: lvalley COMMAND [flags]",
+            "",
+            "Valley-crossover design data for strained SiGe/Si(111)/SiGe wells.",
+            "'lvalley COMMAND --help' lists the flags of one command.",
+            "",
+            "commands:",
+            *(f"  {name:<13}{summary}" for name, (_, summary, _) in _COMMANDS.items()),
+        ]
+    else:
+        _, summary, own = _COMMANDS[command]
+        lines = [f"usage: lvalley {command} [flags]", "", summary, "", "flags:"]
+        for flag, (kind, default, text) in {**own, **_COMMON}.items():
+            if isinstance(kind, tuple):
+                text += f"; one of {', '.join(kind)}"
+            if default is _REQUIRED:
+                text += " (required)"
+            elif kind is list:
+                text += " (repeatable)"
+            elif default is not None:
+                text += f" (default {default})"
+            lines.append(f"  {flag:<12} {text}")
+        lines.append(f"  {'-h, --help':<12} print this listing")
+    return "\n".join(lines) + "\n"
+
+
+def _is_negative_number(token: str) -> bool:
+    """argparse's negative-number test of a token starting with '-'.
+
+    That is ``re.match(r"^-\\d+$|^-\\d*\\.\\d+$", token)``, whose ``\\d`` is
+    ``str.isdecimal`` and whose ``$`` also matches before a final newline;
+    so ``-3`` and ``-.5`` are values, and ``-1e-3`` is not.
+    """
+    whole, dot, frac = token.removesuffix("\n")[1:].partition(".")
+    return whole.isdecimal() if not dot else (not whole or whole.isdecimal()) and frac.isdecimal()
+
+
+def _option(token: str, names) -> tuple[str | None, str | None] | None:
+    """How argparse reads ``token`` against ``names``: None for a value, else (flag, value after '=').
+
+    A token is a value when it does not start with '-', is '-', looks like a
+    negative number or holds a space.  An option is a flag, FLAG=VALUE or a
+    unique prefix of either (-hX is -h given X); an ambiguous prefix is a
+    usage error, and an option that is no flag reads as (None, None).
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in names:
+        return token, None
+    flag, eq, value = token.partition("=")
+    explicit = value if eq else None
+    if flag in names:
+        return flag, explicit
+    if token[1] == "-":
+        matches = [name for name in names if name.startswith(flag)]
+    else:
+        matches, explicit = (["-h"], token[2:]) if token.startswith("-h") else ([], None)
+    if len(matches) > 1:
+        raise UsageError(f"ambiguous flag {token}: could be {', '.join(matches)}")
+    if matches:
+        return matches[0], explicit
+    if _is_negative_number(token) or " " in token:
+        return None
+    return None, None
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """``command``, its row builder ``rows`` and one attribute per flag of the invocation ``argv``.
+
+    Reads ``argv`` against ``_COMMANDS`` as argparse read the same table:
+    ``--flag value`` or ``--flag=value``, a unique prefix of a flag, the last
+    value of a flag winning and ``--set`` collecting.  A malformed invocation
+    raises UsageError and --help raises _Help.
+    """
+    command = argv[0] if argv else None
+    if command not in _COMMANDS:
+        if command and _option(command, _HELP) in [(flag, None) for flag in _HELP]:
+            raise _Help(_listing(None))
+        what = f"unknown command {command!r}" if argv else "no command given"
+        raise UsageError(f"{what}; valid commands: {', '.join(_COMMANDS)}")
+    rows, _, own = _COMMANDS[command]
+    flags = {**own, **_COMMON}
+    values = {flag: default for flag, (_, default, _) in flags.items()}
+    names, tokens = [*flags, *_HELP], argv[1:]
+    options = [_option(token, names) for token in tokens]
+    stray = []
+    i = 0
+    while i < len(tokens):
+        flag, value = options[i] or (None, None)
+        if flag is None:
+            stray.append(tokens[i])
+        elif flag in _HELP:
+            if value is not None:
+                raise UsageError(f"{flag} takes no value")
+            raise _Help(_listing(command))
+        else:
+            if value is None:
+                if i + 1 == len(tokens) or options[i + 1] is not None:
+                    raise UsageError(f"{flag} needs a value")
+                i += 1
+                value = tokens[i]
+            kind = flags[flag][0]
+            if kind is float:
+                try:
+                    value = float(value)
+                except ValueError:
+                    raise UsageError(f"{flag}: {value!r} is not a number") from None
+            elif isinstance(kind, tuple) and value not in kind:
+                raise UsageError(f"{flag}: {value!r} is not one of {', '.join(kind)}")
+            values[flag] = [*(values[flag] or ()), value] if kind is list else value
+        i += 1
+    missing = [flag for flag, value in values.items() if value is _REQUIRED]
+    if missing:
+        raise UsageError(f"{command} needs {' and '.join(missing)}")
+    if stray:
+        raise UsageError(f"{command}: unrecognized arguments: {' '.join(stray)}")
+    return SimpleNamespace(
+        command=command, rows=rows, **{flag[2:].replace("-", "_"): v for flag, v in values.items()}
     )
-    common.add_argument(
-        "--dp-set",
-        metavar="LABEL",
-        help="select a literature deformation-potential set, e.g. fischetti1996",
-    )
-    common.add_argument("--out", help="output path ('-' for stdout); default <outdir>/<command>.<ext>")
-    common.add_argument(
-        "--format", choices=("csv", "json-lines"), default="csv", help="output format"
-    )
-
-    p = argparse.ArgumentParser(
-        prog="lvalley",
-        description="Valley-crossover design data for strained SiGe/Si(111)/SiGe wells",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def command(name, rows, summary):
-        sp = sub.add_parser(name, parents=[common], help=summary)
-        sp.set_defaults(rows=rows)
-        return sp
-
-    sp = command("energy", _energy, "valley energies vs strain at fixed thickness")
-    sp.add_argument("--t", type=float, required=True, help="well thickness, nm")
-    sp.add_argument("--x", type=float, help="single Ge fraction instead of a sweep")
-    _add_axis(sp, "eps", 0.0, 0.05, 0.001, single="single strain instead of a sweep")
-
-    sp = command("well", _well, "confinement energy vs thickness")
-    sp.add_argument("--valley", choices=_VALLEY_CHOICES, help="one valley; default: one column per valley")
-    _add_axis(sp, "t", 1.0, 10.0, 0.1, single="single thickness, nm")
-
-    sp = command("crossover", _crossover, "critical strain and Ge fraction vs thickness")
-    _add_axis(sp, "t", 1.0, 10.0, 0.5, single="single thickness, nm")
-
-    sp = command("hc", _hc, "critical thickness vs Ge fraction")
-    _add_axis(sp, "x", 0.5, 1.0, 0.01, single="single Ge fraction")
-
-    sp = command("sensitivity", _sensitivity, "critical-x envelopes under coefficient variation")
-    sp.add_argument("--mode", choices=SENSITIVITY_MODES, default="both")
-    _add_axis(sp, "t", 1.0, 10.0, 0.5, single="single thickness, nm")
-
-    sp = command("splitting", _splitting, "valley splittings at one design point")
-    sp.add_argument("--t", type=float, required=True, help="well thickness, nm")
-    sp.add_argument("--x", type=float, required=True, help="barrier Ge fraction")
-
-    sp = command("figure", _figure, "emit the data sweep behind one figure")
-    sp.set_defaults(parser=p)  # the preset is parsed by this same parser
-    sp.add_argument("--id", required=True, help="figure id, fig1..fig5 or fig7..fig10")
-
-    return p
 
 
 def _default_out(command: str, fmt: str) -> str:
@@ -439,13 +566,9 @@ def _default_out(command: str, fmt: str) -> str:
 
 def run(argv: list[str] | None = None) -> int:
     """Parse arguments, build the rows, write output; returns the exit status."""
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse handles --help and usage errors
-        return int(exc.code or 0)
-    out = _default_out(ns.command, ns.format) if ns.out is None else ns.out
-    try:
+        ns = _parse(sys.argv[1:] if argv is None else argv)
+        out = _default_out(ns.command, ns.format) if ns.out is None else ns.out
         if not out:
             raise UsageError("--out needs a path, or '-' for standard output")
         for flag, value in (("--config", ns.config), ("--dp-set", ns.dp_set)):
@@ -458,6 +581,9 @@ def run(argv: list[str] | None = None) -> int:
             sys.stdout.write(text)
         else:
             write_atomic(Path(out), text)
+        return 0
+    except _Help as listing:
+        sys.stdout.write(str(listing))
         return 0
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -289,3 +289,59 @@ EQ_FROZEN = {
 
 # Critical thickness frozen from fixed_point_hc with nu = 0.1799786.
 HC_FROZEN = {1.0: 3.240166, 0.94: 4.051022, 0.5: 25.497193}
+
+
+def argparse_reference():
+    """The command line as argparse read it: the reference ``cli._parse`` must agree with.
+
+    Every flag, default, choice and required marker of every subcommand,
+    written out with no library import.  argparse reads a token that starts
+    with '-' as a value only if it looks like a negative number; Python 3.10
+    and 3.11 spell that ``^-\\d+$|^-\\d*\\.\\d+$`` (so ``-1e-3`` is no value),
+    and each parser is pinned to it, as later releases widened it.
+    """
+    import argparse
+    import re
+
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config")
+    common.add_argument("--set", action="append")
+    common.add_argument("--dp-set")
+    common.add_argument("--out")
+    common.add_argument("--format", choices=("csv", "json-lines"), default="csv")
+
+    p = argparse.ArgumentParser(prog="lvalley")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    def axis(sp, axis, lo, hi, step):
+        sp.add_argument(f"--{axis}", type=float)
+        sp.add_argument(f"--{axis}-min", type=float, default=lo)
+        sp.add_argument(f"--{axis}-max", type=float, default=hi)
+        sp.add_argument(f"--{axis}-step", type=float, default=step)
+
+    sp = sub.add_parser("energy", parents=[common])
+    sp.add_argument("--t", type=float, required=True)
+    sp.add_argument("--x", type=float)
+    axis(sp, "eps", 0.0, 0.05, 0.001)
+
+    sp = sub.add_parser("well", parents=[common])
+    sp.add_argument("--valley", choices=("L1", "L3", "Delta6"))
+    axis(sp, "t", 1.0, 10.0, 0.1)
+
+    axis(sub.add_parser("crossover", parents=[common]), "t", 1.0, 10.0, 0.5)
+    axis(sub.add_parser("hc", parents=[common]), "x", 0.5, 1.0, 0.01)
+
+    sp = sub.add_parser("sensitivity", parents=[common])
+    sp.add_argument("--mode", choices=("linear10pct", "quadratic_range", "both"), default="both")
+    axis(sp, "t", 1.0, 10.0, 0.5)
+
+    sp = sub.add_parser("splitting", parents=[common])
+    sp.add_argument("--t", type=float, required=True)
+    sp.add_argument("--x", type=float, required=True)
+
+    sp = sub.add_parser("figure", parents=[common])
+    sp.add_argument("--id", required=True)
+
+    for parser in (p, *sub.choices.values()):
+        parser._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$")
+    return p

@@ -1,18 +1,25 @@
+import ast
 import contextlib
 import errno
+import functools
 import importlib
 import io
 import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
+import tempfile
+import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import argparse_reference
 
 import lvalley
 from lvalley import (
@@ -244,7 +251,7 @@ def test_single_valley_rows_are_the_all_valley_columns(tmp_path, fmt):
         assert run(["well", "--valley", valley, *grid, "--out", str(one)]) == 0
         assert [row[1] for row in cells(one)] == [row[col] for row in table]
         # and every bit of the floats behind the printed digits
-        ns = cli._build_parser().parse_args(["well", "--valley", valley, *grid])
+        ns = cli._parse(["well", "--valley", valley, *grid])
         _, rows = ns.rows(PARAMS, ns)
         assert repr([e for _, e in rows]) == repr(
             [confinement_energies(PARAMS, t)[col - 1] for t, _ in rows]
@@ -266,7 +273,7 @@ def test_each_valley_fails_alone_where_only_the_l1_level_is_unresolved(capsys):
         energy = solve_well(5e12, v0, m.m_in, m.m_out, k)[0]
         assert run(["well", "--valley", valley, "--t", "5e12", "--out", "-"]) == 0
         assert capsys.readouterr() == (f"t_nm,e_q_ev\n5e+12,{format_number(energy)}\n", "")
-        ns = cli._build_parser().parse_args(["well", "--valley", valley, "--t", "5e12"])
+        ns = cli._parse(["well", "--valley", valley, "--t", "5e12"])
         assert repr(ns.rows(PARAMS, ns)[1]) == repr([(5e12, energy)])
 
 
@@ -321,7 +328,7 @@ def test_energy_and_splitting_commands(tmp_path):
 def test_energy_rows_are_the_bulk_totals_plus_confinement(fig, dp_set, sets):
     # the float route of the energy rows gives every bit of the record route
     params = cli.resolve_params(None, dp_set, sets)
-    ns = cli._build_parser().parse_args(cli.FIGURES[fig])
+    ns = cli._parse(cli.FIGURES[fig])
     _, rows = ns.rows(params, ns)
     eqs = confinement_energies(params, ns.t)
     assert len(rows) == 501
@@ -368,6 +375,42 @@ def test_written_file_gets_the_mode_open_would_give(tmp_path, umask):
     assert new.stat().st_mode & 0o777 == 0o666 & ~umask
     assert existing.stat().st_mode & 0o777 == 0o640
     assert existing.read_bytes() == new.read_bytes()
+
+
+def test_symlink_out_writes_its_target_and_keeps_the_link(tmp_path, capsys):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    args = ["hc", "--x", "0.9", "--out"]
+    assert run(args + ["-"]) == 0
+    expected = capsys.readouterr().out
+    assert run(args + [str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == expected
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "target.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_fifo_out_is_written_in_place(tmp_path, capsys):
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    args = ["hc", "--x", "0.9", "--out"]
+    assert run(args + ["-"]) == 0
+    expected = capsys.readouterr().out
+    got = []
+
+    def read():
+        with open(fifo) as fh:
+            got.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    assert run(args + [str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got == [expected]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["out.fifo"]
 
 
 def test_write_leaves_the_process_umask_alone(tmp_path, monkeypatch):
@@ -495,6 +538,11 @@ def test_well_failures_warn_per_point_or_error_once(capsys, valley):
 def test_energy_names_its_failing_thickness(capsys):
     assert run(["energy", "--t", "0", "--out", "-"]) == 1
     assert capsys.readouterr() == ("", "error: t = 0 nm: well thickness must be positive and finite\n")
+    # and so does splitting, whose Ge fraction is checked first and not named by thickness
+    assert run(["splitting", "--t", "0", "--x", "1", "--out", "-"]) == 1
+    assert capsys.readouterr() == ("", "error: t = 0 nm: well thickness must be positive and finite\n")
+    assert run(["splitting", "--t", "0", "--x", "2", "--out", "-"]) == 1
+    assert capsys.readouterr() == ("", "error: Ge fraction must lie in [0, 1], got 2.0\n")
 
 
 def test_all_failing_sweeps_print_the_same_error_line(capsys):
@@ -598,19 +646,23 @@ def test_cli_import_leaves_the_reference_solver_unloaded():
     assert _loaded_after_cli_import("lvalley.rootfind") == "[]"
 
 
-def _lvalley_modules_after(code):
-    """The ``lvalley.*`` modules a fresh interpreter holds after running ``code``."""
+def _modules_after(code):
+    """The names in ``sys.modules`` of a fresh interpreter after running ``code``."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    report = "print(sorted(m[8:] for m in sys.modules if m.startswith('lvalley.')))"
     proc = subprocess.run(
-        [sys.executable, "-c", f"import sys\n{code}\n{report}"],
+        [sys.executable, "-c", f"import sys\n{code}\nprint(sorted(sys.modules))"],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1]
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def _lvalley_modules_after(code):
+    """The ``lvalley.*`` modules a fresh interpreter holds after running ``code``."""
+    return repr([m[8:] for m in _modules_after(code) if m.startswith("lvalley.")])
 
 
 def test_package_import_loads_no_submodule():
@@ -620,25 +672,40 @@ def test_package_import_loads_no_submodule():
 
 
 DESIGN_MODULES = ["cli", "design", "elasticity", "errors", "materials", "valleys", "well"]
-
-
-@pytest.mark.parametrize("argv, code, modules", [
+# (argv, exit status, the lvalley modules a run loads); the reference solver is never among them
+COMMAND_RUNS = [
     # a usage error while resolving parameters loads no physics module
-    (["energy", "--t", "3", "--set", "nosuch.key=1"], 2, ["cli", "errors", "materials"]),
-    (["hc"], 0, ["cli", "elasticity", "errors", "materials", "relaxation"]),
-    (["figure", "--id", "fig7"], 0, ["cli", "elasticity", "errors", "materials", "relaxation"]),
-    (["well", "--valley", "L1", "--t", "3"], 0, ["cli", "errors", "materials", "well"]),
-    (["well", "--t", "3"], 0, DESIGN_MODULES),
-    (["crossover", "--t", "3"], 0, DESIGN_MODULES),
-], ids=["usage-error", "hc", "fig7", "well-valley", "well", "crossover"])
-def test_a_command_loads_only_the_modules_it_runs(argv, code, modules):
-    run_it = (
+    pytest.param(["energy", "--t", "3", "--set", "nosuch.key=1"], 2, ["cli", "errors", "materials"],
+                 id="usage-error"),
+    pytest.param(["hc"], 0, ["cli", "elasticity", "errors", "materials", "relaxation"], id="hc"),
+    pytest.param(["figure", "--id", "fig7"], 0,
+                 ["cli", "elasticity", "errors", "materials", "relaxation"], id="fig7"),
+    pytest.param(["well", "--valley", "L1", "--t", "3"], 0, ["cli", "errors", "materials", "well"],
+                 id="well-valley"),
+    pytest.param(["well", "--t", "3"], 0, DESIGN_MODULES, id="well"),
+    pytest.param(["crossover", "--t", "3"], 0, DESIGN_MODULES, id="crossover"),
+]
+
+
+def _running(argv, code):
+    """Code that runs ``cli.run(argv)`` to stdout, quietly, and checks its exit status."""
+    return (
         "import contextlib, io, lvalley.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         f"    assert lvalley.cli.run({[*argv, '--out', '-']!r}) == {code}"
     )
-    # the reference solver is never among them
-    assert _lvalley_modules_after(run_it) == repr(modules)
+
+
+@pytest.mark.parametrize("argv, code, modules", COMMAND_RUNS)
+def test_a_command_loads_only_the_modules_it_runs(argv, code, modules):
+    assert _lvalley_modules_after(_running(argv, code)) == repr(modules)
+
+
+@pytest.mark.parametrize("argv, code, modules", COMMAND_RUNS)
+def test_a_command_loads_no_argument_parser(argv, code, modules):
+    # argparse, with the gettext and locale it loads, cost a cold command several ms
+    loaded = _modules_after(_running(argv, code))
+    assert [m for m in ("argparse", "gettext", "locale") if m in loaded] == []
 
 
 def test_each_export_is_the_object_its_submodules_hold():
@@ -857,6 +924,28 @@ def test_failed_rename_removes_the_temp_file(tmp_path, monkeypatch, capsys):
     assert run(["well", "--valley", "L1", "--t", "3", "--out", str(out)]) == 1
     assert os.listdir(tmp_path) == []
     assert capsys.readouterr().err.startswith("error: cannot write output: ")
+    monkeypatch.undo()
+
+    # a write that fails (a full disk) leaves the old file and no temp file
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    fdopen = os.fdopen
+    monkeypatch.setattr(os, "fdopen", lambda *args, **kwargs: FullDisk(fdopen(*args, **kwargs)))
+    out.write_text("old\n")
+    assert run(["well", "--valley", "L1", "--t", "3", "--out", str(out)]) == 1
+    assert os.listdir(tmp_path) == ["w.csv"] and out.read_text() == "old\n"
+    assert capsys.readouterr().err == f"error: cannot write output: {out}: {os.strerror(errno.ENOSPC)}\n"
 
 
 # --- figure data ------------------------------------------------------------------
@@ -906,17 +995,142 @@ def test_figure_via_cli(tmp_path):
     assert len(rows) == 51
 
 
-def test_figure_builds_the_parser_once(tmp_path, monkeypatch):
-    builds = []
-    build = cli._build_parser
+# --- the command table read as argparse read it -----------------------------------
 
-    def counting_build():
-        builds.append(1)
-        return build()
+COMMANDS = ("energy", "well", "crossover", "hc", "sensitivity", "splitting", "figure")
+FLAGS = {
+    "energy": ("--t", "--x", "--eps", "--eps-min", "--eps-max", "--eps-step"),
+    "well": ("--valley", "--t", "--t-min", "--t-max", "--t-step"),
+    "crossover": ("--t", "--t-min", "--t-max", "--t-step"),
+    "hc": ("--x", "--x-min", "--x-max", "--x-step"),
+    "sensitivity": ("--mode", "--t", "--t-min", "--t-max", "--t-step"),
+    "splitting": ("--t", "--x"),
+    "figure": ("--id",),
+}
+COMMON_FLAGS = ("--config", "--set", "--dp-set", "--out", "--format")
 
-    monkeypatch.setattr(cli, "_build_parser", counting_build)
-    assert run(["figure", "--id", "fig7", "--out", str(tmp_path / "fig7.csv")]) == 0
-    assert len(builds) == 1
+
+def _not_drawn(token):
+    """A bare --, or a token argparse reads as --help or -h, left to the help tests.
+
+    argparse ends option parsing at --, and the command line takes none;
+    Python 3.13's argparse prints help for -hX, which earlier ones reject.
+    """
+    head = token.partition("=")[0]
+    return token == "--" or token.startswith("-h") or (len(head) > 2 and "--help".startswith(head))
+
+
+@functools.cache
+def _reference_parser():
+    return argparse_reference()
+
+
+def _reference(argv):
+    """The flags argparse read from ``argv``, by name, or None if it rejected ``argv``."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_reference_parser().parse_args(argv))
+        except SystemExit as exc:
+            assert exc.code == 2
+            return None
+
+
+def _parsed(argv):
+    """The flags ``cli._parse`` read from ``argv``, by name, or None if it rejected ``argv``."""
+    try:
+        values = vars(cli._parse(argv))
+    except UsageError:
+        return None
+    del values["rows"]
+    return values
+
+
+_FLAG_NAMES = sorted({*COMMON_FLAGS, *(flag for flags in FLAGS.values() for flag in flags)})
+# any token: numbers, negative ones argparse does and does not read as values,
+# option-like tokens, spaces, unicode digits, a final newline, choices and junk
+_ANY_TOKEN = st.one_of(
+    st.floats().map(repr),
+    st.integers(-20, 20).map(str),
+    st.sampled_from((
+        "0.5", "3", "1e-3", "-1", "-.5", "-1.5", "-1.", "-1e-3", "-1\n", "-1\n\n", "-\u0661", "-\u00b2",
+        " 3 ", "1_0", "abc", "", "-", " ", "x y", "-x y", "--t 3", "-x", "-t", "-x=1",
+        "---t", "--T", "--t3", "--eps-", "--=1", "--form=csv", "--t-m=1",
+        "csv", "json-lines", "xml", "L1", "l1", "Delta6", "both", "linear10pct", "quadratic_range",
+        "fig7", "fig6", "deformation.xi_u_L=16", "a=b", "crossover",
+    )),
+    st.text(max_size=4),
+).filter(lambda token: not _not_drawn(token))
+# a flag in full, a prefix of one (unique or ambiguous), or one of another command
+_ANY_FLAG = st.one_of(
+    st.sampled_from(_FLAG_NAMES),
+    st.builds(lambda flag, n: flag[:n], st.sampled_from(_FLAG_NAMES), st.integers(3, 9)),
+)
+
+
+CHOICES = {
+    "--format": ("csv", "json-lines"),
+    "--valley": ("L1", "L3", "Delta6"),
+    "--mode": ("linear10pct", "quadratic_range", "both"),
+}
+NUMBERS = st.one_of(st.floats().map(repr), st.integers(-9, 99).map(str))
+
+
+@st.composite
+def _command_line(draw):
+    """An argv of flags in both forms, abbreviated, with values missing, bad or stray."""
+    command = draw(st.sampled_from((*COMMANDS, *COMMANDS, "", "cross", "-1", "--t")))
+    # the required flags, so that many of the lines drawn are accepted
+    required = {"energy": ["--t", "3"], "splitting": ["--t", "3", "--x", "1"], "figure": ["--id", "fig7"]}
+    argv = [command, *(required.get(command, []) if draw(st.booleans()) else [])]
+    own = (*FLAGS.get(command, ()), *COMMON_FLAGS)
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 3)):  # a flag of the command and a value of its kind
+            flag = draw(st.sampled_from(own))
+            value = draw(st.sampled_from(CHOICES[flag]) if flag in CHOICES else NUMBERS)
+            pieces = ([flag, value], [f"{flag}={value}"])
+        else:
+            flag, value = draw(_ANY_FLAG), draw(_ANY_TOKEN)
+            pieces = ([flag, value], [f"{flag}={value}"], [flag], [value])
+        argv += draw(st.sampled_from(pieces))
+    return argv if command or draw(st.booleans()) else []
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_command_line())
+@example(argv=["energy", "--t", "3", "--eps-min", "-1e-3"])
+@example(argv=["energy", "--t", "3", "--eps-min=-1e-3", "--eps-min", "-1", "--eps-max", "-.5"])
+@example(argv=["crossover", "--t-m", "1"])
+@example(argv=["crossover", "--t-s", "1", "--form", "json-lines", "--se", "a=1", "--set=b=2"])
+@example(argv=["well", "--valley", "L1", "--valley=L3", "--t", "-1\n"])
+@example(argv=["sensitivity", "--mode", "both", "--out", "x y", "--config", "-x y", "--dp-set="])
+@example(argv=["hc", "--x", "-\u0661", "--x-min", "-\u00b2"])
+def test_parse_accepts_what_argparse_accepted(argv):
+    ours, reference = _parsed(argv), _reference(argv)
+    assert (ours is None) == (reference is None)
+    # repr tells nan, -0.0 and 0.0 apart
+    assert repr(sorted((ours or {}).items())) == repr(sorted((reference or {}).items()))
+
+
+def _listed(text):
+    """The first word of each indented line of a --help listing."""
+    return {line.split()[0] for line in text.splitlines() if line.startswith("  ")}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--he"]])
+def test_help_lists_every_command(capsys, argv):
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert _listed(captured.out) == set(COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_lists_every_flag_of_its_command(capsys, command, flag):
+    assert run([command, flag]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert _listed(captured.out) == {*FLAGS[command], *COMMON_FLAGS, "-h,"}
 
 
 # --- every invocation: clean data or a clean error ---------------------------------
@@ -982,7 +1196,21 @@ def _invocation(draw, command):
     if draw(st.integers(min_value=0, max_value=2)) == 0:
         key = draw(st.sampled_from(override_keys(PARAMS)))
         argv += ["--set", f"{key}={draw(_value(0.05, 5.0, 0.0, -0.0, -1.0, 1e154, 1e308))!r}"]
-    return argv + ["--format", "json-lines", "--out", "-"]
+    argv += ["--format", "json-lines", "--out", "-"]
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        # malformed: --out without its value, or one bad piece anywhere after the command
+        bad = draw(st.sampled_from((None, *MALFORMED)))
+        at = draw(st.integers(min_value=1, max_value=len(argv)))
+        argv = argv[:-1] if bad is None else argv[:at] + bad + argv[at:]
+    return argv
+
+
+# Each makes an argv malformed wherever it goes after the command: a stray
+# value, an unknown, ambiguous or value-less flag, or a value of the wrong kind.
+MALFORMED = (
+    ["stray"], [""], ["-"], ["--bogus"], ["--=1"], ["--format"], ["--format", "xml"],
+    ["--form=xml"], ["--eps-min", "-1e-3"], ["--t", "abc"],
+)
 
 
 def _finite_constant(name):
@@ -1027,13 +1255,27 @@ class _Argv:
 @example(data=_Argv("well", "--t", "0.5", "--valley", "L3", "--set", "masses.m_out=1e308"))
 @example(data=_Argv("well", "--t", "3", "--set", "masses.L3.m_in=1e-154",
                     "--set", "masses.m_out=1e300"))
+# malformed: an ambiguous prefix, and a value argparse reads as a flag
+@example(data=_Argv("crossover", "--t-m", "1"))
+@example(data=_Argv("energy", "--t", "3", "--eps-min", "-1e-3"))
 def test_every_invocation_gives_finite_json_or_a_clean_error(command, data):
     argv = data.draw(_invocation(command), label="argv")
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
+    here = os.getcwd()
+    # in an empty directory that is also the default output directory: no run writes a file
+    with tempfile.TemporaryDirectory() as empty:
+        os.chdir(empty)
+        try:
+            with mock.patch.dict(os.environ, {cli.ENV_OUTDIR: empty}), \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+            assert os.listdir(empty) == []
+        finally:
+            os.chdir(here)
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2)
+    if _reference(argv) is None:  # a malformed invocation is a usage error
+        assert code == 2
     if code == 0:
         lines = out.splitlines()
         assert lines

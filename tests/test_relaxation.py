@@ -178,7 +178,7 @@ def test_hc_finite_or_tagged_over_all_x(log_x):
 
 def hc_rows(*argv):
     """The (x, f, nu_111, h_c) rows of the hc command with the default parameters."""
-    ns = cli._build_parser().parse_args(["hc", *argv])
+    ns = cli._parse(["hc", *argv])
     return ns.rows(default_params(), ns)[1]
 
 

@@ -437,13 +437,11 @@ def test_config_validation():
 def test_grid_validation(capsys):
     # the well command's grid [-1, 2] nm: its negative point is a domain
     # error, warned about by thickness, and the 2 nm row is still written
-    ns = cli._build_parser().parse_args(
-        ["well", "--valley", "L1", "--t-min", "-1", "--t-max", "2", "--t-step", "3"]
-    )
+    ns = cli._parse(["well", "--valley", "L1", "--t-min", "-1", "--t-max", "2", "--t-step", "3"])
     assert cli._grid(ns, "t") == [-1.0, 2.0]
     assert [row[0] for row in ns.rows(PARAMS, ns)[1]] == [2.0]
     assert capsys.readouterr().err == "warning: t = -1 nm: well thickness must be positive and finite\n"
     # a grid of bad points only raises the first, named
-    ns = cli._build_parser().parse_args(["well", "--valley", "L1", "--t", "-1"])
+    ns = cli._parse(["well", "--valley", "L1", "--t", "-1"])
     with pytest.raises(ValueError, match="^t = -1 nm: well thickness must be positive"):
         ns.rows(PARAMS, ns)
