@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from .errors import InfeasibleError, SolverError, at_thickness
+from .errors import InfeasibleError, SolverError, sweep
 from .materials import (
     SENSITIVITY_MODES,
     MaterialParams,
@@ -252,27 +252,16 @@ def _energy(params: MaterialParams, ns: SimpleNamespace):
     if ns.eps is not None and ns.x is not None:
         raise UsageError("give either --eps or --x, not both")
     eps_grid = [design.x_to_strain(ns.x, params.lattice)] if ns.x is not None else _grid(ns, "eps")
-    try:
-        q_l1, q_l3, q_d6 = design.confinement_energies(params, ns.t)
-    except (InfeasibleError, ValueError) as err:
-        raise at_thickness(ns.t, err) from err
+    # the one thickness is a one-point sweep, so a failure names it
+    ((q_l1, q_l3, q_d6),) = _feasible(
+        *sweep(lambda t: design.confinement_energies(params, t), [ns.t])
+    )
     header = ["eps_par", "e_l1_ev", "e_l3_ev", "e_delta6_ev"]
     rows = []
     for e in eps_grid:
         b_l1, b_l3, b_d6 = valleys.bulk_levels(params, e)
         rows.append((e, b_l1 + q_l1, b_l3 + q_l3, b_d6 + q_d6))
     return header, rows
-
-
-def _per_point(point, t_grid: list[float]) -> tuple[list, list[tuple[float, Exception]]]:
-    """Rows ``point(t)`` over the grid, and (t, error named by t) for each point that raised."""
-    rows, failures = [], []
-    for t in t_grid:
-        try:
-            rows.append(point(t))
-        except (InfeasibleError, ValueError) as err:
-            failures.append((t, at_thickness(t, err)))
-    return rows, failures
 
 
 def _well(params: MaterialParams, ns: SimpleNamespace):
@@ -295,14 +284,14 @@ def _well(params: MaterialParams, ns: SimpleNamespace):
 
         # one column per valley, in Valley order as confinement_energies returns them
         header = ["t_nm"] + [f"e_q_{v.value.lower()}_ev" for v in Valley]
-    return header, _feasible(*_per_point(point, t_grid))
+    return header, _feasible(*sweep(point, t_grid))
 
 
 def _feasible(points: list, failures: list[tuple[float, Exception]]) -> list:
     """A sweep's points; raises its first failure if no point succeeded, else warns per failure."""
     if not points:
         raise failures[0][1]
-    for _, err in failures:  # each error names its thickness
+    for _, err in failures:  # each error names its point
         print(f"warning: {err}", file=sys.stderr)
     return points
 
@@ -322,11 +311,12 @@ def _hc(params: MaterialParams, ns: SimpleNamespace):
     if any(not 0.05 <= x <= 1.0 for x in x_grid):
         raise ValueError("Ge-fraction grid must lie within [0.05, 1]")
     elastic, b = params.elastic, params.constants.burgers_si
-    rows = []
-    for x in x_grid:
+
+    def point(x):
         r = relaxation.critical_thickness(relaxation.RelaxationInput(x, elastic, b))
-        rows.append((x, r.misfit_f, r.nu_111, r.h_c))
-    return ["x", "f", "nu_111", "h_c_nm"], rows
+        return x, r.misfit_f, r.nu_111, r.h_c
+
+    return ["x", "f", "nu_111", "h_c_nm"], _feasible(*sweep(point, x_grid, "x = {:g}"))
 
 
 def _sensitivity(params: MaterialParams, ns: SimpleNamespace):
@@ -341,10 +331,7 @@ def _splitting(params: MaterialParams, ns: SimpleNamespace):
     from . import design
 
     design.x_to_strain(ns.x, params.lattice)  # a bad Ge fraction is not named by thickness
-    try:
-        s = design.splitting_report(params, ns.t, ns.x)
-    except (InfeasibleError, ValueError) as err:
-        raise at_thickness(ns.t, err) from err
+    (s,) = _feasible(*sweep(lambda t: design.splitting_report(params, t, ns.x), [ns.t]))
     header = ["t_nm", "x", "delta6_minus_l1_ev", "l3_minus_l1_ev"]
     return header, [(ns.t, ns.x, s.delta6_minus_l1, s.l3_minus_l1)]
 
@@ -479,11 +466,14 @@ def _option(token: str, names) -> tuple[str | None, str | None] | None:
 
     A token is a value when it does not start with '-', is '-', looks like a
     negative number or holds a space.  An option is a flag, FLAG=VALUE or a
-    unique prefix of either (-hX is -h given X); an ambiguous prefix is a
-    usage error, and an option that is no flag reads as (None, None).
+    unique prefix of either (-hX is -h given X); an ambiguous prefix and a
+    bare '--' are usage errors, and an option that is no flag reads as
+    (None, None).
     """
     if token[:1] != "-" or token == "-":
         return None
+    if token == "--":
+        raise UsageError("a bare -- is not accepted; give each flag as --flag value or --flag=value")
     if token in names:
         return token, None
     flag, eq, value = token.partition("=")

@@ -18,7 +18,7 @@ import math
 import sys
 from itertools import product
 
-from .errors import InfeasibleError, at_thickness
+from .errors import InfeasibleError, sweep
 from .materials import SENSITIVITY_MODES, LatticeParams, MaterialParams, Record, Valley, replace
 from .valleys import bulk_levels, valley_coefficients
 from .well import _solve, _well_table
@@ -222,19 +222,12 @@ def critical_strain(params: MaterialParams, thickness_t: float) -> CrossoverResu
 def crossover_curve(
     params: MaterialParams, t_grid: list[float]
 ) -> tuple[list[CrossoverResult], list[tuple[float, Exception]]]:
-    """Crossover over a thickness grid.
+    """Crossover over a thickness grid, swept by :func:`~lvalley.errors.sweep`.
 
-    A failing thickness is collected as (t, error), named as in
-    :func:`sensitivity_curve`; the other points still get their crossover.
+    A failing thickness is collected as (t, error) with the error's message
+    prefixed ``t = <t> nm:``; the other points still get their crossover.
     """
-    results: list[CrossoverResult] = []
-    failures: list[tuple[float, Exception]] = []
-    for t in t_grid:
-        try:
-            results.append(critical_strain(params, t))
-        except (InfeasibleError, ValueError) as err:
-            failures.append((t, at_thickness(t, err)))
-    return results, failures
+    return sweep(lambda t: critical_strain(params, t), t_grid)
 
 
 def splitting_report(params: MaterialParams, thickness_t: float, x: float) -> Splitting:
@@ -248,8 +241,11 @@ def splitting_report(params: MaterialParams, thickness_t: float, x: float) -> Sp
 # ---------------------------------------------------------------------------
 # Sensitivity envelopes from the extreme corners
 
-def _extreme_corners(params: MaterialParams, mode: str) -> tuple:
-    """(gap table, corners that bound the box, lattice, pure-Ge strain) of a set, for ``_derive``.
+def _extreme_corners(params: MaterialParams, mode: str):
+    """The band function ``t -> SensitivityBand`` of a set and mode, for ``_derive``.
+
+    It closes over the set's gap table, the corners that bound the box, the
+    lattice and its pure-Ge strain, so a band point reads no memo.
 
     Every corner is a parameter set whose gap :func:`_nominal_gap` reads, so
     :func:`~lvalley.valleys.linear_shift` stays the one first-order formula.
@@ -289,7 +285,17 @@ def _extreme_corners(params: MaterialParams, mode: str) -> tuple:
         corners = ((max(slopes), max(curvatures)), (min(slopes), min(curvatures)))
     else:
         corners = tuple(product(slopes, [*curvatures, gap[4]]))  # gap[4]: nominal curvature
-    return gap, corners, lat, _pure_ge_strain(lat)
+    ceiling = _pure_ge_strain(lat)
+
+    def band(t: float) -> SensitivityBand:
+        # corners perturb only c1 and c2, so c0 and its below_at_zero check
+        # are shared by the whole box
+        c0, eps = _crossing(gap, t)
+        x_nom = strain_to_x(eps, lat)
+        x_low, x_high, clipped = _corners_x(c0, corners, lat, ceiling)
+        return SensitivityBand(t, x_low, x_nom, x_high, clipped)
+
+    return band
 
 
 def _corners_x(
@@ -329,8 +335,8 @@ def sensitivity_curve(
     (min c1, min c2) corner, unless the box keeps every pair (see
     :func:`_extreme_corners`).  A corner whose crossover would need x > 1,
     or none at all, enters at x = 1 and sets the ``clipped`` flag.  The set
-    keeps, per mode from its first call on, the gap table, the corners of
-    :func:`_extreme_corners` and the lattice, so a call reads its memo once.
+    keeps, per mode from its first call on, the band function of
+    :func:`_extreme_corners`, so a call reads its memo once and sweeps it.
 
     A thickness whose nominal crossover fails, which lies outside the
     supported range, or where a corner's slope or curvature overflows, is
@@ -340,21 +346,7 @@ def sensitivity_curve(
     """
     if mode not in SENSITIVITY_MODES:
         raise ValueError(f"unknown sensitivity mode {mode!r}; valid: {SENSITIVITY_MODES}")
-    gap, corners, lat, ceiling = params._derive(_extreme_corners, mode)
-    bands: list[SensitivityBand] = []
-    failures: list[tuple[float, Exception]] = []
-    for t in t_grid:
-        # corners perturb only c1 and c2, so c0 and its below_at_zero check
-        # are shared by the whole box
-        try:
-            c0, eps = _crossing(gap, t)
-            x_nom = strain_to_x(eps, lat)
-            x_low, x_high, clipped = _corners_x(c0, corners, lat, ceiling)
-        except (InfeasibleError, ValueError) as err:
-            failures.append((t, at_thickness(t, err)))
-            continue
-        bands.append(SensitivityBand(t, x_low, x_nom, x_high, clipped))
-    return bands, failures
+    return sweep(params._derive(_extreme_corners, mode), t_grid)
 
 
 def sensitivity_band(

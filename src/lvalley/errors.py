@@ -1,4 +1,4 @@
-"""Exception types and the Newton stopping rule shared across the library."""
+"""Exception types, the sweep that names a failing point, and the Newton stopping rule."""
 
 import sys
 
@@ -26,13 +26,25 @@ class SolverError(RuntimeError):
     """A numerical routine failed to converge; the message carries diagnostics."""
 
 
-def at_thickness(t: float, err: InfeasibleError | ValueError) -> InfeasibleError | ValueError:
-    """``err`` of one sweep point, its message prefixed ``t = <t> nm:``, reason kept."""
-    message = f"t = {t:g} nm: {err}"
-    named = (
-        InfeasibleError(message, reason=err.reason)
-        if isinstance(err, InfeasibleError)
-        else ValueError(message)
-    )
-    named.__cause__ = err
-    return named
+def sweep(point, grid, label: str = "t = {:g} nm") -> tuple[list, list[tuple[float, Exception]]]:
+    """(values, failures) of ``point(v)`` over ``grid``, each list in grid order.
+
+    The one place a sweep point's InfeasibleError or ValueError is caught:
+    the point goes to failures as (v, error), the error of the same type
+    with its reason tag kept, its message prefixed ``label.format(v) + ": "``
+    and the original as its ``__cause__``.  A SolverError propagates.
+    """
+    values, failures = [], []
+    for v in grid:
+        try:
+            values.append(point(v))
+        except (InfeasibleError, ValueError) as err:
+            message = f"{label.format(v)}: {err}"
+            named = (
+                InfeasibleError(message, reason=err.reason)
+                if isinstance(err, InfeasibleError)
+                else ValueError(message)
+            )
+            named.__cause__ = err
+            failures.append((v, named))
+    return values, failures

@@ -481,6 +481,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                 "--out", str(tmp_path / "y.csv")]) == 2
     err = capsys.readouterr().err
     assert "valid keys" in err
+    # a bare -- is refused as such, not as a prefix of every flag
+    assert run(["crossover", "--t", "3", "--out", "-", "--"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: a bare -- is not accepted; give each flag as --flag value or --flag=value\n"
+    )
 
 
 def test_malformed_set_flag_and_unreadable_config_exit_2(tmp_path, capsys):
@@ -518,6 +523,20 @@ def test_crossover_failures_warn_per_point_or_error_once(capsys):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "error: t = 0.2 nm: thickness 0.2 nm outside the supported range [0.5, 50.0] nm"
+    ]
+
+
+def test_hc_failures_warn_per_ge_fraction(capsys):
+    # with c44 = 1 GPa the relation has no root from x = 0.86 on: the rows
+    # below are written and each failing Ge fraction is named once
+    assert run(["hc", "--set", "elastic.c44=1", "--x-min", "0.8", "--x-max", "0.9",
+                "--x-step", "0.02", "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    assert [line.split(",")[0] for line in captured.out.splitlines()[1:]] == ["0.8", "0.82", "0.84"]
+    assert captured.err.splitlines() == [
+        f"warning: x = {x}: no critical-thickness root: misfit {f} too large for the "
+        "energy-balance relation"
+        for x, f in (("0.86", "0.03595"), ("0.88", "0.03678"), ("0.9", "0.03762"))
     ]
 
 
@@ -729,18 +748,18 @@ def test_each_export_is_the_object_its_submodules_hold():
     (["sensitivity", "--t", "3", "--set", "lattice.a_ge=1e200"], 2,
      "override 'lattice.a_ge' = 1e200: lattice parameters overflow the Vegard discriminant"),
     (["hc", "--x", "0.94", "--set", "elastic.c44=1e154"], 1,
-     "misfit 0.03929 with [111] Poisson ratio -1 makes the prefactor A"),
+     "x = 0.94: misfit 0.03929 with [111] Poisson ratio -1 makes the prefactor A"),
     (["well", "--t", "3", "--set", "masses.m_out=1e308"], 1,
      "t = 3 nm: a 3 nm well with masses m_in = 1.7 and m_out = 1e+308 m0"),
     # A and e b both overflow: unbounded, not rootless
     (["hc", "--x", "0.94", "--set", "constants.burgers_si=1e308"], 1,
-     "misfit 0.03929 with [111] Poisson ratio 0.18 makes the prefactor A of the energy "
+     "x = 0.94: misfit 0.03929 with [111] Poisson ratio 0.18 makes the prefactor A of the energy "
      "balance overflow: the critical thickness is unbounded"),
     (["hc", "--x", "1", "--set", "elastic.c44=1"], 1,
-     "no critical-thickness root: misfit 0.0418 too large for the energy-balance relation"),
+     "x = 1: no critical-thickness root: misfit 0.0418 too large for the energy-balance relation"),
     # a subnormal b would print h_c with digits it does not carry
     (["hc", "--x", "1", "--set", "constants.burgers_si=5e-324"], 1,
-     "Burgers vector 4.941e-324 nm is too small: below 2.2250738585072014e-308 nm"),
+     "x = 1: Burgers vector 4.941e-324 nm is too small: below 2.2250738585072014e-308 nm"),
 ])
 def test_degenerate_parameters_give_one_named_error(capsys, argv, code, message):
     assert run([*argv, "--out", "-"]) == code
