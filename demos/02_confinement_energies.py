@@ -43,9 +43,9 @@ def main():
     print(f"grows from {d10:.1f} meV at 10 nm to {d3:.1f} meV at 3 nm.")
 
     # sanity: a huge barrier reproduces the textbook hard-wall level
-    sol = lv.ground_state(lv.WellConfig(3.0, 0.28 * 1e7, 0.26, 1.59))
+    energy = lv.solve_well(3.0, 0.28 * 1e7, 0.26, 1.59)[0]
     ref = math.pi**2 * lv.HBAR2_OVER_2M0 / (0.26 * 3.0**2)
-    print(f"\nHard-wall check at 3 nm: {sol.energy_eq:.5f} eV vs {ref:.5f} eV (limit)")
+    print(f"\nHard-wall check at 3 nm: {energy:.5f} eV vs {ref:.5f} eV (limit)")
 
     with open("confinement_vs_thickness.csv", "w") as fh:
         fh.write("t_nm,e_q_l1_ev,e_q_l3_ev,e_q_delta6_ev\n")

@@ -30,7 +30,11 @@ def main():
     p = lv.default_params()
     grid = [float(t) for t in np.arange(1.0, 10.001, 0.5)]
 
-    bands = {m: lv.sensitivity_band(p, grid, m) for m in MODES}
+    bands = {}
+    for m in MODES:
+        bands[m], failures = lv.sensitivity_curve(p, grid, m)
+        if failures:  # with the defaults every thickness of the grid has a band
+            raise failures[0][1]
 
     print("Envelope of the critical Ge fraction x* at t = 3 nm")
     print("---------------------------------------------------")

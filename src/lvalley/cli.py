@@ -14,7 +14,6 @@ import math
 import os
 import stat
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 from .errors import InfeasibleError, SolverError, sweep
@@ -90,12 +89,13 @@ def apply_override(params: MaterialParams, key: str, raw_value: str) -> Material
         raise UsageError(f"override {key!r} = {raw_value}: {err}") from None
 
 
-def read_config(path: str | Path) -> list[tuple[str, str]]:
+def read_config(path: str | os.PathLike) -> list[tuple[str, str]]:
     """Parse a flat ``key = value`` config file with ``#`` comments; a UTF-8 BOM is skipped."""
     pairs: list[tuple[str, str]] = []
     try:
         # decoded as plain UTF-8 so an error's offset counts the BOM's bytes too
-        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read().removeprefix("\ufeff")
     except OSError as err:
         raise UsageError(f"cannot read config file {path}: {err.strerror}") from None
     except UnicodeDecodeError as err:
@@ -168,7 +168,7 @@ def render(header: list[str], rows: list[tuple], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_atomic(path: Path, text: str) -> None:
+def write_atomic(path: str | os.PathLike, text: str) -> None:
     """Write ``text`` to ``path``, a regular file through a temporary file and one rename.
 
     A symlink is followed: its target gets the bytes and the link stays.  A
@@ -549,9 +549,9 @@ def _parse(argv: list[str]) -> SimpleNamespace:
 
 
 def _default_out(command: str, fmt: str) -> str:
-    ext = "csv" if fmt == "csv" else "jsonl"
+    name = f"{command}.{'csv' if fmt == 'csv' else 'jsonl'}"
     outdir = os.environ.get(ENV_OUTDIR, ".")
-    return str(Path(outdir) / f"{command}.{ext}")
+    return name if outdir in ("", ".") else os.path.join(outdir, name)
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -570,7 +570,7 @@ def run(argv: list[str] | None = None) -> int:
         if out == "-":
             sys.stdout.write(text)
         else:
-            write_atomic(Path(out), text)
+            write_atomic(out, text)
         return 0
     except _Help as listing:
         sys.stdout.write(str(listing))

@@ -67,13 +67,20 @@ class WellConfig(Record):
     __slots__ = ("thickness_t", "barrier_v0", "m_in", "m_out")
 
     def _check(self):
-        # chained bounds also reject NaN, for which every comparison is False
-        if not 0.0 < self.thickness_t < math.inf:
-            raise ValueError(_BAD_THICKNESS)
-        if not 0.0 < self.barrier_v0 < math.inf:
-            raise ValueError("barrier height must be positive and finite")
-        if not (0.0 < self.m_in < math.inf and 0.0 < self.m_out < math.inf):
-            raise ValueError("effective masses must be positive and finite")
+        _check_well(self.thickness_t, self.barrier_v0, self.m_in, self.m_out)
+
+
+def _check_well(t: float, v0: float, m_in: float, m_out: float, k: float = HBAR2_OVER_2M0):
+    """Raise ValueError unless t, v0, both masses and then k are each positive and finite."""
+    # chained bounds also reject NaN, for which every comparison is False
+    if not 0.0 < t < _INF:
+        raise ValueError(_BAD_THICKNESS)
+    if not 0.0 < v0 < _INF:
+        raise ValueError("barrier height must be positive and finite")
+    if not (0.0 < m_in < _INF and 0.0 < m_out < _INF):
+        raise ValueError("effective masses must be positive and finite")
+    if not 0.0 < k < _INF:
+        raise ValueError("hbar2_over_2m0 must be positive and finite")
 
 
 class WellSolution(Record):
@@ -108,16 +115,16 @@ def solve_well(
 ) -> tuple[float, float, float, int]:
     """Even ground state of one well as plain floats: (energy, z, residual, iterations).
 
-    The float kernel behind :func:`ground_state`, for callers that hold
-    already-validated barrier and masses (a :class:`MaterialParams` set) and
-    need only the energy.  The thickness is checked first, as
-    :class:`WellConfig` checks it.  ``z`` = k_in t/2 is the root,
+    The float kernel behind :func:`ground_state`, for callers that need
+    only the energy.  Thickness, barrier, both masses and ``hbar2_over_2m0``
+    must each be positive and finite; they are checked in that order, as
+    :class:`WellConfig` checks the first four, and the first that is not
+    raises ValueError naming it.  ``z`` = k_in t/2 is the root,
     ``residual`` is |g(z)| / (r u0) and ``iterations`` counts the evaluations
     of g, as ``BisectResult.iterations`` does; the limits raise as described
     in :func:`ground_state`.
     """
-    if not 0.0 < thickness_t < _INF:
-        raise ValueError(_BAD_THICKNESS)
+    _check_well(thickness_t, barrier_v0, m_in, m_out, hbar2_over_2m0)
     return _solve(thickness_t, _row(barrier_v0, m_in, m_out, hbar2_over_2m0))
 
 

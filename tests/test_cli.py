@@ -665,11 +665,11 @@ def test_cli_import_leaves_the_reference_solver_unloaded():
     assert _loaded_after_cli_import("lvalley.rootfind") == "[]"
 
 
-def _modules_after(code):
-    """The names in ``sys.modules`` of a fresh interpreter after running ``code``."""
+def _modules_after(code, flags=()):
+    """The names in ``sys.modules`` of a fresh ``python *flags`` after running ``code``."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", f"import sys\n{code}\nprint(sorted(sys.modules))"],
+        [sys.executable, *flags, "-c", f"import sys\n{code}\nprint(sorted(sys.modules))"],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
@@ -725,6 +725,14 @@ def test_a_command_loads_no_argument_parser(argv, code, modules):
     # argparse, with the gettext and locale it loads, cost a cold command several ms
     loaded = _modules_after(_running(argv, code))
     assert [m for m in ("argparse", "gettext", "locale") if m in loaded] == []
+
+
+@pytest.mark.parametrize("argv, code, modules", COMMAND_RUNS)
+def test_a_command_loads_no_pathlib(argv, code, modules):
+    # pathlib and the regular-expression and URL modules it imports cost a cold
+    # command about 5 ms; -S skips site, whose .pth files may import them first
+    loaded = _modules_after(_running(argv, code), flags=("-S",))
+    assert [m for m in ("pathlib", "re", "fnmatch", "ntpath", "urllib.parse") if m in loaded] == []
 
 
 def test_each_export_is_the_object_its_submodules_hold():

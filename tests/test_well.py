@@ -434,6 +434,42 @@ def test_config_validation():
                 WellConfig(*args)
 
 
+_BAD_BARRIER = "^barrier height must be positive and finite$"
+_BAD_MASSES = "^effective masses must be positive and finite$"
+
+
+@pytest.mark.parametrize("args, message", [
+    # a zero barrier mass divided by zero, a negative mass or barrier took a
+    # square root of a negative number, a zero or nan barrier read as thin_well
+    ((3.0, 0.28, 1.7, 0.0), _BAD_MASSES),
+    ((3.0, 0.28, -1.7, 1.59), _BAD_MASSES),
+    ((3.0, 0.28, 1.7, -1.59), _BAD_MASSES),
+    ((3.0, 0.28, math.inf, 1.59), _BAD_MASSES),
+    ((3.0, -0.28, 1.7, 1.59), _BAD_BARRIER),
+    ((3.0, 0.0, 1.7, 1.59), _BAD_BARRIER),
+    ((3.0, math.nan, 1.7, 1.59), _BAD_BARRIER),
+    ((3.0, math.inf, 1.7, 1.59), _BAD_BARRIER),
+    # the barrier is checked before the masses, and the thickness before both
+    ((3.0, -0.28, -1.7, 0.0), _BAD_BARRIER),
+    ((-3.0, -0.28, -1.7, 0.0), "^well thickness must be positive and finite$"),
+    # hbar^2 / 2 m0 last
+    ((3.0, 0.28, 1.7, 1.59, 0.0), "^hbar2_over_2m0 must be positive and finite$"),
+    ((3.0, 0.28, 1.7, 1.59, -1.0), "^hbar2_over_2m0 must be positive and finite$"),
+    ((3.0, 0.28, 1.7, 1.59, math.nan), "^hbar2_over_2m0 must be positive and finite$"),
+    ((3.0, 0.28, 1.7, 1.59, math.inf), "^hbar2_over_2m0 must be positive and finite$"),
+    ((3.0, 0.28, 0.0, 1.59, math.inf), _BAD_MASSES),
+], ids=["zero-m_out", "negative-m_in", "negative-m_out", "inf-m_in", "negative-v0", "zero-v0",
+        "nan-v0", "inf-v0", "v0-before-masses", "t-first", "zero-k", "negative-k", "nan-k",
+        "inf-k", "masses-before-k"])
+def test_solve_well_rejects_a_bad_input_as_well_config_does(args, message):
+    with pytest.raises(ValueError, match=message) as exc:
+        solve_well(*args)
+    assert type(exc.value) is ValueError
+    if len(args) == 4:
+        with pytest.raises(ValueError, match=message):
+            WellConfig(*args)
+
+
 def test_grid_validation(capsys):
     # the well command's grid [-1, 2] nm: its negative point is a domain
     # error, warned about by thickness, and the 2 nm row is still written
