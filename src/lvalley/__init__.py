@@ -23,7 +23,7 @@ imported from its submodule on first access (PEP 562) and kept here, so a
 command-line start loads only the modules its command runs.
 """
 
-from importlib import import_module
+import sys
 
 __version__ = "0.3.0"
 
@@ -56,15 +56,21 @@ _SUBMODULES = frozenset(_EXPORTS.values())
 __all__ = list(_EXPORTS)
 
 
+def _submodule(name):
+    """``lvalley.<name>``, imported on first use; ``importlib`` is not loaded for it."""
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
+
+
 def __getattr__(name):
     """An export, imported from its submodule and kept; or a submodule by name."""
     if name in _SUBMODULES:
-        return import_module(f"{__name__}.{name}")
+        return _submodule(name)
     try:
         module = _EXPORTS[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    value = globals()[name] = getattr(_submodule(module), name)
     return value
 
 

@@ -5,6 +5,14 @@ up to nine significant digits and a locale-independent decimal point, so
 identical inputs always produce byte-identical files.  Regular files are
 written atomically (temp file in the target directory, then rename).
 
+This module is the part every invocation runs: the command table, argument
+parsing, parameter resolution, rendering and the atomic write.  The rest is
+imported on demand: each command's row builder from
+``lvalley.commands.<name>`` once the command line has parsed, the
+``--config``/``--set``/``--dp-set`` surface from :mod:`lvalley.overrides`
+only when one of those flags is given, and the ``--help`` listings from
+``lvalley.commands.help`` only for ``--help``.
+
 Exit codes: 0 success, 1 domain/infeasibility/solver errors, 2 usage errors.
 """
 
@@ -16,15 +24,8 @@ import stat
 import sys
 from types import SimpleNamespace
 
-from .errors import InfeasibleError, SolverError, sweep
-from .materials import (
-    SENSITIVITY_MODES,
-    MaterialParams,
-    Valley,
-    default_params,
-    replace,
-    table1_set,
-)
+from .errors import InfeasibleError, SolverError, UsageError
+from .materials import SENSITIVITY_MODES, MaterialParams, Valley, default_params
 
 ENV_OUTDIR = "LVALLEY_OUTDIR"
 
@@ -35,89 +36,23 @@ MAX_GRID_POINTS = 100_000
 _VALLEY_CHOICES = tuple(v.value for v in Valley)
 
 
-class UsageError(Exception):
-    """Malformed invocation: bad grid, bad override key, bad config line."""
-
-
 # ---------------------------------------------------------------------------
-# parameter overrides
-
-_MASS_SEGMENTS = {"L1": "masses_l1", "L3": "masses_l3", "Delta6": "masses_delta6"}
-_GROUP_FIELDS = ("elastic", "deformation", "quadratic", "lattice", "bands", "constants")
-
-
-def _key_table(params: MaterialParams) -> dict[str, tuple[tuple[str, ...], str]]:
-    """Each numeric override key -> (the MaterialParams fields it replaces, the field it sets)."""
-    table = {}
-    for group in _GROUP_FIELDS:
-        obj = getattr(params, group)
-        for name in obj.__slots__:
-            if isinstance(getattr(obj, name), float):
-                table[f"{group}.{name}"] = ((group,), name)
-    table.update({f"masses.{seg}.m_in": ((attr,), "m_in") for seg, attr in _MASS_SEGMENTS.items()})
-    # the barrier mass is one value shared by every valley
-    table["masses.m_out"] = (tuple(_MASS_SEGMENTS.values()), "m_out")
-    return table
-
-
-def override_keys(params: MaterialParams) -> list[str]:
-    """All dotted keys accepted by overrides, for error messages and docs."""
-    return ["deformation.set", *_key_table(params)]
-
-
-def apply_override(params: MaterialParams, key: str, raw_value: str) -> MaterialParams:
-    """Apply one dotted-key override, e.g. ``deformation.xi_u_L = 16.14``.
-
-    ``deformation.set`` selects a whole literature deformation-potential set
-    by label; every other key takes a number.  An unknown key or a value
-    the parameter set rejects is a usage error that names the key.
-    """
-    table = _key_table(params)
-    if key not in table and key != "deformation.set":
-        valid = ", ".join(override_keys(params))
-        raise UsageError(f"unknown override key {key!r}; valid keys: {valid}")
-    try:
-        if key == "deformation.set":
-            return replace(params, deformation=table1_set(raw_value))
-        try:
-            value = float(raw_value)
-        except ValueError:
-            raise UsageError(f"override {key!r}: {raw_value!r} is not a number") from None
-        attrs, field = table[key]
-        return replace(params, **{a: replace(getattr(params, a), **{field: value}) for a in attrs})
-    except ValueError as err:
-        raise UsageError(f"override {key!r} = {raw_value}: {err}") from None
-
-
-def read_config(path: str | os.PathLike) -> list[tuple[str, str]]:
-    """Parse a flat ``key = value`` config file with ``#`` comments; a UTF-8 BOM is skipped."""
-    pairs: list[tuple[str, str]] = []
-    try:
-        # decoded as plain UTF-8 so an error's offset counts the BOM's bytes too
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read().removeprefix("\ufeff")
-    except OSError as err:
-        raise UsageError(f"cannot read config file {path}: {err.strerror}") from None
-    except UnicodeDecodeError as err:
-        raise UsageError(f"cannot read config file {path}: invalid UTF-8 at byte {err.start}") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, value = line.split("=", 1)
-        pairs.append((key.strip(), value.strip()))
-    return pairs
-
+# parameters
 
 def resolve_params(
     config_file: str | None,
     dp_set: str | None,
     set_flags: list[str] | None,
 ) -> MaterialParams:
-    """Defaults, then config-file pairs, then flags (flags win)."""
+    """Defaults, then config-file pairs, then flags (flags win).
+
+    :mod:`lvalley.overrides` is imported only when an override is given.
+    """
     params = default_params()
+    if not (config_file or dp_set or set_flags):
+        return params
+    from .overrides import apply_override, read_config
+
     pairs: list[tuple[str, str]] = []
     if config_file:
         pairs += read_config(config_file)
@@ -205,7 +140,7 @@ def write_atomic(path: str | os.PathLike, text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# grids and subcommands
+# grids and sweeps
 
 def make_grid(lo: float, hi: float, step: float, name: str) -> list[float]:
     """Points lo, lo + step, ... up to hi; at most ``MAX_GRID_POINTS`` of them.
@@ -242,51 +177,6 @@ def _grid(ns: SimpleNamespace, axis: str) -> list[float]:
     )
 
 
-# Each subcommand is one function (params, ns) -> (header, rows).  It imports
-# the modules it runs when it runs, and calls through their attributes, so a
-# command loads only what it computes with.
-
-def _energy(params: MaterialParams, ns: SimpleNamespace):
-    from . import design, valleys
-
-    if ns.eps is not None and ns.x is not None:
-        raise UsageError("give either --eps or --x, not both")
-    eps_grid = [design.x_to_strain(ns.x, params.lattice)] if ns.x is not None else _grid(ns, "eps")
-    # the one thickness is a one-point sweep, so a failure names it
-    ((q_l1, q_l3, q_d6),) = _feasible(
-        *sweep(lambda t: design.confinement_energies(params, t), [ns.t])
-    )
-    header = ["eps_par", "e_l1_ev", "e_l3_ev", "e_delta6_ev"]
-    rows = []
-    for e in eps_grid:
-        b_l1, b_l3, b_d6 = valleys.bulk_levels(params, e)
-        rows.append((e, b_l1 + q_l1, b_l3 + q_l3, b_d6 + q_d6))
-    return header, rows
-
-
-def _well(params: MaterialParams, ns: SimpleNamespace):
-    t_grid = _grid(ns, "t")
-    if ns.valley is not None:
-        from . import well
-
-        m = params.masses(Valley(ns.valley))
-        v0, k = params.bands.v0_offset_111, params.constants.hbar2_over_2m0
-
-        def point(t):
-            return t, well.solve_well(t, v0, m.m_in, m.m_out, k)[0]
-
-        header = ["t_nm", "e_q_ev"]
-    else:
-        from . import design
-
-        def point(t):
-            return t, *design.confinement_energies(params, t)
-
-        # one column per valley, in Valley order as confinement_energies returns them
-        header = ["t_nm"] + [f"e_q_{v.value.lower()}_ev" for v in Valley]
-    return header, _feasible(*sweep(point, t_grid))
-
-
 def _feasible(points: list, failures: list[tuple[float, Exception]]) -> list:
     """A sweep's points; raises its first failure if no point succeeded, else warns per failure."""
     if not points:
@@ -294,46 +184,6 @@ def _feasible(points: list, failures: list[tuple[float, Exception]]) -> list:
     for _, err in failures:  # each error names its point
         print(f"warning: {err}", file=sys.stderr)
     return points
-
-
-def _crossover(params: MaterialParams, ns: SimpleNamespace):
-    from . import design
-
-    results = _feasible(*design.crossover_curve(params, _grid(ns, "t")))
-    rows = [(r.thickness_t, r.eps_critical, r.x_critical) for r in results]
-    return ["t_nm", "eps_critical", "x_critical"], rows
-
-
-def _hc(params: MaterialParams, ns: SimpleNamespace):
-    from . import relaxation
-
-    x_grid = _grid(ns, "x")
-    if any(not 0.05 <= x <= 1.0 for x in x_grid):
-        raise ValueError("Ge-fraction grid must lie within [0.05, 1]")
-    elastic, b = params.elastic, params.constants.burgers_si
-
-    def point(x):
-        r = relaxation.critical_thickness(relaxation.RelaxationInput(x, elastic, b))
-        return x, r.misfit_f, r.nu_111, r.h_c
-
-    return ["x", "f", "nu_111", "h_c_nm"], _feasible(*sweep(point, x_grid, "x = {:g}"))
-
-
-def _sensitivity(params: MaterialParams, ns: SimpleNamespace):
-    from . import design
-
-    bands = _feasible(*design.sensitivity_curve(params, _grid(ns, "t"), ns.mode))
-    rows = [(b.thickness_t, b.x_low, b.x_nominal, b.x_high, b.clipped) for b in bands]
-    return ["t_nm", "x_low", "x_nominal", "x_high", "clipped"], rows
-
-
-def _splitting(params: MaterialParams, ns: SimpleNamespace):
-    from . import design
-
-    design.x_to_strain(ns.x, params.lattice)  # a bad Ge fraction is not named by thickness
-    (s,) = _feasible(*sweep(lambda t: design.splitting_report(params, t, ns.x), [ns.t]))
-    header = ["t_nm", "x", "delta6_minus_l1_ev", "l3_minus_l1_ev"]
-    return header, [(ns.t, ns.x, s.delta6_minus_l1, s.l3_minus_l1)]
 
 
 # The data sweep behind each figure is a fixed invocation of a subcommand,
@@ -349,16 +199,6 @@ FIGURES = {
     "fig9": ["sensitivity", "--mode", "quadratic_range"],
     "fig10": ["sensitivity", "--mode", "both"],
 }
-
-
-def _figure(params: MaterialParams, ns: SimpleNamespace):
-    if ns.id not in FIGURES:
-        raise UsageError(
-            f"unknown figure id {ns.id!r}; valid ids: {', '.join(FIGURES)} "
-            "(fig6 is a schematic with no computed curve)"
-        )
-    preset = _parse(FIGURES[ns.id])
-    return preset.rows(params, preset)
 
 
 # ---------------------------------------------------------------------------
@@ -387,30 +227,30 @@ _COMMON = {
     "--format": (("csv", "json-lines"), "csv", "output format"),
 }
 
-# Each command is (row builder, summary, its own flags); every command also takes _COMMON.
+# Each command is (summary, its own flags); every command also takes _COMMON.  Its row
+# builder is ``rows`` of the module ``lvalley.commands.<name>``, which _parse imports.
 _COMMANDS = {
-    "energy": (_energy, "valley energies vs strain at fixed thickness", {
+    "energy": ("valley energies vs strain at fixed thickness", {
         "--t": (float, _REQUIRED, "well thickness, nm"),
         "--x": (float, None, "single Ge fraction instead of a sweep"),
         **_axis("eps", 0.0, 0.05, 0.001, "single strain instead of a sweep"),
     }),
-    "well": (_well, "confinement energy vs thickness", {
+    "well": ("confinement energy vs thickness", {
         "--valley": (_VALLEY_CHOICES, None, "one valley; default: one column per valley"),
         **_axis("t", 1.0, 10.0, 0.1, "single thickness, nm"),
     }),
-    "crossover": (_crossover, "critical strain and Ge fraction vs thickness",
+    "crossover": ("critical strain and Ge fraction vs thickness",
                   _axis("t", 1.0, 10.0, 0.5, "single thickness, nm")),
-    "hc": (_hc, "critical thickness vs Ge fraction",
-           _axis("x", 0.5, 1.0, 0.01, "single Ge fraction")),
-    "sensitivity": (_sensitivity, "critical-x envelopes under coefficient variation", {
+    "hc": ("critical thickness vs Ge fraction", _axis("x", 0.5, 1.0, 0.01, "single Ge fraction")),
+    "sensitivity": ("critical-x envelopes under coefficient variation", {
         "--mode": (SENSITIVITY_MODES, "both", "which coefficients vary"),
         **_axis("t", 1.0, 10.0, 0.5, "single thickness, nm"),
     }),
-    "splitting": (_splitting, "valley splittings at one design point", {
+    "splitting": ("valley splittings at one design point", {
         "--t": (float, _REQUIRED, "well thickness, nm"),
         "--x": (float, _REQUIRED, "barrier Ge fraction"),
     }),
-    "figure": (_figure, "emit the data sweep behind one figure", {
+    "figure": ("emit the data sweep behind one figure", {
         "--id": (str, _REQUIRED, "figure id, fig1..fig5 or fig7..fig10"),
     }),
 }
@@ -421,33 +261,9 @@ class _Help(Exception):
     """--help was given; the argument is the listing to print."""
 
 
-def _listing(command: str | None) -> str:
-    """The --help text of ``command``, or of the program if None."""
-    if command is None:
-        lines = [
-            "usage: lvalley COMMAND [flags]",
-            "",
-            "Valley-crossover design data for strained SiGe/Si(111)/SiGe wells.",
-            "'lvalley COMMAND --help' lists the flags of one command.",
-            "",
-            "commands:",
-            *(f"  {name:<13}{summary}" for name, (_, summary, _) in _COMMANDS.items()),
-        ]
-    else:
-        _, summary, own = _COMMANDS[command]
-        lines = [f"usage: lvalley {command} [flags]", "", summary, "", "flags:"]
-        for flag, (kind, default, text) in {**own, **_COMMON}.items():
-            if isinstance(kind, tuple):
-                text += f"; one of {', '.join(kind)}"
-            if default is _REQUIRED:
-                text += " (required)"
-            elif kind is list:
-                text += " (repeatable)"
-            elif default is not None:
-                text += f" (default {default})"
-            lines.append(f"  {flag:<12} {text}")
-        lines.append(f"  {'-h, --help':<12} print this listing")
-    return "\n".join(lines) + "\n"
+def _command_module(name: str):
+    """The module ``lvalley.commands.<name>``, imported on first use."""
+    return __import__(f"{__package__}.commands.{name}", fromlist=["rows"])
 
 
 def _is_negative_number(token: str) -> bool:
@@ -499,15 +315,16 @@ def _parse(argv: list[str]) -> SimpleNamespace:
     Reads ``argv`` against ``_COMMANDS`` as argparse read the same table:
     ``--flag value`` or ``--flag=value``, a unique prefix of a flag, the last
     value of a flag winning and ``--set`` collecting.  A malformed invocation
-    raises UsageError and --help raises _Help.
+    raises UsageError and --help raises _Help.  Only a clean parse imports
+    the command's module, whose ``rows`` is the row builder.
     """
     command = argv[0] if argv else None
     if command not in _COMMANDS:
         if command and _option(command, _HELP) in [(flag, None) for flag in _HELP]:
-            raise _Help(_listing(None))
+            raise _Help(_command_module("help").listing(None))
         what = f"unknown command {command!r}" if argv else "no command given"
         raise UsageError(f"{what}; valid commands: {', '.join(_COMMANDS)}")
-    rows, _, own = _COMMANDS[command]
+    _, own = _COMMANDS[command]
     flags = {**own, **_COMMON}
     values = {flag: default for flag, (_, default, _) in flags.items()}
     names, tokens = [*flags, *_HELP], argv[1:]
@@ -521,7 +338,7 @@ def _parse(argv: list[str]) -> SimpleNamespace:
         elif flag in _HELP:
             if value is not None:
                 raise UsageError(f"{flag} takes no value")
-            raise _Help(_listing(command))
+            raise _Help(_command_module("help").listing(command))
         else:
             if value is None:
                 if i + 1 == len(tokens) or options[i + 1] is not None:
@@ -544,7 +361,9 @@ def _parse(argv: list[str]) -> SimpleNamespace:
     if stray:
         raise UsageError(f"{command}: unrecognized arguments: {' '.join(stray)}")
     return SimpleNamespace(
-        command=command, rows=rows, **{flag[2:].replace("-", "_"): v for flag, v in values.items()}
+        command=command,
+        rows=_command_module(command).rows,
+        **{flag[2:].replace("-", "_"): v for flag, v in values.items()},
     )
 
 

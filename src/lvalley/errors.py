@@ -26,6 +26,10 @@ class SolverError(RuntimeError):
     """A numerical routine failed to converge; the message carries diagnostics."""
 
 
+class UsageError(Exception):
+    """Malformed invocation: bad grid, bad override key, bad config line."""
+
+
 def sweep(point, grid, label: str = "t = {:g} nm") -> tuple[list, list[tuple[float, Exception]]]:
     """(values, failures) of ``point(v)`` over ``grid``, each list in grid order.
 

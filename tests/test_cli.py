@@ -32,16 +32,8 @@ from lvalley import (
     default_params,
     solve_well,
 )
-from lvalley.cli import (
-    MAX_GRID_POINTS,
-    UsageError,
-    apply_override,
-    format_number,
-    make_grid,
-    override_keys,
-    read_config,
-    run,
-)
+from lvalley.cli import MAX_GRID_POINTS, UsageError, format_number, make_grid, run
+from lvalley.overrides import apply_override, override_keys, read_config
 
 PARAMS = default_params()
 # the tree whose lvalley these tests imported, for subprocesses to import too
@@ -679,9 +671,13 @@ def _modules_after(code, flags=()):
     return ast.literal_eval(proc.stdout.splitlines()[-1])
 
 
+def _lvalley_modules(code):
+    """The ``lvalley.*`` modules, without the prefix, a fresh interpreter holds after running ``code``."""
+    return [m[8:] for m in _modules_after(code) if m.startswith("lvalley.")]
+
+
 def _lvalley_modules_after(code):
-    """The ``lvalley.*`` modules a fresh interpreter holds after running ``code``."""
-    return repr([m[8:] for m in _modules_after(code) if m.startswith("lvalley.")])
+    return repr(_lvalley_modules(code))
 
 
 def test_package_import_loads_no_submodule():
@@ -690,19 +686,36 @@ def test_package_import_loads_no_submodule():
     assert _lvalley_modules_after("import lvalley\nlvalley.well") == "['errors', 'materials', 'well']"
 
 
-DESIGN_MODULES = ["cli", "design", "elasticity", "errors", "materials", "valleys", "well"]
+def test_package_import_adds_only_the_package_under_no_site():
+    # -S skips site, whose .pth files may import importlib or warnings first
+    bare = set(_modules_after("pass", flags=("-S",)))
+    assert set(_modules_after("import lvalley", flags=("-S",))) - bare == {"lvalley"}
+    loaded = set(_modules_after("import lvalley\nlvalley.well", flags=("-S",)))
+    assert {"importlib", "warnings"} & loaded == set()
+
+
+def _design_modules(command):
+    return ["cli", "commands", f"commands.{command}", "design", "elasticity", "errors", "materials",
+            "valleys", "well"]
+
+
 # (argv, exit status, the lvalley modules a run loads); the reference solver is never among them
 COMMAND_RUNS = [
     # a usage error while resolving parameters loads no physics module
-    pytest.param(["energy", "--t", "3", "--set", "nosuch.key=1"], 2, ["cli", "errors", "materials"],
+    pytest.param(["energy", "--t", "3", "--set", "nosuch.key=1"], 2,
+                 ["cli", "commands", "commands.energy", "errors", "materials", "overrides"],
                  id="usage-error"),
-    pytest.param(["hc"], 0, ["cli", "elasticity", "errors", "materials", "relaxation"], id="hc"),
+    pytest.param(["hc"], 0,
+                 ["cli", "commands", "commands.hc", "elasticity", "errors", "materials", "relaxation"],
+                 id="hc"),
     pytest.param(["figure", "--id", "fig7"], 0,
-                 ["cli", "elasticity", "errors", "materials", "relaxation"], id="fig7"),
-    pytest.param(["well", "--valley", "L1", "--t", "3"], 0, ["cli", "errors", "materials", "well"],
-                 id="well-valley"),
-    pytest.param(["well", "--t", "3"], 0, DESIGN_MODULES, id="well"),
-    pytest.param(["crossover", "--t", "3"], 0, DESIGN_MODULES, id="crossover"),
+                 ["cli", "commands", "commands.figure", "commands.hc", "elasticity", "errors",
+                  "materials", "relaxation"],
+                 id="fig7"),
+    pytest.param(["well", "--valley", "L1", "--t", "3"], 0,
+                 ["cli", "commands", "commands.well", "errors", "materials", "well"], id="well-valley"),
+    pytest.param(["well", "--t", "3"], 0, _design_modules("well"), id="well"),
+    pytest.param(["crossover", "--t", "3"], 0, _design_modules("crossover"), id="crossover"),
 ]
 
 
@@ -730,9 +743,51 @@ def test_a_command_loads_no_argument_parser(argv, code, modules):
 @pytest.mark.parametrize("argv, code, modules", COMMAND_RUNS)
 def test_a_command_loads_no_pathlib(argv, code, modules):
     # pathlib and the regular-expression and URL modules it imports cost a cold
-    # command about 5 ms; -S skips site, whose .pth files may import them first
+    # command about 5 ms, and importlib with warnings about 1 ms; -S skips site,
+    # whose .pth files may import them first
     loaded = _modules_after(_running(argv, code), flags=("-S",))
-    assert [m for m in ("pathlib", "re", "fnmatch", "ntpath", "urllib.parse") if m in loaded] == []
+    unwanted = ("pathlib", "re", "fnmatch", "ntpath", "urllib.parse", "importlib", "warnings")
+    assert [m for m in unwanted if m in loaded] == []
+
+
+# one run of each command and the row modules it loads: its own, and for figure its preset's too
+ROW_MODULE_RUNS = {
+    "energy": (["energy", "--t", "3"], ["commands.energy"]),
+    "well": (["well", "--t", "3"], ["commands.well"]),
+    "crossover": (["crossover", "--t", "3"], ["commands.crossover"]),
+    "hc": (["hc", "--x", "0.9"], ["commands.hc"]),
+    "sensitivity": (["sensitivity", "--t", "3"], ["commands.sensitivity"]),
+    "splitting": (["splitting", "--t", "3", "--x", "1"], ["commands.splitting"]),
+    "figure": (["figure", "--id", "fig4"], ["commands.figure", "commands.crossover"]),
+}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_a_command_loads_only_its_own_row_module(command):
+    argv, row_modules = ROW_MODULE_RUNS[command]
+    loaded = _lvalley_modules(_running(argv, 0))
+    assert [m for m in loaded if m.startswith("commands")] == sorted(["commands", *row_modules])
+    assert "rootfind" not in loaded and "overrides" not in loaded
+
+
+@pytest.mark.parametrize("flags, loaded", [
+    ([], False),
+    (["--config", "{conf}"], True),
+    (["--dp-set", "fischetti1996"], True),
+    (["--set", "quadratic.d_L1=-20"], True),
+    (["--config", "{conf}", "--dp-set", "fischetti1996", "--set", "quadratic.d_L1=-20"], True),
+])
+def test_overrides_load_only_for_an_override_flag(tmp_path, flags, loaded):
+    conf = tmp_path / "p.conf"
+    conf.write_text("deformation.xi_u_L = 16.5\n")
+    argv = ["crossover", "--t", "3", *(flag.format(conf=conf) for flag in flags)]
+    assert ("overrides" in _lvalley_modules(_running(argv, 0))) is loaded
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["crossover", "--help"]], ids=["program", "command"])
+def test_help_loads_no_row_or_physics_module(argv):
+    loaded = _lvalley_modules(_running(argv, 0))
+    assert loaded == ["cli", "commands", "commands.help", "errors", "materials"]
 
 
 def test_each_export_is_the_object_its_submodules_hold():
