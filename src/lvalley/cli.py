@@ -18,6 +18,8 @@ Exit codes: 0 success, 1 domain/infeasibility/solver errors, 2 usage errors.
 
 from __future__ import annotations
 
+import errno
+import gc
 import math
 import os
 import stat
@@ -373,6 +375,23 @@ def _default_out(command: str, fmt: str) -> str:
     return name if outdir in ("", ".") else os.path.join(outdir, name)
 
 
+def _emit(out: str, text: str) -> int:
+    """Write ``text`` to the path ``out``, or to standard output for '-'; 0, or 1 with one error line."""
+    try:
+        if out != "-":
+            write_atomic(out, text)
+        elif sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # a pipe with no reader fails here, not at exit
+        return 0
+    except OSError as err:
+        where = "standard output" if out == "-" else out
+        print(f"error: cannot write output: {where}: {err.strerror or err}", file=sys.stderr)
+        return 1
+
+
 def run(argv: list[str] | None = None) -> int:
     """Parse arguments, build the rows, write output; returns the exit status."""
     try:
@@ -385,29 +404,33 @@ def run(argv: list[str] | None = None) -> int:
                 raise UsageError(f"{flag} needs a value")
         params = resolve_params(ns.config, ns.dp_set, ns.set)
         header, rows = ns.rows(params, ns)
-        text = render(header, rows, ns.format)
-        if out == "-":
-            sys.stdout.write(text)
-        else:
-            write_atomic(out, text)
-        return 0
+        return _emit(out, render(header, rows, ns.format))
     except _Help as listing:
-        sys.stdout.write(str(listing))
-        return 0
+        return _emit("-", str(listing))
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (InfeasibleError, SolverError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except OSError as err:
-        where = "standard output" if out == "-" else out
-        print(f"error: cannot write output: {where}: {err.strerror or err}", file=sys.stderr)
-        return 1
 
 
 def main() -> None:
-    sys.exit(run())
+    """The command line's entry point: :func:`run`, then exit with its status."""
+    code = run()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:
+        # run has named the failure; a failed buffer keeps its bytes, so point fd 1
+        # at the null device or the interpreter's exit flush fails on them again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 1
+    # the process is about to exit: its last collections would only walk objects the OS reclaims
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

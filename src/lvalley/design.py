@@ -140,19 +140,22 @@ def _gap_root(c0: float, c1: float, c2: float) -> float | None:
     q / c2, and neither subtracts nearly equal numbers.  For c1 >= 0 the
     crossing is c0 / q, which also covers c2 == 0; for c1 < 0 the guards
     force c2 > 0 and the crossing is q / c2.  A non-finite slope or
-    curvature is a domain error.  A discriminant that overflows (a slope
-    above about 1e154, or a curvature near the float limit), or one whose
-    magnitude falls below the normal range (an offset near the float
-    minimum with a small slope), takes :func:`_scaled_root` instead.
+    curvature, or a nan offset, is a domain error.  A discriminant that
+    overflows (a slope above about 1e154, or a curvature near the float
+    limit), or one whose magnitude falls below the normal range (an offset
+    near the float minimum with a small slope), takes :func:`_scaled_root`
+    instead.
     """
-    if c0 >= 0.0:
+    if not c0 < 0.0:
+        if math.isnan(c0):
+            raise ValueError("gap offset must be a number")
         raise InfeasibleError(
             "L1 already lies below Delta6 at zero strain", reason="below_at_zero"
         )
     disc = c1 * c1 - 4.0 * c2 * c0
     # |disc| is a finite normal float
     normal = _NORMAL_MIN <= disc < _INF or -_INF < disc <= -_NORMAL_MIN
-    # with c0 < 0 or nan, an infinite or nan c1 or c2 always makes disc non-finite
+    # with c0 < 0, an infinite or nan c1 or c2 always makes disc non-finite
     if not normal and not (math.isfinite(c1) and math.isfinite(c2)):
         raise ValueError("gap slope and curvature must be finite")
     if c0 + (c1 + c2 * EPS_BRACKET_MAX) * EPS_BRACKET_MAX < 0.0:

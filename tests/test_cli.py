@@ -1030,6 +1030,85 @@ def test_failed_rename_removes_the_temp_file(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == f"error: cannot write output: {out}: {os.strerror(errno.ENOSPC)}\n"
 
 
+# --- the process: python -m lvalley, its standard output and its exit -------------
+
+# sh runs the command with fd 1 closed
+CLOSED_STDOUT = ["sh", "-c", 'exec "$@" >&-', "sh"]
+
+
+def _python(args, prefix=(), unbuffered=False, **kwargs):
+    """A fresh ``python *args`` importing the tested tree, PYTHONUNBUFFERED set or unset."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([*prefix, sys.executable, *args], env=env, timeout=60, **kwargs)
+
+
+def test_main_freezes_the_heap_before_exit():
+    code = (
+        "import atexit, gc, sys, lvalley.cli\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "sys.argv = ['lvalley', 'hc', '--out', '-']\n"
+        "lvalley.cli.main()\n"
+    )
+    proc = _python(["-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "frozen True\n")
+    assert proc.stdout.startswith("x,f,nu_111,h_c_nm\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["crossover", "--t", "3", "--out", "-"], 0),
+    (["crossover", "--t", "0.2", "--out", "-"], 1),
+    (["energy", "--t", "3", "--set", "nosuch.key=1", "--out", "-"], 2),
+    (["--help"], 0),
+], ids=["data", "domain-error", "usage-error", "help"])
+def test_module_process_gives_what_run_gives(capsysbinary, argv, code):
+    assert run(argv) == code
+    captured = capsysbinary.readouterr()
+    proc = _python(["-m", "lvalley", *argv], capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+
+
+def _stdout_error(reason):
+    return f"error: cannot write output: standard output: {os.strerror(reason)}\n".encode()
+
+
+STDOUT_RUNS = pytest.mark.parametrize(
+    "argv", [["crossover", "--t", "3", "--out", "-"], ["--help"]], ids=["data", "help"]
+)
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX pipes and sh")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@STDOUT_RUNS
+def test_stdout_without_a_reader_is_one_error_line(argv, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _python(["-m", "lvalley", *argv], unbuffered=unbuffered, stdout=write_end,
+                       stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, _stdout_error(errno.EPIPE))
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX pipes and sh")
+@STDOUT_RUNS
+def test_closed_stdout_is_one_error_line(argv):
+    proc = _python(["-m", "lvalley", *argv], prefix=CLOSED_STDOUT, stderr=subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (1, _stdout_error(errno.EBADF))
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX pipes and sh")
+def test_closed_stdout_leaves_a_file_output_alone(tmp_path):
+    out = tmp_path / "c.csv"
+    proc = _python(["-m", "lvalley", "crossover", "--t", "3", "--out", str(out)],
+                   prefix=CLOSED_STDOUT, stderr=subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert out.read_text().splitlines()[1] == "3.0,0.0387586983,0.935351294"
+
+
 # --- figure data ------------------------------------------------------------------
 
 def test_figure_invalid_id(tmp_path, capsys):

@@ -295,6 +295,15 @@ def test_non_finite_gap_coefficient_is_a_domain_error(c1, c2):
         design._gap_root(-0.9, c1, c2)
 
 
+@pytest.mark.parametrize("c0, c1, c2", [
+    # once a ZeroDivisionError, a ZeroDivisionError and a nan root
+    (math.nan, 0.0, 1.0), (math.nan, -0.0, -3.0), (math.nan, 1.0, 1.0),
+])
+def test_nan_gap_offset_is_a_domain_error(c0, c1, c2):
+    with pytest.raises(ValueError, match="gap offset must be a number"):
+        design._gap_root(c0, c1, c2)
+
+
 def test_a_derived_error_does_not_carry_the_memo_miss():
     # 1.1 x 1.7e308 overflows while the set enumerates its linear box
     params = replace(PARAMS, deformation=replace(PARAMS.deformation, xi_u_L=1.7e308))
