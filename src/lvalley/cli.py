@@ -179,12 +179,27 @@ def _grid(ns: SimpleNamespace, axis: str) -> list[float]:
     )
 
 
+def _diagnose(line: str) -> None:
+    """Write one ``warning:`` or ``error:`` line to standard error, and never to standard output.
+
+    With fd 2 closed, ``sys.stderr`` is None, where ``print`` would fall back to
+    standard output.  A write that fails drops the stream: the failed line stays
+    in its buffer, and the interpreter's exit flush would fail on it again.
+    """
+    if sys.stderr is None:
+        return
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        sys.stderr = None
+
+
 def _feasible(points: list, failures: list[tuple[float, Exception]]) -> list:
     """A sweep's points; raises its first failure if no point succeeded, else warns per failure."""
     if not points:
         raise failures[0][1]
     for _, err in failures:  # each error names its point
-        print(f"warning: {err}", file=sys.stderr)
+        _diagnose(f"warning: {err}")
     return points
 
 
@@ -388,7 +403,7 @@ def _emit(out: str, text: str) -> int:
         return 0
     except OSError as err:
         where = "standard output" if out == "-" else out
-        print(f"error: cannot write output: {where}: {err.strerror or err}", file=sys.stderr)
+        _diagnose(f"error: cannot write output: {where}: {err.strerror or err}")
         return 1
 
 
@@ -408,10 +423,10 @@ def run(argv: list[str] | None = None) -> int:
     except _Help as listing:
         return _emit("-", str(listing))
     except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
+        _diagnose(f"error: {err}")
         return 2
     except (InfeasibleError, SolverError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        _diagnose(f"error: {err}")
         return 1
 
 

@@ -1030,8 +1030,13 @@ def test_failed_rename_removes_the_temp_file(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == f"error: cannot write output: {out}: {os.strerror(errno.ENOSPC)}\n"
 
 
-# --- the process: python -m lvalley, its standard output and its exit -------------
+# --- the process: both entry points, their streams and their exit -------------------
 
+# python -m lvalley, and the code of the console script pip generates from [project.scripts]
+ENTRY_POINTS = {
+    "module": ["-m", "lvalley"],
+    "script": ["-c", "import sys; from lvalley.cli import main; sys.exit(main())"],
+}
 # sh runs the command with fd 1 closed
 CLOSED_STDOUT = ["sh", "-c", 'exec "$@" >&-', "sh"]
 
@@ -1057,56 +1062,123 @@ def test_main_freezes_the_heap_before_exit():
     assert proc.stdout.startswith("x,f,nu_111,h_c_nm\n")
 
 
-@pytest.mark.parametrize("argv, code", [
-    (["crossover", "--t", "3", "--out", "-"], 0),
-    (["crossover", "--t", "0.2", "--out", "-"], 1),
-    (["energy", "--t", "3", "--set", "nosuch.key=1", "--out", "-"], 2),
-    (["--help"], 0),
-], ids=["data", "domain-error", "usage-error", "help"])
-def test_module_process_gives_what_run_gives(capsysbinary, argv, code):
+SWEEP_WITH_A_FAILED_POINT = [
+    "crossover", "--t-min", "0.2", "--t-max", "1.4", "--t-step", "0.4", "--out", "-"
+]
+
+# The command line's contract, one row per command line: (argv, exit status), {conf}
+# naming a config file.  A new command line is one more row.
+CLI_CASES = [
+    pytest.param(["crossover", "--t", "3", "--out", "-"], 0, id="data"),
+    pytest.param(["crossover", "--t", "0.2", "--out", "-"], 1, id="domain-error"),
+    pytest.param(["energy", "--t", "3", "--set", "nosuch.key=1", "--out", "-"], 2, id="usage-error"),
+    pytest.param(["--help"], 0, id="help"),
+    pytest.param(["crossover", "--help"], 0, id="command-help"),
+    # the sensitivity band (fig10), the single-valley and all-valley well paths, and
+    # splitting, energy and hc, each with its own physics modules
+    pytest.param(["figure", "--id", "fig10", "--out", "-"], 0, id="fig10"),
+    pytest.param(["figure", "--id", "fig7", "--out", "-"], 0, id="fig7"),
+    pytest.param(["well", "--valley", "L3", "--t-min", "1", "--t-max", "10", "--t-step", "0.5",
+                  "--out", "-"], 0, id="well-valley"),
+    pytest.param(["well", "--t-min", "1", "--t-max", "10", "--t-step", "0.5", "--out", "-"], 0, id="well"),
+    pytest.param(["splitting", "--t", "3", "--x", "1", "--out", "-"], 0, id="splitting"),
+    pytest.param(["energy", "--t", "3", "--out", "-"], 0, id="energy"),
+    pytest.param(["hc", "--out", "-"], 0, id="hc"),
+    # sweeps with failing points: the good rows, and one warning per failed point
+    pytest.param(SWEEP_WITH_A_FAILED_POINT, 0, id="crossover-warnings"),
+    pytest.param(["hc", "--set", "elastic.c44=1", "--x-min", "0.8", "--x-max", "0.9", "--x-step", "0.02",
+                  "--out", "-"], 0, id="hc-warnings"),
+    # the override surface
+    pytest.param(["crossover", "--t", "3", "--config", "{conf}", "--set", "quadratic.d_L1=-20",
+                  "--out", "-"], 0, id="config-and-set"),
+    pytest.param(["splitting", "--t", "5", "--x", "0.95", "--dp-set", "fischetti1996", "--out", "-"],
+                 0, id="dp-set"),
+]
+
+
+@pytest.mark.parametrize("argv, code", CLI_CASES)
+def test_module_process_gives_what_run_gives(capsysbinary, tmp_path, argv, code):
+    """Both entry points give the exit status, stdout bytes and stderr bytes of in-process ``run``."""
+    conf = tmp_path / "p.conf"
+    conf.write_text("deformation.xi_u_L = 16.5\nquadratic.d_delta6 = -12.0\n")
+    argv = [arg.format(conf=conf) for arg in argv]
     assert run(argv) == code
     captured = capsysbinary.readouterr()
-    proc = _python(["-m", "lvalley", *argv], capture_output=True)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+    assert captured.out or code != 0
+    for entry, args in ENTRY_POINTS.items():
+        proc = _python([*args, *argv], capture_output=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err), entry
 
 
 def _stdout_error(reason):
     return f"error: cannot write output: standard output: {os.strerror(reason)}\n".encode()
 
 
-STDOUT_RUNS = pytest.mark.parametrize(
-    "argv", [["crossover", "--t", "3", "--out", "-"], ["--help"]], ids=["data", "help"]
-)
+@contextlib.contextmanager
+def _started_in(state, tmp_path):
+    """The ``_python`` arguments that start a process in ``state``, the other stream piped."""
+    if state == "no-reader":  # fd 1 a pipe whose read end is closed before the run
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            yield {"stdout": write_end, "stderr": subprocess.PIPE}
+        finally:
+            os.close(write_end)
+    elif state == "closed-stdout":
+        yield {"prefix": CLOSED_STDOUT, "stderr": subprocess.PIPE}
+    elif state == "closed-stderr":
+        yield {"preexec_fn": lambda: os.close(2), "stdout": subprocess.PIPE}
+    else:  # read-only-stderr: fd 2 a file opened for reading
+        path = tmp_path / "stderr"
+        path.touch()
+        with open(path) as read_only:
+            yield {"stderr": read_only, "stdout": subprocess.PIPE}
+
+
+# stands for the stdout bytes of an ordinary in-process run of the same command line
+ROWS = "rows"
+
+# (state, argv, (exit status, stdout, stderr)): None for the stream the state takes
+# away, and {out} naming a file
+STREAM_CASES = [
+    # standard output that fails is one error line and exit 1, for the data and --help alike
+    pytest.param("no-reader", ["crossover", "--t", "3", "--out", "-"],
+                 (1, None, _stdout_error(errno.EPIPE)), id="no-reader-data"),
+    pytest.param("no-reader", ["--help"], (1, None, _stdout_error(errno.EPIPE)), id="no-reader-help"),
+    pytest.param("closed-stdout", ["crossover", "--t", "3", "--out", "-"],
+                 (1, None, _stdout_error(errno.EBADF)), id="closed-stdout-data"),
+    pytest.param("closed-stdout", ["--help"], (1, None, _stdout_error(errno.EBADF)),
+                 id="closed-stdout-help"),
+    # a run that writes a file never touches standard output
+    pytest.param("closed-stdout", ["crossover", "--t", "3", "--out", "{out}"], (0, None, b""),
+                 id="closed-stdout-file"),
+    # a standard error that is closed or fails neither enters the data nor stops it
+    pytest.param("closed-stderr", SWEEP_WITH_A_FAILED_POINT, (0, ROWS, None), id="closed-stderr-sweep"),
+    pytest.param("closed-stderr", ["crossover", "--t", "0.2", "--out", "-"], (1, b"", None),
+                 id="closed-stderr-point"),
+    pytest.param("read-only-stderr", SWEEP_WITH_A_FAILED_POINT, (0, ROWS, None),
+                 id="read-only-stderr-sweep"),
+    pytest.param("read-only-stderr", ["crossover", "--t", "0.2", "--out", "-"], (1, b"", None),
+                 id="read-only-stderr-point"),
+]
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="POSIX pipes and sh")
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@STDOUT_RUNS
-def test_stdout_without_a_reader_is_one_error_line(argv, unbuffered):
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = _python(["-m", "lvalley", *argv], unbuffered=unbuffered, stdout=write_end,
-                       stderr=subprocess.PIPE)
-    finally:
-        os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (1, _stdout_error(errno.EPIPE))
-
-
-@pytest.mark.skipif(sys.platform == "win32", reason="POSIX pipes and sh")
-@STDOUT_RUNS
-def test_closed_stdout_is_one_error_line(argv):
-    proc = _python(["-m", "lvalley", *argv], prefix=CLOSED_STDOUT, stderr=subprocess.PIPE)
-    assert (proc.returncode, proc.stderr) == (1, _stdout_error(errno.EBADF))
-
-
-@pytest.mark.skipif(sys.platform == "win32", reason="POSIX pipes and sh")
-def test_closed_stdout_leaves_a_file_output_alone(tmp_path):
-    out = tmp_path / "c.csv"
-    proc = _python(["-m", "lvalley", "crossover", "--t", "3", "--out", str(out)],
-                   prefix=CLOSED_STDOUT, stderr=subprocess.PIPE)
-    assert (proc.returncode, proc.stderr) == (0, b"")
-    assert out.read_text().splitlines()[1] == "3.0,0.0387586983,0.935351294"
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("state, argv, expected", STREAM_CASES)
+def test_stream_states_keep_the_contract(capsysbinary, tmp_path, state, argv, expected, entry, unbuffered):
+    out = tmp_path / "out.csv"
+    run([arg.format(out="-") for arg in argv])  # the parity test checks its status
+    rows = capsysbinary.readouterr().out
+    with _started_in(state, tmp_path) as streams:
+        proc = _python([*ENTRY_POINTS[entry], *(arg.format(out=out) for arg in argv)],
+                       unbuffered=unbuffered, **streams)
+    code, stdout, stderr = expected
+    expected = (code, rows if stdout is ROWS else stdout, stderr)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+    if "{out}" in argv:
+        assert out.read_bytes() == rows
 
 
 # --- figure data ------------------------------------------------------------------
