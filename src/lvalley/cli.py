@@ -153,9 +153,9 @@ def make_grid(lo: float, hi: float, step: float, name: str) -> list[float]:
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
         raise UsageError(f"{name}: min, max and step must be finite numbers")
     if step <= 0.0:
-        raise UsageError(f"{name}: step must be > 0, got {step:g}")
+        raise UsageError(f"{name}: step must be > 0, got {step:.9g}")
     if hi < lo:
-        raise UsageError(f"{name}: max {hi:g} is below min {lo:g}")
+        raise UsageError(f"{name}: max {hi:.9g} is below min {lo:.9g}")
     # (hi - lo) may overflow to inf, which the comparison also rejects
     span = (hi - lo) / step + 1e-9
     if not span < MAX_GRID_POINTS:

@@ -67,6 +67,16 @@ def test_make_grid():
         make_grid(2.0, 1.0, 0.5, "g")
 
 
+def test_a_grid_error_names_its_numbers_to_nine_digits(capsys):
+    # to six digits, 50.0000001 read as 50: "max 50 is below min 50"
+    assert run(["crossover", "--t-min", "50.0000001", "--t-max", "50", "--out", "-"]) == 2
+    assert capsys.readouterr().err == "error: --t-min/--t-max/--t-step: max 50 is below min 50.0000001\n"
+    with pytest.raises(UsageError, match=r"^g: step must be > 0, got -0\.1234567$"):
+        make_grid(1.0, 2.0, -0.1234567, "g")
+    with pytest.raises(UsageError, match=r"^g: max 1 is below min 2$"):
+        make_grid(2.0, 1.0, 0.5, "g")
+
+
 def test_make_grid_rejects_non_finite_and_caps_points():
     for bad in (math.inf, -math.inf, math.nan):
         for args in ((bad, 2.0, 0.5), (1.0, bad, 0.5), (1.0, 2.0, bad)):
@@ -618,105 +628,31 @@ def test_sensitivity_keeps_feasible_points_and_warns_per_failure(capsys):
         assert line.endswith("requires x > 1")
 
 
-def _loaded_after_cli_import(*modules, flags=()):
-    """Which of ``modules`` a fresh ``python *flags`` holds after ``import lvalley.cli``."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    code = f"import sys, lvalley.cli; print([m for m in {modules!r} if m in sys.modules])"
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+@functools.cache
+def _loaded(code):
+    """The names in ``sys.modules`` of a fresh ``python -S`` after running ``code``,
+    one interpreter per distinct ``code``.
+
+    -S skips site, whose start-up .pth files may import modules of their own first.
+    """
+    proc = _python(["-S", "-c", f"import sys\n{code}\nprint(sorted(sys.modules))"],
+                   capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
+    return frozenset(ast.literal_eval(proc.stdout.splitlines()[-1]))
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    assert _loaded_after_cli_import("numpy") == "[]"
-
-
-def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
-    # both cost a command-line start several milliseconds, and the records need neither
-    assert _loaded_after_cli_import("dataclasses", "inspect") == "[]"
-
-
-def test_cli_import_leaves_typing_unloaded():
-    # -S skips site, whose start-up .pth files may import typing themselves
-    assert _loaded_after_cli_import("typing", flags=("-S",)) == "[]"
-
-
-def test_cli_import_leaves_tempfile_unloaded():
-    # the atomic write names its own temporary file; tempfile would also load random
-    assert _loaded_after_cli_import("tempfile", "random", flags=("-S",)) == "[]"
-
-
-def test_cli_import_leaves_the_reference_solver_unloaded():
-    # the production solvers take their stopping rule from errors.py
-    assert _loaded_after_cli_import("lvalley.rootfind") == "[]"
-
-
-def _modules_after(code, flags=()):
-    """The names in ``sys.modules`` of a fresh ``python *flags`` after running ``code``."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", f"import sys\n{code}\nprint(sorted(sys.modules))"],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return ast.literal_eval(proc.stdout.splitlines()[-1])
-
-
-def _lvalley_modules(code):
-    """The ``lvalley.*`` modules, without the prefix, a fresh interpreter holds after running ``code``."""
-    return [m[8:] for m in _modules_after(code) if m.startswith("lvalley.")]
-
-
-def _lvalley_modules_after(code):
-    return repr(_lvalley_modules(code))
-
-
-def test_package_import_loads_no_submodule():
-    assert _lvalley_modules_after("import lvalley") == "[]"
-    # a submodule read as an attribute is imported then, and alone
-    assert _lvalley_modules_after("import lvalley\nlvalley.well") == "['errors', 'materials', 'well']"
+@pytest.fixture(scope="session")
+def baseline():
+    """What a run may load besides lvalley: ``_running``'s contextlib and io, and the
+    standard library lvalley imports.  numpy, argparse, pathlib, re, importlib,
+    warnings, tempfile, typing, dataclasses and inspect are not among them: each
+    costs a cold command milliseconds."""
+    return _loaded("import contextlib, io, os, stat, errno, gc, math, enum, __future__")
 
 
 def test_package_import_adds_only_the_package_under_no_site():
-    # -S skips site, whose .pth files may import importlib or warnings first
-    bare = set(_modules_after("pass", flags=("-S",)))
-    assert set(_modules_after("import lvalley", flags=("-S",))) - bare == {"lvalley"}
-    loaded = set(_modules_after("import lvalley\nlvalley.well", flags=("-S",)))
-    assert {"importlib", "warnings"} & loaded == set()
-
-
-def _design_modules(command):
-    return ["cli", "commands", f"commands.{command}", "design", "elasticity", "errors", "materials",
-            "valleys", "well"]
-
-
-# (argv, exit status, the lvalley modules a run loads); the reference solver is never among them
-COMMAND_RUNS = [
-    # a usage error while resolving parameters loads no physics module
-    pytest.param(["energy", "--t", "3", "--set", "nosuch.key=1"], 2,
-                 ["cli", "commands", "commands.energy", "errors", "materials", "overrides"],
-                 id="usage-error"),
-    pytest.param(["hc"], 0,
-                 ["cli", "commands", "commands.hc", "elasticity", "errors", "materials", "relaxation"],
-                 id="hc"),
-    pytest.param(["figure", "--id", "fig7"], 0,
-                 ["cli", "commands", "commands.figure", "commands.hc", "elasticity", "errors",
-                  "materials", "relaxation"],
-                 id="fig7"),
-    pytest.param(["well", "--valley", "L1", "--t", "3"], 0,
-                 ["cli", "commands", "commands.well", "errors", "materials", "well"], id="well-valley"),
-    pytest.param(["well", "--t", "3"], 0, _design_modules("well"), id="well"),
-    pytest.param(["crossover", "--t", "3"], 0, _design_modules("crossover"), id="crossover"),
-]
+    # stricter than the baseline: not even a standard-library module
+    assert _loaded("import lvalley") - _loaded("pass") == {"lvalley"}
 
 
 def _running(argv, code):
@@ -728,46 +664,129 @@ def _running(argv, code):
     )
 
 
-@pytest.mark.parametrize("argv, code, modules", COMMAND_RUNS)
-def test_a_command_loads_only_the_modules_it_runs(argv, code, modules):
-    assert _lvalley_modules_after(_running(argv, code)) == repr(modules)
+def _design_modules(*modules):
+    return ["cli", "commands", "design", "elasticity", "errors", "materials", "valleys", "well", *modules]
 
 
-@pytest.mark.parametrize("argv, code, modules", COMMAND_RUNS)
-def test_a_command_loads_no_argument_parser(argv, code, modules):
+_HELP_MODULES = ["cli", "commands", "commands.help", "errors", "materials"]
+_OVERRIDE_MODULES = _design_modules("commands.crossover", "overrides")
+
+# What each way of starting lvalley loads, one row per way: (code, the lvalley
+# modules it leaves loaded), with {conf} naming a config file.  Each row runs in a
+# fresh python -S and may load no other module that the baseline does not.  No row
+# loads rootfind, the reference solver.  A new command is one more row.
+LOAD_CASES = [
+    pytest.param("import lvalley", [], id="import"),
+    # a submodule read as an attribute is imported then, and alone
+    pytest.param("import lvalley\nlvalley.well", ["errors", "materials", "well"], id="import-then-well"),
+    pytest.param("import lvalley.cli", ["cli", "errors", "materials"], id="import-cli"),
+    # a usage error while resolving parameters loads no physics module
+    pytest.param(_running(["energy", "--t", "3", "--set", "nosuch.key=1"], 2),
+                 ["cli", "commands", "commands.energy", "errors", "materials", "overrides"],
+                 id="usage-error"),
+    pytest.param(_running(["hc"], 0),
+                 ["cli", "commands", "commands.hc", "elasticity", "errors", "materials", "relaxation"],
+                 id="hc"),
+    pytest.param(_running(["figure", "--id", "fig7"], 0),
+                 ["cli", "commands", "commands.figure", "commands.hc", "elasticity", "errors",
+                  "materials", "relaxation"],
+                 id="fig7"),
+    pytest.param(_running(["well", "--valley", "L1", "--t", "3"], 0),
+                 ["cli", "commands", "commands.well", "errors", "materials", "well"], id="well-valley"),
+    pytest.param(_running(["well", "--t", "3"], 0), _design_modules("commands.well"), id="well"),
+    pytest.param(_running(["crossover", "--t", "3"], 0), _design_modules("commands.crossover"),
+                 id="crossover"),
+    pytest.param(_running(["energy", "--t", "3"], 0), _design_modules("commands.energy"), id="energy"),
+    pytest.param(_running(["sensitivity", "--t", "3"], 0), _design_modules("commands.sensitivity"),
+                 id="sensitivity"),
+    pytest.param(_running(["splitting", "--t", "3", "--x", "1"], 0), _design_modules("commands.splitting"),
+                 id="splitting"),
+    # figure loads its preset's row module too
+    pytest.param(_running(["figure", "--id", "fig4"], 0),
+                 _design_modules("commands.figure", "commands.crossover"), id="figure"),
+    # the override surface loads for an override flag only
+    pytest.param(_running(["crossover", "--t", "3", "--config", "{conf}"], 0), _OVERRIDE_MODULES,
+                 id="config"),
+    pytest.param(_running(["crossover", "--t", "3", "--dp-set", "fischetti1996"], 0), _OVERRIDE_MODULES,
+                 id="dp-set"),
+    pytest.param(_running(["crossover", "--t", "3", "--set", "quadratic.d_L1=-20"], 0), _OVERRIDE_MODULES,
+                 id="set"),
+    pytest.param(_running(["crossover", "--t", "3", "--config", "{conf}", "--dp-set", "fischetti1996",
+                           "--set", "quadratic.d_L1=-20"], 0), _OVERRIDE_MODULES, id="all-overrides"),
+    # --help loads no row or physics module
+    pytest.param(_running(["--help"], 0), _HELP_MODULES, id="help"),
+    pytest.param(_running(["crossover", "--help"], 0), _HELP_MODULES, id="command-help"),
+]
+
+
+@pytest.fixture(scope="session")
+def conf(tmp_path_factory):
+    """The file {conf} names: one per session, so each row's code and run are shared."""
+    path = tmp_path_factory.mktemp("load") / "p.conf"
+    path.write_text("deformation.xi_u_L = 16.5\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("code, modules", LOAD_CASES)
+def test_a_command_loads_only_the_modules_it_runs(conf, baseline, code, modules):
+    loaded = _loaded(code.replace("{conf}", conf))
+    assert sorted(m[8:] for m in loaded if m.startswith("lvalley.")) == sorted(modules)
+    assert sorted(m for m in loaded - baseline if m.partition(".")[0] != "lvalley") == []
+
+
+# The checks below name what the allowlist keeps out of a row.  Each reads the
+# cached run of its LOAD_CASES row and starts no interpreter of its own.
+_ROW_CODE = {case.id: case.values[0] for case in LOAD_CASES}
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    assert {"numpy"} & _loaded(_ROW_CODE["import-cli"]) == set()
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # both cost a command-line start several milliseconds, and the records need neither
+    assert {"dataclasses", "inspect"} & _loaded(_ROW_CODE["import-cli"]) == set()
+
+
+def test_cli_import_leaves_typing_unloaded():
+    assert {"typing"} & _loaded(_ROW_CODE["import-cli"]) == set()
+
+
+def test_cli_import_leaves_tempfile_unloaded():
+    # the atomic write names its own temporary file; tempfile would also load random
+    assert {"tempfile", "random"} & _loaded(_ROW_CODE["import-cli"]) == set()
+
+
+def test_cli_import_leaves_the_reference_solver_unloaded():
+    # the production solvers take their stopping rule from errors.py
+    assert {"lvalley.rootfind"} & _loaded(_ROW_CODE["import-cli"]) == set()
+
+
+COMMAND_RUNS = ["usage-error", "hc", "fig7", "well-valley", "well", "crossover"]
+
+
+@pytest.mark.parametrize("row", COMMAND_RUNS)
+def test_a_command_loads_no_argument_parser(row):
     # argparse, with the gettext and locale it loads, cost a cold command several ms
-    loaded = _modules_after(_running(argv, code))
-    assert [m for m in ("argparse", "gettext", "locale") if m in loaded] == []
+    assert {"argparse", "gettext", "locale"} & _loaded(_ROW_CODE[row]) == set()
 
 
-@pytest.mark.parametrize("argv, code, modules", COMMAND_RUNS)
-def test_a_command_loads_no_pathlib(argv, code, modules):
+@pytest.mark.parametrize("row", COMMAND_RUNS)
+def test_a_command_loads_no_pathlib(row):
     # pathlib and the regular-expression and URL modules it imports cost a cold
-    # command about 5 ms, and importlib with warnings about 1 ms; -S skips site,
-    # whose .pth files may import them first
-    loaded = _modules_after(_running(argv, code), flags=("-S",))
-    unwanted = ("pathlib", "re", "fnmatch", "ntpath", "urllib.parse", "importlib", "warnings")
-    assert [m for m in unwanted if m in loaded] == []
+    # command about 5 ms, and importlib with warnings about 1 ms
+    unwanted = {"pathlib", "re", "fnmatch", "ntpath", "urllib.parse", "importlib", "warnings"}
+    assert unwanted & _loaded(_ROW_CODE[row]) == set()
 
 
-# one run of each command and the row modules it loads: its own, and for figure its preset's too
-ROW_MODULE_RUNS = {
-    "energy": (["energy", "--t", "3"], ["commands.energy"]),
-    "well": (["well", "--t", "3"], ["commands.well"]),
-    "crossover": (["crossover", "--t", "3"], ["commands.crossover"]),
-    "hc": (["hc", "--x", "0.9"], ["commands.hc"]),
-    "sensitivity": (["sensitivity", "--t", "3"], ["commands.sensitivity"]),
-    "splitting": (["splitting", "--t", "3", "--x", "1"], ["commands.splitting"]),
-    "figure": (["figure", "--id", "fig4"], ["commands.figure", "commands.crossover"]),
-}
-
-
+# every command has a row: a missing one is a KeyError here
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_a_command_loads_only_its_own_row_module(command):
-    argv, row_modules = ROW_MODULE_RUNS[command]
-    loaded = _lvalley_modules(_running(argv, 0))
-    assert [m for m in loaded if m.startswith("commands")] == sorted(["commands", *row_modules])
-    assert "rootfind" not in loaded and "overrides" not in loaded
+    loaded = _loaded(_ROW_CODE[command])
+    # its own row module, and for figure its preset's too
+    own = ["commands", f"commands.{command}", *(["commands.crossover"] if command == "figure" else [])]
+    assert sorted(m[8:] for m in loaded if m.startswith("lvalley.commands")) == sorted(own)
+    assert {"lvalley.rootfind", "lvalley.overrides"} & loaded == set()
 
 
 @pytest.mark.parametrize("flags, loaded", [
@@ -777,17 +796,10 @@ def test_a_command_loads_only_its_own_row_module(command):
     (["--set", "quadratic.d_L1=-20"], True),
     (["--config", "{conf}", "--dp-set", "fischetti1996", "--set", "quadratic.d_L1=-20"], True),
 ])
-def test_overrides_load_only_for_an_override_flag(tmp_path, flags, loaded):
-    conf = tmp_path / "p.conf"
-    conf.write_text("deformation.xi_u_L = 16.5\n")
-    argv = ["crossover", "--t", "3", *(flag.format(conf=conf) for flag in flags)]
-    assert ("overrides" in _lvalley_modules(_running(argv, 0))) is loaded
-
-
-@pytest.mark.parametrize("argv", [["--help"], ["crossover", "--help"]], ids=["program", "command"])
-def test_help_loads_no_row_or_physics_module(argv):
-    loaded = _lvalley_modules(_running(argv, 0))
-    assert loaded == ["cli", "commands", "commands.help", "errors", "materials"]
+def test_overrides_load_only_for_an_override_flag(conf, flags, loaded):
+    # the code of the crossover, config, dp-set, set and all-overrides rows
+    code = _running(["crossover", "--t", "3", *flags], 0).replace("{conf}", conf)
+    assert ("lvalley.overrides" in _loaded(code)) is loaded
 
 
 def test_each_export_is_the_object_its_submodules_hold():
