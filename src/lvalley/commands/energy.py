@@ -14,9 +14,10 @@ def rows(params, ns):
     ((q_l1, q_l3, q_d6),) = _feasible(
         *sweep(lambda t: design.confinement_energies(params, t), [ns.t])
     )
-    header = ["eps_par", "e_l1_ev", "e_l3_ev", "e_delta6_ev"]
-    rows = []
-    for e in eps_grid:
+
+    def point(e):
         b_l1, b_l3, b_d6 = valleys.bulk_levels(params, e)
-        rows.append((e, b_l1 + q_l1, b_l3 + q_l3, b_d6 + q_d6))
-    return header, rows
+        return e, b_l1 + q_l1, b_l3 + q_l3, b_d6 + q_d6
+
+    header = ["eps_par", "e_l1_ev", "e_l3_ev", "e_delta6_ev"]
+    return header, _feasible(*sweep(point, eps_grid, "eps = {:.9g}"))

@@ -16,4 +16,4 @@ def rows(params, ns):
         r = relaxation.critical_thickness(relaxation.RelaxationInput(x, elastic, b))
         return x, r.misfit_f, r.nu_111, r.h_c
 
-    return ["x", "f", "nu_111", "h_c_nm"], _feasible(*sweep(point, x_grid, "x = {:g}"))
+    return ["x", "f", "nu_111", "h_c_nm"], _feasible(*sweep(point, x_grid, "x = {:.9g}"))

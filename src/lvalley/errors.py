@@ -30,7 +30,7 @@ class UsageError(Exception):
     """Malformed invocation: bad grid, bad override key, bad config line."""
 
 
-def sweep(point, grid, label: str = "t = {:g} nm") -> tuple[list, list[tuple[float, Exception]]]:
+def sweep(point, grid, label: str = "t = {:.9g} nm") -> tuple[list, list[tuple[float, Exception]]]:
     """(values, failures) of ``point(v)`` over ``grid``, each list in grid order.
 
     The one place a sweep point's InfeasibleError or ValueError is caught:

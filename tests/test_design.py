@@ -709,7 +709,7 @@ def test_sensitivity_curve_keeps_feasible_points():
     assert [t for t, _ in failures] == [5.0, 6.0, 99.0]
     for t, err in failures[:2]:
         assert isinstance(err, InfeasibleError) and err.reason == "requires_x_gt_1"
-        assert str(err).startswith(f"t = {t:g} nm: strain ")
+        assert str(err).startswith(f"t = {t:.9g} nm: strain ")
     assert type(failures[2][1]) is ValueError
     assert str(failures[2][1]).startswith("t = 99 nm: thickness 99.0 nm outside")
     # the band list raises the first failure
@@ -885,7 +885,7 @@ def _band_or_error(fn, t):
     try:
         return repr(fn())
     except (InfeasibleError, ValueError) as err:
-        message = str(err).removeprefix(f"t = {t:g} nm: ")
+        message = str(err).removeprefix(f"t = {t:.9g} nm: ")
         return type(err).__name__, getattr(err, "reason", None), message
 
 
